@@ -83,6 +83,19 @@ MemConfig::validate() const
     atLeastOne(keys::kRanksPerChannel, org.ranksPerChannel);
     atLeastOne(keys::kBanksPerRank, org.banksPerRank);
     atLeastOne(keys::kSubarraysPerBank, org.subarraysPerBank);
+    if (org.ranksPerChannel > MemOrg::kMaxRanksPerChannel) {
+        fail("config key 'ranksPerChannel' must be <= " +
+             std::to_string(MemOrg::kMaxRanksPerChannel) + " (got " +
+             std::to_string(org.ranksPerChannel) + ")");
+    } else if (org.ranksPerChannel >= 1 && org.banksPerRank >= 1 &&
+               org.banksPerRank > MemOrg::kMaxBanksPerChannel /
+                                      org.ranksPerChannel) {
+        fail("config keys 'ranksPerChannel' x 'banksPerRank' (" +
+             std::to_string(org.ranksPerChannel) + " x " +
+             std::to_string(org.banksPerRank) + ") must be <= " +
+             std::to_string(MemOrg::kMaxBanksPerChannel) +
+             " banks per channel");
+    }
 
     // SARP's subarray grouping and the address map both require a
     // power-of-two subarray count that tiles the bank's rows evenly.

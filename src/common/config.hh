@@ -58,6 +58,11 @@ double tRfcAbNsFor(Density d);
 /** DRAM geometry. */
 struct MemOrg
 {
+    /** Geometry bounds (MemConfig::validate()): the FR-FCFS pick and
+     *  the channel's open-bank mask keep one bit per bank. */
+    static constexpr int kMaxRanksPerChannel = 8;
+    static constexpr int kMaxBanksPerChannel = 64;
+
     int channels = 2;
     int ranksPerChannel = 2;
     int banksPerRank = 8;

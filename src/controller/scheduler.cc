@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hh"
-
 namespace dsarp {
 
 CmdChoice
@@ -13,31 +11,14 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
              int banks_per_rank)
 {
     CmdChoice choice;
+    if (queue.empty())
+        return choice;
 
-    // Snapshot the open rows once: under the closed-row policy most
-    // banks are closed most ticks, so the row-hit scan below reduces to
-    // a bitmask test per entry (and vanishes when nothing is open)
-    // instead of a bank lookup per queued request.
-    DSARP_ASSERT(channel.numRanks() <= kMaxRanksScan &&
-                     channel.numRanks() * banks_per_rank <= kMaxBanksScan,
-                 "geometry exceeds FR-FCFS scan buffers");
-    const int num_ranks = channel.numRanks();
-    std::uint64_t open_mask = 0;
-    std::uint64_t refreshing_mask = 0;
-    RowId open_rows[kMaxBanksScan];
-    for (RankId r = 0; r < num_ranks; ++r) {
-        const Rank &rank = channel.rank(r);
-        for (BankId b = 0; b < banks_per_rank; ++b) {
-            const Bank &bank = rank.bank(b);
-            const int idx = r * banks_per_rank + b;
-            if (bank.isOpen()) {
-                open_mask |= std::uint64_t(1) << idx;
-                open_rows[idx] = bank.openRow();
-            }
-            if (bank.refreshing(now))
-                refreshing_mask |= std::uint64_t(1) << idx;
-        }
-    }
+    // Under the closed-row policy most banks are closed most ticks, so
+    // the row-hit scan below reduces to a bitmask test per entry (and
+    // vanishes when nothing is open). The channel keeps the mask as it
+    // issues; the config bounds the geometry to its 64 bits.
+    const std::uint64_t open_mask = channel.openBanks();
 
     // Phase 1: row hits. Oldest request whose row is open and whose
     // column command is legal right now.
@@ -45,7 +26,8 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
         const Request &req = queue.at(i);
         const int open_idx = req.loc.rank * banks_per_rank + req.loc.bank;
         if (!(open_mask >> open_idx & 1) ||
-            open_rows[open_idx] != req.loc.row) {
+            channel.rank(req.loc.rank).bank(req.loc.bank).openRow() !=
+                req.loc.row) {
             continue;
         }
 
@@ -81,7 +63,8 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
     // each (rank, bank) pair is attempted at most once -- a younger
     // request to a bank whose oldest request cannot activate must not
     // jump ahead of it.
-    bool rank_act_ok[kMaxRanksScan] = {};
+    const int num_ranks = channel.numRanks();
+    bool rank_act_ok[MemOrg::kMaxRanksPerChannel] = {};
     bool any_rank_ok = false;
     for (RankId r = 0; r < num_ranks; ++r) {
         rank_act_ok[r] = channel.rank(r).canActRankLevel(now);
@@ -96,15 +79,15 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
             continue;
         // A refreshing bank stays eligible for younger requests: under
         // SARP they may target a different, accessible subarray.
-        if (!(refreshing_mask & bit))
+        const Bank &bank = channel.rank(req.loc.rank).bank(req.loc.bank);
+        if (!bank.refreshing(now))
             tried_banks |= bit;
         if (!rank_act_ok[req.loc.rank] || act_blocked_rank[req.loc.rank] ||
             act_blocked_bank[bank_idx]) {
             continue;
         }
-        if (open_mask >> bank_idx & 1)
+        if (open_mask & bit)
             continue;  // Handled by phase 3 if the row is stranded.
-        const Bank &bank = channel.rank(req.loc.rank).bank(req.loc.bank);
         if (!bank.canAct(now, req.loc.row))
             continue;
 
@@ -125,8 +108,9 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
     // mode, or a plain-RD stream whose tail was served elsewhere. Close
     // it so the waiting request can activate next cycle. Scanning the
     // oldest few requests is enough: this is a liveness path, not a
-    // throughput path, and rowCount makes it quadratic otherwise.
-    const int phase3_limit = std::min(queue.size(), 16);
+    // throughput path, and rowCount makes it quadratic otherwise. With
+    // no row open there is nothing to close.
+    const int phase3_limit = open_mask ? std::min(queue.size(), 16) : 0;
     for (int i = 0; i < phase3_limit; ++i) {
         const Request &req = queue.at(i);
         const Bank &bank = channel.rank(req.loc.rank).bank(req.loc.bank);

@@ -34,10 +34,6 @@ struct CmdChoice
 class FrFcfs
 {
   public:
-    /** Scan-buffer bounds: ranks per channel and (rank, bank) pairs. */
-    static constexpr int kMaxRanksScan = 8;
-    static constexpr int kMaxBanksScan = 64;
-
     /**
      * Select the next command for @p queue.
      *

@@ -67,9 +67,12 @@ Core::fetch()
         }
         if (outstanding_ >= cfg_->mshrs)
             return;
-        const std::uint64_t load_id = nextLoadId_++;
-        if (!sendRead_(load_id, pending_.readAddr))
+        // The id is taken only once the send is accepted: a refused
+        // read leaves the core untouched, which tick()'s inert-cycle
+        // fast path relies on.
+        if (!sendRead_(nextLoadId_, pending_.readAddr))
             return;
+        const std::uint64_t load_id = nextLoadId_++;
         ++outstanding_;
         ++stats_.readsIssued;
         window_.push_back({true, load_id, 1});
@@ -107,33 +110,68 @@ Core::retire()
     }
 }
 
+Core::Mark
+Core::mark() const
+{
+    return {stats_.instructionsRetired, stats_.readsIssued,
+            stats_.writebacksIssued,    windowInstrs_,
+            pendingGapLeft_,            havePending_,
+            writebackSent_};
+}
+
+void
+Core::streamStep(Tick ticks)
+{
+    DSARP_ASSERT(mode_ == TickMode::kStreaming && ticks <= streamTicks_,
+                 "step exceeds streaming certificate");
+    const std::uint64_t cpt =
+        static_cast<std::uint64_t>(cfg_->cpuCyclesPerTick);
+    const int drained = static_cast<int>(
+        ticks * cpt * static_cast<std::uint64_t>(cfg_->retireWidth));
+    stats_.cpuCycles += ticks * cpt;
+    stats_.instructionsRetired += static_cast<std::uint64_t>(drained);
+    pendingGapLeft_ -= drained;
+    if (window_.size() > 1) {
+        window_.front().instrs -= drained;
+        window_.back().instrs += drained;
+    }
+    streamTicks_ -= ticks;
+    // The span's last step is where a full tick() would re-certify.
+    if (streamTicks_ == 0)
+        mode_ = TickMode::kActive;
+}
+
 void
 Core::tick()
 {
-    // Snapshot every field retire()/fetch() can move except the pure
-    // stall/cycle counters: if none changed, this tick was inert and
-    // the event engine may skip ahead (see nextWake()).
-    const std::uint64_t retired_before = stats_.instructionsRetired;
-    const std::uint64_t reads_before = stats_.readsIssued;
-    const std::uint64_t wb_before = stats_.writebacksIssued;
-    const int window_before = windowInstrs_;
-    const bool have_pending_before = havePending_;
-    const int gap_before = pendingGapLeft_;
-    const bool wb_sent_before = writebackSent_;
+    // Inside a certified gap-streaming span the tick is the linear
+    // step skipTicks() replays: take it in O(1).
+    if (mode_ == TickMode::kStreaming) {
+        streamStep(1);
+        return;
+    }
 
-    for (int c = 0; c < cfg_->cpuCyclesPerTick; ++c) {
+    // Completions and queue slots only change between ticks, so once
+    // one CPU cycle changes nothing but the stall/cycle counters, every
+    // later cycle of this tick repeats it exactly: bulk-add them. A
+    // refused send is such a cycle.
+    const int cpt = cfg_->cpuCyclesPerTick;
+    bool progress = false;
+    for (int c = 0; c < cpt; ++c) {
+        const Mark before = mark();
+        const std::uint64_t stalls_before = stats_.readStallCycles;
         ++stats_.cpuCycles;
         retire();
         fetch();
+        if (mark() == before) {
+            const std::uint64_t rest = static_cast<std::uint64_t>(cpt - 1 - c);
+            stats_.cpuCycles += rest;
+            if (stats_.readStallCycles != stalls_before)
+                stats_.readStallCycles += rest;
+            break;
+        }
+        progress = true;
     }
-
-    const bool progress =
-        retired_before != stats_.instructionsRetired ||
-        reads_before != stats_.readsIssued ||
-        wb_before != stats_.writebacksIssued ||
-        window_before != windowInstrs_ ||
-        have_pending_before != havePending_ ||
-        gap_before != pendingGapLeft_ || wb_sent_before != writebackSent_;
     mode_ = progress ? TickMode::kActive : TickMode::kStalled;
     streamTicks_ = 0;
 
@@ -142,14 +180,14 @@ Core::tick()
     // pending, every following tick retires exactly retireWidth x
     // cpuCyclesPerTick gap instructions from the head and refetches as
     // many at the tail -- pure linear motion with no memory traffic,
-    // no trace advance and no stalls, so the event engine may replay
-    // the whole span in skipTicks(). The span is cut one tick short of
-    // any boundary (head batch or pending gap running low) so every
-    // skipped tick stays strictly in this regime.
+    // no trace advance and no stalls, so both the next ticks and the
+    // event engine's skipTicks() take it as one streamStep(). The span
+    // is cut one tick short of any boundary (head batch or pending gap
+    // running low) so every step stays strictly in this regime.
     if (progress && windowInstrs_ == cfg_->windowSize && havePending_ &&
         !window_.empty() && !window_.front().isLoad &&
         !window_.back().isLoad) {
-        const int rate = cfg_->retireWidth * cfg_->cpuCyclesPerTick;
+        const int rate = cfg_->retireWidth * cpt;
         std::int64_t span = pendingGapLeft_ / rate - 1;
         if (window_.size() > 1)
             span = std::min<std::int64_t>(
@@ -178,25 +216,14 @@ Core::nextWake(Tick now) const
 void
 Core::skipTicks(Tick ticks)
 {
-    const std::uint64_t cycles =
-        ticks * static_cast<std::uint64_t>(cfg_->cpuCyclesPerTick);
-    stats_.cpuCycles += cycles;
-
     if (mode_ == TickMode::kStreaming) {
-        DSARP_ASSERT(ticks <= streamTicks_,
-                     "skip span exceeds streaming certificate");
-        const int drained = static_cast<int>(
-            ticks * static_cast<std::uint64_t>(cfg_->retireWidth *
-                                               cfg_->cpuCyclesPerTick));
-        stats_.instructionsRetired += static_cast<std::uint64_t>(drained);
-        pendingGapLeft_ -= drained;
-        if (window_.size() > 1) {
-            window_.front().instrs -= drained;
-            window_.back().instrs += drained;
-        }
+        streamStep(ticks);
         return;
     }
 
+    const std::uint64_t cycles =
+        ticks * static_cast<std::uint64_t>(cfg_->cpuCyclesPerTick);
+    stats_.cpuCycles += cycles;
     if (!window_.empty() && window_.front().isLoad &&
         completed_.find(window_.front().loadId) == completed_.end()) {
         stats_.readStallCycles += cycles;

@@ -53,7 +53,13 @@ class Core
 
     void bind(SendRead sendRead, SendWrite sendWrite);
 
-    /** Advance cpuCyclesPerTick CPU cycles. */
+    /**
+     * Advance cpuCyclesPerTick CPU cycles. Inert work is cheap: inside
+     * a certified gap-streaming span the tick is one linear step, and
+     * once a cycle changes nothing the tick's remaining cycles are
+     * bulk-counted. Both are exact, so every counter matches a
+     * cycle-by-cycle loop.
+     */
     void tick();
 
     /**
@@ -73,7 +79,8 @@ class Core
      * ticks would have done: a blocked core advances the cycle counter
      * and, iff the window head is a pending load, the read-stall
      * counter; a gap-streaming core additionally retires and refills
-     * retireWidth x cpuCyclesPerTick instructions per tick.
+     * retireWidth x cpuCyclesPerTick instructions per tick, and counts
+     * its certified span down so an earlier wake resumes it exactly.
      */
     void skipTicks(Tick ticks);
 
@@ -90,6 +97,21 @@ class Core
   private:
     void fetch();
     void retire();
+
+    /** Everything one CPU cycle can move besides the stall and cycle
+     *  counters: equal marks around a cycle mean it was inert. */
+    struct Mark
+    {
+        std::uint64_t retired, reads, writebacks;
+        int windowInstrs, gapLeft;
+        bool havePending, writebackSent;
+
+        bool operator==(const Mark &) const = default;
+    };
+    Mark mark() const;
+
+    /** Take @p ticks ticks of the certified gap-streaming span. */
+    void streamStep(Tick ticks);
 
     struct WindowEntry
     {
@@ -125,7 +147,8 @@ class Core
         kStreaming,  ///< Draining gap instrs at the fixed retire rate.
     };
     TickMode mode_ = TickMode::kActive;
-    Tick streamTicks_ = 0;  ///< Certified linear span (kStreaming).
+    /** Ticks left in the certified linear span; > 0 in kStreaming. */
+    Tick streamTicks_ = 0;
 };
 
 } // namespace dsarp

@@ -9,6 +9,10 @@ namespace dsarp {
 Channel::Channel(const MemConfig *cfg, const TimingParams *timing)
     : cfg_(cfg), timing_(timing)
 {
+    DSARP_ASSERT(cfg->org.ranksPerChannel <= MemOrg::kMaxRanksPerChannel &&
+                     cfg->org.ranksPerChannel * cfg->org.banksPerRank <=
+                         MemOrg::kMaxBanksPerChannel,
+                 "channel geometry exceeds the MemOrg bounds");
     ranks_.reserve(cfg->org.ranksPerChannel);
     for (int r = 0; r < cfg->org.ranksPerChannel; ++r)
         ranks_.emplace_back(cfg, timing);
@@ -103,12 +107,15 @@ Channel::issue(const Command &cmd, Tick now)
       case CommandType::kAct:
         rk.bank(cmd.bank).onAct(now, cmd.row, cmd.subarray);
         rk.onAct(now);
+        openBanks_ |= bankBit(cmd);
         ++stats_.acts;
         return 0;
 
       case CommandType::kRd:
       case CommandType::kRdA: {
         rk.bank(cmd.bank).onRead(now, cmd.type == CommandType::kRdA);
+        if (cmd.type == CommandType::kRdA)
+            openBanks_ &= ~bankBit(cmd);
         const Tick data_end = now + timing_->tCl + timing_->tBl;
         busBusyUntil_ = data_end;
         lastBurstWasWrite_ = false;
@@ -121,6 +128,8 @@ Channel::issue(const Command &cmd, Tick now)
       case CommandType::kWr:
       case CommandType::kWrA: {
         rk.bank(cmd.bank).onWrite(now, cmd.type == CommandType::kWrA);
+        if (cmd.type == CommandType::kWrA)
+            openBanks_ &= ~bankBit(cmd);
         const Tick data_end = now + timing_->tCwl + timing_->tBl;
         busBusyUntil_ = data_end;
         lastBurstWasWrite_ = true;
@@ -132,6 +141,7 @@ Channel::issue(const Command &cmd, Tick now)
 
       case CommandType::kPre:
         rk.bank(cmd.bank).onPre(now);
+        openBanks_ &= ~bankBit(cmd);
         ++stats_.pres;
         return 0;
 

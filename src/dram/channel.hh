@@ -93,6 +93,14 @@ class Channel
     bool canIssue(const Command &cmd, Tick now) const;
 
     /**
+     * Banks with a row open: bit (rank x banksPerRank + bank) mirrors
+     * Bank::isOpen(). Kept by issue(), the only path that opens or
+     * closes rows, so readers need not walk every bank. The config
+     * bounds a channel to 64 banks (MemConfig::validate()).
+     */
+    std::uint64_t openBanks() const { return openBanks_; }
+
+    /**
      * Issue a command (must be legal). Returns the tick the data burst
      * completes for column commands (read data arrival / write data end);
      * 0 for non-column commands.
@@ -143,9 +151,18 @@ class Channel
     bool busOkForRead(RankId r, Tick now) const;
     bool busOkForWrite(RankId r, Tick now) const;
 
+    /** This command's bit in openBanks_. */
+    std::uint64_t
+    bankBit(const Command &cmd) const
+    {
+        return std::uint64_t(1)
+            << (cmd.rank * cfg_->org.banksPerRank + cmd.bank);
+    }
+
     const MemConfig *cfg_;
     const TimingParams *timing_;
     std::vector<Rank> ranks_;
+    std::uint64_t openBanks_ = 0;
 
     Tick busBusyUntil_ = 0;        ///< End of the last data burst.
     bool lastBurstWasWrite_ = false;

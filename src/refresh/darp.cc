@@ -48,7 +48,12 @@ DarpScheduler::refreshable(RankId r, BankId b, Tick now) const
 void
 DarpScheduler::tick(Tick now)
 {
-    ledger_.advanceTo(now);
+    // Nothing accrued means no bank reached a nominal instant in
+    // (lastTick_, now]: the scan below would find nothing.
+    if (!ledger_.advanceTo(now)) {
+        lastTick_ = now;
+        return;
+    }
 
     // Figure 8, step 1: at each bank's nominal refresh instant, decide
     // whether to postpone. A refresh is postponed when the bank has

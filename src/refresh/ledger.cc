@@ -33,6 +33,7 @@ RefreshLedger::RefreshLedger(int ranks, int banks, Cycles period,
             nextAccrual_[index(r, b)] = offset;
         }
     }
+    refreshNextAny();
 }
 
 void
@@ -60,9 +61,11 @@ RefreshLedger::setDenominator(int denom)
     denom_ = denom;
 }
 
-void
+bool
 RefreshLedger::advanceTo(Tick now)
 {
+    if (now < nextAny_)
+        return false;
     for (int i = 0; i < static_cast<int>(owed_.size()); ++i) {
         if (pausedAt_[i / banks_] != kTickNever)
             continue;  // Rank in self-refresh: the device accrues.
@@ -72,6 +75,19 @@ RefreshLedger::advanceTo(Tick now)
             ++totalAccrued_;
         }
     }
+    refreshNextAny();
+    return true;
+}
+
+void
+RefreshLedger::refreshNextAny()
+{
+    Tick earliest = kTickNever;
+    for (int i = 0; i < static_cast<int>(owed_.size()); ++i) {
+        if (pausedAt_[i / banks_] == kTickNever)
+            earliest = std::min(earliest, nextAccrual_[i]);
+    }
+    nextAny_ = earliest;
 }
 
 void
@@ -80,6 +96,7 @@ RefreshLedger::pauseRank(RankId r, Tick now)
     DSARP_ASSERT(r >= 0 && r < ranks_, "pauseRank: bad rank");
     DSARP_ASSERT(pausedAt_[r] == kTickNever, "rank already paused");
     pausedAt_[r] = now;
+    refreshNextAny();
 }
 
 void
@@ -109,6 +126,7 @@ RefreshLedger::resumeRank(RankId r, Tick now)
         nextAccrual_[i] += paused;
         firstAccrual_[i] += paused;
     }
+    refreshNextAny();
 }
 
 bool
@@ -151,18 +169,6 @@ RefreshLedger::onPartialRefresh(RankId r, BankId b, int parts)
     ++totalRetired_;
     DSARP_ASSERT(owed_[index(r, b)] >= -maxSlack_ * denom_,
                  "pulled in beyond the JEDEC window");
-}
-
-Tick
-RefreshLedger::nextAccrualTick() const
-{
-    Tick earliest = kTickNever;
-    for (int i = 0; i < static_cast<int>(owed_.size()); ++i) {
-        if (pausedAt_[i / banks_] != kTickNever)
-            continue;
-        earliest = std::min(earliest, nextAccrual_[i]);
-    }
-    return earliest;
 }
 
 bool

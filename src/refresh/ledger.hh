@@ -45,8 +45,14 @@ class RefreshLedger
                   Cycles unitStagger, int maxSlack = 8,
                   Cycles channelPhase = Cycles(0));
 
-    /** Accrue any obligations whose nominal instant has passed. */
-    void advanceTo(Tick now);
+    /**
+     * Accrue any obligations whose nominal instant has passed. Returns
+     * whether any unit accrued: when it returns false, no unit of an
+     * unpaused rank has an accrual instant in (previous call, now], so
+     * accruedBetween() over that span is false for every such unit.
+     * O(1) between accrual instants.
+     */
+    bool advanceTo(Tick now);
 
     int owed(RankId r, BankId b = 0) const { return owed_[index(r, b)]; }
 
@@ -93,9 +99,9 @@ class RefreshLedger
      * Earliest pending accrual instant over all units of unpaused
      * ranks (kTickNever when every rank is paused). The event-driven
      * engine must wake the scheduler at every accrual, or postpone
-     * decisions and mustForce flips would land late.
+     * decisions and mustForce flips would land late. O(1): cached.
      */
-    Tick nextAccrualTick() const;
+    Tick nextAccrualTick() const { return nextAny_; }
 
     /**
      * @name Self-refresh pause.
@@ -119,6 +125,9 @@ class RefreshLedger
   private:
     int index(RankId r, BankId b) const { return r * banks_ + b; }
 
+    /** Recompute nextAny_ from nextAccrual_ and the pause state. */
+    void refreshNextAny();
+
     int ranks_;
     int banks_;
     Tick period_;
@@ -127,6 +136,9 @@ class RefreshLedger
     std::vector<Tick> nextAccrual_;
     std::vector<Tick> firstAccrual_;
     std::vector<Tick> pausedAt_;    ///< Per rank; kTickNever = running.
+    /** Earliest nextAccrual_ over unpaused ranks (kTickNever: none),
+     *  recomputed on every accrual, pause and resume. */
+    Tick nextAny_ = kTickNever;
     int denom_ = 1;
     std::uint64_t totalAccrued_ = 0;
     std::uint64_t totalRetired_ = 0;

@@ -68,7 +68,12 @@ SameBankScheduler::pendingDemandsGroup(RankId r, int g) const
 void
 SameBankScheduler::tick(Tick now)
 {
-    ledger_.advanceTo(now);
+    // Nothing accrued means no slice reached a nominal instant in
+    // (lastTick_, now]: the scan below would find nothing.
+    if (!ledger_.advanceTo(now)) {
+        lastTick_ = now;
+        return;
+    }
 
     // DARP's postpone decision (Figure 8, step 1) at slice
     // granularity: at a slice's nominal refresh instant, postpone when

@@ -1,11 +1,16 @@
 /**
  * @file
  * Unit tests for channel-level constraints: data-bus occupancy, read/write
- * turnaround, rank-switch gaps, and command dispatch bookkeeping.
+ * turnaround, rank-switch gaps, and command dispatch bookkeeping; and a
+ * property test of the open-bank mask under random legal command streams.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+
+#include "common/rng.hh"
 #include "dram/channel.hh"
 
 using namespace dsarp;
@@ -191,4 +196,61 @@ TEST_F(ChannelTest, ResetStatsClearsCounters)
     ch.issue(act(0, 0, 1), 0);
     ch.resetStats();
     EXPECT_EQ(ch.stats().acts, 0u);
+}
+
+TEST(ChannelProperty, OpenBankMaskMirrorsBanks)
+{
+    // Random legal command streams -- ACT, RD/RDA, WR/WRA, PRE, REFpb
+    // (plain and HiRA-hidden beneath an open row), REFab -- with SARP
+    // off and on. After every command the mask must equal
+    // Bank::isOpen() bank for bank.
+    static constexpr CommandType kTypes[] = {
+        CommandType::kAct, CommandType::kAct,   CommandType::kRd,
+        CommandType::kRdA, CommandType::kWr,    CommandType::kWrA,
+        CommandType::kPre, CommandType::kRefPb, CommandType::kRefPb,
+        CommandType::kRefAb,
+    };
+    for (const bool sarp : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            MemConfig cfg;
+            cfg.sarp = sarp;
+            cfg.finalize();
+            const TimingParams timing = TimingParams::forConfig(cfg);
+            Channel ch(&cfg, &timing);
+            Rng rng(seed);
+            const int ranks = cfg.org.ranksPerChannel;
+            const int banks = cfg.org.banksPerRank;
+            std::map<CommandType, int> issued;
+            int hidden = 0;
+            Tick now = 0;
+            for (int step = 0; step < 20000; ++step) {
+                now += rng.below(4);
+                Command cmd;
+                cmd.type = kTypes[rng.below(std::size(kTypes))];
+                cmd.rank = static_cast<RankId>(rng.below(ranks));
+                cmd.bank = static_cast<BankId>(rng.below(banks));
+                const Bank &bank = ch.rank(cmd.rank).bank(cmd.bank);
+                cmd.row = static_cast<RowId>(rng.below(cfg.org.rowsPerBank));
+                cmd.subarray = bank.subarrayOf(cmd.row);
+                cmd.hidden = cmd.type == CommandType::kRefPb &&
+                    bank.isOpen();
+                if (!ch.canIssue(cmd, now))
+                    continue;
+                ch.issue(cmd, now);
+                ++issued[cmd.type];
+                hidden += cmd.hidden;
+                for (RankId r = 0; r < ranks; ++r) {
+                    for (BankId b = 0; b < banks; ++b) {
+                        ASSERT_EQ(ch.openBanks() >> (r * banks + b) & 1,
+                                  ch.rank(r).bank(b).isOpen() ? 1u : 0u)
+                            << "sarp " << sarp << " seed " << seed
+                            << " step " << step;
+                    }
+                }
+            }
+            for (const CommandType t : kTypes)
+                EXPECT_GT(issued[t], 0) << static_cast<int>(t);
+            EXPECT_GT(hidden, 0);
+        }
+    }
 }

@@ -81,6 +81,34 @@ TEST(Config, ValidateNamesEveryBadKey)
     EXPECT_NE(err.find("'maxOverlappedRefPb'"), std::string::npos) << err;
 }
 
+TEST(Config, ValidateBoundsChannelGeometry)
+{
+    // The FR-FCFS pick and the channel's open-bank mask keep one bit
+    // per bank of a channel: at most 8 ranks and 64 banks. Anything
+    // larger is a named config error, never a panic mid-run.
+    MemConfig cfg;
+    cfg.org.rowsPerBank = rowsPerBankFor(cfg.density);
+    cfg.org.ranksPerChannel = 8;
+    EXPECT_EQ(cfg.validate(), "");
+    cfg.org.ranksPerChannel = 2;
+    cfg.org.banksPerRank = 32;
+    EXPECT_EQ(cfg.validate(), "");
+
+    cfg.org.ranksPerChannel = 9;
+    cfg.org.banksPerRank = 1;
+    std::string err = cfg.validate();
+    EXPECT_NE(err.find("config key 'ranksPerChannel' must be <= 8"),
+              std::string::npos)
+        << err;
+
+    cfg.org.ranksPerChannel = 2;
+    cfg.org.banksPerRank = 64;
+    err = cfg.validate();
+    EXPECT_NE(err.find("'ranksPerChannel' x 'banksPerRank' (2 x 64)"),
+              std::string::npos)
+        << err;
+}
+
 TEST(ConfigDeath, RejectsBadWatermarks)
 {
     MemConfig cfg;

@@ -6,9 +6,12 @@
  * pins the *end-to-end* numbers the paper reproduction rests on: the
  * DDR3-1333 REFab and DSARP weighted speedups and energies per access
  * of a fixed workload under fixed run lengths and seeds, plus the
- * DDR5-4800 REFsb golden added with the same-bank backend. Any
- * refactor that silently shifts scheduling, timing derivation, the
- * address map, or the energy model trips these literals loudly.
+ * DDR5-4800 REFsb golden added with the same-bank backend. Two more
+ * anchor paths those three never reach: a DDR4 open-loop DSARP run
+ * and a near-idle DDR5 self-refresh DSARP run. Any refactor that
+ * silently shifts scheduling, timing derivation, the address map, a
+ * fast path's certificate, or the energy model trips these literals
+ * loudly.
  *
  * The literals were produced by this exact configuration at the
  * commit that introduced (or last intentionally changed) them. An
@@ -73,4 +76,43 @@ TEST(GoldenBaselines, Ddr5RefsbPinned)
     EXPECT_EQ(res.refSb, 90u);
     EXPECT_EQ(res.refPb, 0u);
     EXPECT_EQ(res.readsCompleted, 1925u);
+}
+
+TEST(GoldenBaselines, Ddr4OpenLoopDsarpPinned)
+{
+    // Open loop, no core model: the injector, write drain and DARP's
+    // write-refresh overlap, which the closed-loop goldens never reach.
+    Runner runner(2000, 20000, 1);
+    RunConfig cfg;
+    cfg.density = Density::k32Gb;
+    cfg.dramSpec = "DDR4-2400";
+    cfg.policy = "DSARP";
+    cfg.seed = 1;
+    cfg.traffic.mode = "poisson";
+    cfg.traffic.ratePerKilocycle = 200.0;
+    cfg.traffic.tenants = 4;
+    cfg.traffic.readPct = 60;
+    cfg.traffic.hotRowPct = 50.0;
+    const RunResult res = runner.runTraffic(cfg);
+    EXPECT_NEAR(res.readLatency.percentile(99), 293.56000000000040, 1e-9);
+    EXPECT_EQ(res.readsCompleted, 2422u);
+}
+
+TEST(GoldenBaselines, Ddr5SelfRefreshDsarpPinned)
+{
+    // Near-idle DDR5 sub-channels with command-level self-refresh:
+    // SRE/SRX and ledger pause/resume, on a 0%-intensive mix.
+    Runner runner(2000, 20000, 1);
+    RunConfig cfg;
+    cfg.density = Density::k32Gb;
+    cfg.dramSpec = "DDR5-4800";
+    cfg.addressMap = "ddr5-subch";
+    cfg.policy = "DSARP";
+    cfg.srIdleEntryCycles = 750;
+    cfg.seed = 1;
+    const RunResult res = runner.run(cfg, makeWorkloads(4, 8, 1)[2]);
+    EXPECT_NEAR(res.ws, 5.7734940124650853, 1e-9);
+    EXPECT_NEAR(res.energyPerAccessNj, 7.0569467063282341, 1e-6);
+    EXPECT_EQ(res.srEnters, 23u);
+    EXPECT_EQ(res.srExits, 22u);
 }

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hh"
 #include "refresh/ledger.hh"
 
 using namespace dsarp;
@@ -183,4 +187,115 @@ TEST(Ledger, MultiRankIndependence)
     ledger.advanceTo(5000);
     ledger.onRefresh(1, 5);
     EXPECT_EQ(ledger.owed(0, 5), ledger.owed(1, 5) + 1);
+}
+
+TEST(LedgerProperty, CachedWakeAndAccrualReportMatchBruteForce)
+{
+    // Random advanceTo / onRefresh / pauseRank / resumeRank /
+    // setDenominator sequences, in the order a controller makes them
+    // (state changes at an instant follow that instant's advanceTo).
+    // The cached nextAccrualTick() must equal a brute-force minimum
+    // over a reference accrual ladder, and advanceTo()'s report must
+    // agree with accruedBetween() over the same span, unit by unit.
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng rng(seed);
+        const int ranks = 1 + static_cast<int>(rng.below(3));
+        const int banks = 1 + static_cast<int>(rng.below(8));
+        const Tick period = 200 + rng.below(800);
+        const Tick rank_stagger = rng.below(300);
+        const Tick unit_stagger = rng.below(100);
+        const Tick phase = rng.below(500);
+        RefreshLedger ledger(ranks, banks, Cycles(period),
+                             Cycles(rank_stagger), Cycles(unit_stagger), 8,
+                             Cycles(phase));
+
+        // Reference: each unit's next accrual instant, and each rank's
+        // pause start (kTickNever while running).
+        std::vector<Tick> next(ranks * banks);
+        for (int r = 0; r < ranks; ++r) {
+            for (int b = 0; b < banks; ++b) {
+                next[r * banks + b] =
+                    period + rank_stagger * r + unit_stagger * b + phase;
+            }
+        }
+        std::vector<Tick> paused_at(ranks, kTickNever);
+        int denom = 1;
+
+        Tick prev = 0;
+        for (int step = 0; step < 2000; ++step) {
+            // Mostly short hops, sometimes several periods at once.
+            const Tick now = prev + (rng.chance(0.1)
+                                         ? rng.below(3 * period)
+                                         : rng.below(period / 8));
+            std::vector<int> before(ranks * banks);
+            for (int r = 0; r < ranks; ++r) {
+                for (int b = 0; b < banks; ++b)
+                    before[r * banks + b] = ledger.owed(r, b);
+            }
+
+            const bool accrued = ledger.advanceTo(now);
+            bool any = false;
+            for (int r = 0; r < ranks; ++r) {
+                for (int b = 0; b < banks; ++b) {
+                    const int i = r * banks + b;
+                    const bool moved = ledger.owed(r, b) != before[i];
+                    if (paused_at[r] != kTickNever) {
+                        EXPECT_FALSE(moved) << "paused unit accrued";
+                        continue;
+                    }
+                    const bool between =
+                        ledger.accruedBetween(r, b, prev, now);
+                    EXPECT_EQ(moved, between)
+                        << "seed " << seed << " step " << step << " unit "
+                        << r << "," << b;
+                    any |= between;
+                    while (next[i] <= now)
+                        next[i] += period;
+                }
+            }
+            ASSERT_EQ(accrued, any) << "seed " << seed << " step " << step;
+
+            const RankId r = static_cast<RankId>(rng.below(ranks));
+            const BankId b = static_cast<BankId>(rng.below(banks));
+            switch (rng.below(6)) {
+              case 0:
+              case 1:
+                if (ledger.canPullIn(r, b))
+                    ledger.onRefresh(r, b);
+                break;
+              case 2:
+                if (paused_at[r] == kTickNever) {
+                    ledger.pauseRank(r, now);
+                    paused_at[r] = now;
+                }
+                break;
+              case 3:
+                if (paused_at[r] != kTickNever) {
+                    ledger.resumeRank(r, now);
+                    for (int u = 0; u < banks; ++u)
+                        next[r * banks + u] += now - paused_at[r];
+                    paused_at[r] = kTickNever;
+                }
+                break;
+              case 4:
+                // Doubling never truncates a balance.
+                if (denom < 8) {
+                    denom *= 2;
+                    ledger.setDenominator(denom);
+                }
+                break;
+              default:
+                break;
+            }
+
+            Tick want = kTickNever;
+            for (int u = 0; u < ranks * banks; ++u) {
+                if (paused_at[u / banks] == kTickNever)
+                    want = std::min(want, next[u]);
+            }
+            ASSERT_EQ(ledger.nextAccrualTick(), want)
+                << "seed " << seed << " step " << step;
+            prev = now;
+        }
+    }
 }
