@@ -8,6 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "controller/scheduler.hh"
 #include "dram/address.hh"
 #include "sim/system.hh"
@@ -43,31 +47,31 @@ BM_AddressRoundTrip(benchmark::State &state)
 }
 BENCHMARK(BM_AddressRoundTrip);
 
-/** Time FrFcfs::pick on @p queue at a frozen tick; the benchmark
- *  fails unless every call issues nothing. */
+/** Time FrFcfs::pick on @p queue at a frozen tick with no bank
+ *  blocked; the benchmark fails unless every call issues nothing. */
 void
 timePick(benchmark::State &state, const RequestQueue &queue,
          const Channel &channel, Tick now)
 {
-    const std::vector<std::uint8_t> no_bank(16, 0);
-    const std::vector<std::uint8_t> no_rank(2, 0);
-    if (FrFcfs::pick(queue, channel, now, no_bank, no_rank, 8).valid) {
+    const std::uint64_t no_block = 0;
+    if (FrFcfs::pick(queue, channel, now, no_block, 8).valid) {
         state.SkipWithError("a queued request is issuable");
         return;
     }
     for (auto _ : state) {
         benchmark::DoNotOptimize(now);
         benchmark::DoNotOptimize(
-            FrFcfs::pick(queue, channel, now, no_bank, no_rank, 8));
+            FrFcfs::pick(queue, channel, now, no_block, 8));
     }
 }
 
 void
 BM_FrFcfsPickFullQueue(benchmark::State &state)
 {
-    // The worst-case full scan: both ranks sit in an all-bank refresh,
-    // so no ACT is legal, and a refreshing bank stays eligible for
-    // younger requests, so the pick tests every one of the 64 entries.
+    // A full 64-entry queue while both ranks sit in an all-bank
+    // refresh, so no ACT is legal and the pick must reject all 16
+    // banks. Without SARP the refresh holds each bank's ACT window, so
+    // every bank is rejected on its own state, not per request.
     MemConfig cfg;
     cfg.finalize();
     const TimingParams timing = TimingParams::forConfig(cfg);
@@ -90,6 +94,68 @@ BM_FrFcfsPickFullQueue(benchmark::State &state)
     timePick(state, queue, channel, 1);
 }
 BENCHMARK(BM_FrFcfsPickFullQueue);
+
+void
+BM_FrFcfsPickWriteDrain(benchmark::State &state)
+{
+    // The common slow pick: a write drain with nothing issuable. 48
+    // writes spread over all 16 banks. Per rank, two rows are open but
+    // inside tRCD, so their queued hits cannot issue a column command
+    // yet (nor a PRE, inside tRAS); the six closed banks were
+    // precharged recently, so each is still inside tRC or tRP and
+    // cannot activate. Offsets are DDR3-1333 cycles before the pick.
+    struct Plan
+    {
+        int act;  ///< ACT this many cycles before the pick.
+        int pre;  ///< PRE this many cycles before it; 0 stays open.
+    };
+    static constexpr Plan kPlan[8] = {
+        {60, 7}, {56, 5}, {52, 3}, {48, 1},  // Closed, inside tRP.
+        {32, 8}, {28, 4},                    // Closed, inside tRC.
+        {8, 0},  {4, 0},                     // Open, inside tRCD.
+    };
+    MemConfig cfg;
+    cfg.finalize();
+    const TimingParams timing = TimingParams::forConfig(cfg);
+    Channel channel(&cfg, &timing);
+    const Tick now = 100;
+    std::vector<std::pair<Tick, Command>> cmds;
+    for (RankId r = 0; r < 2; ++r) {
+        for (BankId b = 0; b < 8; ++b) {
+            Command cmd;
+            cmd.type = CommandType::kAct;
+            cmd.rank = r;
+            cmd.bank = b;
+            cmd.row = 100 + b;
+            cmds.emplace_back(now - kPlan[b].act, cmd);
+            if (kPlan[b].pre) {
+                cmd.type = CommandType::kPre;
+                cmds.emplace_back(now - kPlan[b].pre, cmd);
+            }
+        }
+    }
+    std::stable_sort(cmds.begin(), cmds.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    for (const auto &[tick, cmd] : cmds)
+        channel.issue(cmd, tick);
+
+    // Three writes per bank: two hits on the bank's ACT row (open on
+    // the two open banks) and one to another row.
+    RequestQueue queue(64, 2, 8);
+    for (int i = 0; i < 48; ++i) {
+        Request req;
+        req.id = i;
+        req.isWrite = true;
+        req.loc.rank = i % 2;
+        req.loc.bank = (i / 2) % 8;
+        req.loc.row = i < 32 ? 100 + req.loc.bank : 200 + i;
+        queue.push(req);
+    }
+    timePick(state, queue, channel, now);
+}
+BENCHMARK(BM_FrFcfsPickWriteDrain);
 
 void
 BM_FrFcfsPickEmptyQueue(benchmark::State &state)

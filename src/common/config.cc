@@ -136,6 +136,15 @@ MemConfig::validate() const
 
     atLeastOne(keys::kReadQueueSize, readQueueSize);
     atLeastOne(keys::kWriteQueueSize, writeQueueSize);
+    auto queueBound = [&](const char *key, int v) {
+        if (v > kMaxQueueSize) {
+            fail(std::string("config key '") + key + "' must be <= " +
+                 std::to_string(kMaxQueueSize) + " (got " +
+                 std::to_string(v) + ")");
+        }
+    };
+    queueBound(keys::kReadQueueSize, readQueueSize);
+    queueBound(keys::kWriteQueueSize, writeQueueSize);
     if (writeLowWatermark >= writeHighWatermark) {
         fail("config key 'writeLowWatermark' (" +
              std::to_string(writeLowWatermark) + "): low watermark must "

@@ -247,6 +247,10 @@ struct MemConfig
      */
     bool darpWriteRefresh = true;
 
+    /** Queue capacity bound (validate()): the controller's per-bank
+     *  request index keeps one bit per queue entry. */
+    static constexpr int kMaxQueueSize = 64;
+
     int readQueueSize = 64;
     int writeQueueSize = 64;
     int writeHighWatermark = 54;  ///< Enter writeback mode at this occupancy.

@@ -166,6 +166,14 @@ using RowId = int;
 /** Marker for "no row open" / "no subarray". */
 constexpr int kNone = -1;
 
+/** The low @p n bits set (n <= 64): ranges of the 64-bit bank and
+ *  queue-position masks the channel and the controller keep. */
+constexpr std::uint64_t
+lowBits(int n)
+{
+    return n >= 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << n) - 1;
+}
+
 } // namespace dsarp
 
 #endif // DSARP_COMMON_TYPES_HH

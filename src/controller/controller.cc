@@ -1,7 +1,5 @@
 #include "controller/controller.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "refresh/registry.hh"
 
@@ -21,9 +19,6 @@ ChannelController::ChannelController(ChannelId id, const MemConfig *cfg,
 {
     refreshSched_ =
         RefreshPolicyRegistry::instance().make(*cfg, *timing, *this);
-    blockedActBank_.assign(
-        cfg->org.ranksPerChannel * cfg->org.banksPerRank, 0);
-    blockedActRank_.assign(cfg->org.ranksPerChannel, 0);
     lastDemandActivity_.assign(cfg->org.ranksPerChannel, 0);
     pendingReads_.reserve(cfg->readQueueSize);
     urgentScratch_.reserve(8);
@@ -198,24 +193,22 @@ ChannelController::arbitrate(Tick now)
     refreshSched_->urgent(now, urgentScratch_);
 
     // Mark targets of blocking refreshes so FR-FCFS stops opening rows
-    // there and the bank/rank drains.
-    std::fill(blockedActBank_.begin(), blockedActBank_.end(), 0);
-    std::fill(blockedActRank_.begin(), blockedActRank_.end(), 0);
+    // there and the bank/rank drains: one bit per bank, as in
+    // Channel::openBanks().
+    const int banks_per_rank = cfg_->org.banksPerRank;
+    std::uint64_t act_blocked = 0;
     for (const RefreshRequest &req : urgentScratch_) {
         if (!req.blocking)
             continue;
+        const int rank_base = req.rank * banks_per_rank;
         if (req.allBank) {
-            blockedActRank_[req.rank] = 1;
+            act_blocked |= lowBits(banks_per_rank) << rank_base;
         } else if (req.sameBank) {
             // A blocking slice refresh drains every bank of its group.
             const int slice = timing_->banksPerGroup;
-            for (int b = req.bank * slice; b < (req.bank + 1) * slice;
-                 ++b) {
-                blockedActBank_[req.rank * cfg_->org.banksPerRank + b] = 1;
-            }
+            act_blocked |= lowBits(slice) << (rank_base + req.bank * slice);
         } else {
-            blockedActBank_[req.rank * cfg_->org.banksPerRank + req.bank] =
-                1;
+            act_blocked |= std::uint64_t(1) << (rank_base + req.bank);
         }
     }
 
@@ -234,9 +227,8 @@ ChannelController::arbitrate(Tick now)
     //    delivery, a refresh pull-in probe, or an SRE threshold.
     if (now >= pickSkipUntil_) {
         RequestQueue &queue = writeDrain_.active() ? writeQ_ : readQ_;
-        CmdChoice choice = FrFcfs::pick(queue, channel_, now,
-                                        blockedActBank_, blockedActRank_,
-                                        cfg_->org.banksPerRank);
+        CmdChoice choice =
+            FrFcfs::pick(queue, channel_, now, act_blocked, banks_per_rank);
         if (choice.valid) {
             serveDemand(queue, choice, now);
             return;

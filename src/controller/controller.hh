@@ -178,8 +178,6 @@ class ChannelController : public ControllerView
     };
     std::vector<PendingRead> pendingReads_;
 
-    std::vector<std::uint8_t> blockedActBank_;
-    std::vector<std::uint8_t> blockedActRank_;
     std::vector<RefreshRequest> urgentScratch_;
     std::vector<Tick> lastDemandActivity_;
 

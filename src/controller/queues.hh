@@ -1,17 +1,22 @@
 /**
  * @file
- * Bounded request queue with per-bank occupancy counters.
+ * Bounded request queue with a per-bank index of its entries.
  *
  * Requests are kept in arrival order (index 0 is the oldest) so the
- * FR-FCFS scan can honour age. The per-bank counters are what DARP's
- * out-of-order refresh monitors (paper Section 4.2.1).
+ * FR-FCFS pick can honour age. Beside them the queue keeps, per bank,
+ * a 64-bit mask of the queue positions that target the bank, and a
+ * mask of the banks with queued work (bank bit rank x banksPerRank +
+ * bank, as in Channel::openBanks()). The pick walks banks through
+ * these masks instead of scanning every entry; a bank's lowest set bit
+ * is its oldest request. The per-bank counts are what DARP's
+ * out-of-order refresh monitors (paper Section 4.2.1). The config
+ * bounds a queue to 64 entries (MemConfig::kMaxQueueSize).
  */
 
 #ifndef DSARP_CONTROLLER_QUEUES_HH
 #define DSARP_CONTROLLER_QUEUES_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -38,8 +43,18 @@ class RequestQueue
     /** Remove and return the request at index @p i. */
     Request pop(int i);
 
-    /** Queued requests targeting a bank. */
-    int bankCount(RankId r, BankId b) const
+    /** Banks with queued requests: bit rank x banksPerRank + bank. */
+    std::uint64_t busyBanks() const { return busyBanks_; }
+
+    /** Queue positions whose request targets bank bit @p bankIdx. */
+    std::uint64_t positions(int bankIdx) const { return positions_[bankIdx]; }
+
+    /** Queued requests targeting a bank. A counter, not the popcount
+     *  of the bank's positions: DARP asks for it per bank on every
+     *  tick, and without a POPCNT target flag std::popcount compiles
+     *  to a library call. */
+    int
+    bankCount(RankId r, BankId b) const
     {
         return bankCount_[r * banks_ + b];
     }
@@ -50,30 +65,17 @@ class RequestQueue
     /** First index whose request matches @p addr, or -1. */
     int findAddr(Addr addr) const;
 
-    /** Requests queued for (rank, bank, row), e.g. row-hit bookkeeping.
-     *  O(1): counts are maintained incrementally on push/pop -- this
-     *  sits on the FR-FCFS fast path (row-hit and conflict-precharge
-     *  decisions every arbitration tick). */
-    int
-    rowCount(RankId r, BankId b, RowId row) const
-    {
-        const auto it = rowCount_.find(rowKey(r, b, row));
-        return it == rowCount_.end() ? 0 : it->second;
-    }
+    /** Requests queued for (rank, bank, row): a walk of the bank's
+     *  positions, so it costs that bank's occupancy. */
+    int rowCount(RankId r, BankId b, RowId row) const;
 
   private:
-    std::uint64_t
-    rowKey(RankId r, BankId b, RowId row) const
-    {
-        return (static_cast<std::uint64_t>(r * banks_ + b) << 32) |
-               static_cast<std::uint32_t>(row);
-    }
-
     int capacity_;
     int banks_;
     std::vector<Request> entries_;
     std::vector<int> bankCount_;
-    std::unordered_map<std::uint64_t, int> rowCount_;
+    std::vector<std::uint64_t> positions_;
+    std::uint64_t busyBanks_ = 0;
 };
 
 } // namespace dsarp

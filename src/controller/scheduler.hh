@@ -6,14 +6,17 @@
  * Priority: (1) the oldest request whose row is already open and whose
  * column command is legal this cycle -- issued with auto-precharge when it
  * is the last queued request for that row; (2) the oldest request whose
- * bank is closed and whose ACT is legal. ACTs to banks (or ranks) with a
- * blocking refresh pending are suppressed so the target can drain.
+ * bank is closed and whose ACT is legal; (3) a precharge of a bank left
+ * open for a row the queue no longer wants. ACTs to banks (or ranks)
+ * with a blocking refresh pending are suppressed so the target can
+ * drain. The pick walks the queue's per-bank index, so its cost follows
+ * the banks with queued work, not the queue's occupancy.
  */
 
 #ifndef DSARP_CONTROLLER_SCHEDULER_HH
 #define DSARP_CONTROLLER_SCHEDULER_HH
 
-#include <vector>
+#include <cstdint>
 
 #include "common/types.hh"
 #include "controller/queues.hh"
@@ -37,13 +40,12 @@ class FrFcfs
     /**
      * Select the next command for @p queue.
      *
-     * @param actBlockedBank per-(rank,bank) flags: suppress new ACTs.
-     * @param actBlockedRank per-rank flags (all-bank refresh pending).
+     * @param actBlocked bank bits (rank x banksPerRank + bank) whose new
+     *        ACTs are suppressed; a blocking all-bank refresh sets every
+     *        bit of its rank.
      */
     static CmdChoice pick(const RequestQueue &queue, const Channel &channel,
-                          Tick now,
-                          const std::vector<std::uint8_t> &actBlockedBank,
-                          const std::vector<std::uint8_t> &actBlockedRank,
+                          Tick now, std::uint64_t actBlocked,
                           int banksPerRank);
 };
 

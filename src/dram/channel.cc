@@ -254,10 +254,11 @@ Channel::sampleActivitySpan(Tick firstTick, Tick ticks)
             continue;
         }
 
+        const bool row_open = openBanks_ & rankBankBits(r);
         if (cfg_->selfRefreshIdleCycles > 0 &&
             firstTick - lastDemandActiveAt_[r] >=
                 static_cast<Tick>(cfg_->selfRefreshIdleCycles) &&
-            !rk.hasOpenRow()) {
+            !row_open) {
             stats_.rankSelfRefTicks += ticks;
             if (rk.refAbInFlight(firstTick))
                 stats_.refAbCyclesSrMasked += ticks;
@@ -268,7 +269,7 @@ Channel::sampleActivitySpan(Tick firstTick, Tick ticks)
             continue;
         }
 
-        if (rk.isActive(firstTick))
+        if (row_open || rk.refreshInFlight(firstTick))
             stats_.rankActiveTicks += ticks;
     }
 }
@@ -293,10 +294,11 @@ Channel::sampleActivity(Tick now)
         // refreshes at least once per tREFI, so a refresh-reset clock
         // could never cross a threshold above that). Accounting only:
         // commands and the external refresh schedule are unchanged.
+        const bool row_open = openBanks_ & rankBankBits(r);
         if (cfg_->selfRefreshIdleCycles > 0 &&
             now - lastDemandActiveAt_[r] >=
                 static_cast<Tick>(cfg_->selfRefreshIdleCycles) &&
-            !rk.hasOpenRow()) {
+            !row_open) {
             ++stats_.rankSelfRefTicks;
             // External refresh bursts landing inside the IDD6 window
             // are what the state's current already prices: record
@@ -312,7 +314,8 @@ Channel::sampleActivity(Tick now)
             continue;
         }
 
-        if (rk.isActive(now))
+        // Active standby: a row open or a refresh in flight.
+        if (row_open || rk.refreshInFlight(now))
             ++stats_.rankActiveTicks;
     }
 }

@@ -95,8 +95,9 @@ class Channel
     /**
      * Banks with a row open: bit (rank x banksPerRank + bank) mirrors
      * Bank::isOpen(). Kept by issue(), the only path that opens or
-     * closes rows, so readers need not walk every bank. The config
-     * bounds a channel to 64 banks (MemConfig::validate()).
+     * closes rows, so readers (the FR-FCFS pick, activity sampling)
+     * need not walk every bank. The config bounds a channel to 64
+     * banks (MemConfig::validate()).
      */
     std::uint64_t openBanks() const { return openBanks_; }
 
@@ -157,6 +158,14 @@ class Channel
     {
         return std::uint64_t(1)
             << (cmd.rank * cfg_->org.banksPerRank + cmd.bank);
+    }
+
+    /** Rank @p r's bits in openBanks_. */
+    std::uint64_t
+    rankBankBits(RankId r) const
+    {
+        const int banks = cfg_->org.banksPerRank;
+        return lowBits(banks) << (r * banks);
     }
 
     const MemConfig *cfg_;

@@ -158,7 +158,7 @@ Rank::canRefAb(Tick now) const
 {
     if (selfRefreshLockout(now))
         return false;
-    if (refPbInFlight(now) || refAbInFlight(now) || refSbInFlight(now))
+    if (refreshInFlight(now))
         return false;
     for (const Bank &b : banks_) {
         if (!b.canRefresh(now))
@@ -174,7 +174,7 @@ Rank::canRefSb(Tick now, int group) const
         return false;
     // Refreshes of any granularity never overlap within a rank; banks
     // outside the slice are unconstrained (they keep serving).
-    if (refAbInFlight(now) || refPbInFlight(now) || refSbInFlight(now))
+    if (refreshInFlight(now))
         return false;
     const int slice = timing_->banksPerGroup;
     if (slice <= 0 || group < 0 ||
@@ -243,7 +243,7 @@ Rank::canSrEnter(Tick now) const
     // precharged, tRFC of any refresh satisfied).
     if (srActive_ || now < srExitLockoutUntil_)
         return false;
-    if (refAbInFlight(now) || refPbInFlight(now) || refSbInFlight(now))
+    if (refreshInFlight(now))
         return false;
     for (const Bank &b : banks_) {
         if (!b.canRefresh(now))
@@ -303,32 +303,6 @@ Rank::nextDeadline(Tick now) const
     for (const Bank &b : banks_)
         add(b.nextDeadline(now, cfg_->hira));
     return deadline;
-}
-
-bool
-Rank::isActive(Tick now) const
-{
-    // A self-refreshing rank draws IDD6, not active standby; its
-    // residency is billed separately (ChannelStats::srTicks).
-    if (srActive_)
-        return false;
-    if (refAbInFlight(now) || refPbInFlight(now) || refSbInFlight(now))
-        return true;
-    for (const Bank &b : banks_) {
-        if (b.isOpen())
-            return true;
-    }
-    return false;
-}
-
-bool
-Rank::hasOpenRow() const
-{
-    for (const Bank &b : banks_) {
-        if (b.isOpen())
-            return true;
-    }
-    return false;
 }
 
 Tick

@@ -103,6 +103,14 @@ class Rank
     /** True while a same-bank refresh slice is in flight. */
     bool refSbInFlight(Tick now) const;
 
+    /** True while a refresh of any granularity is in flight. */
+    bool
+    refreshInFlight(Tick now) const
+    {
+        return refAbInFlight(now) || refPbInFlight(now) ||
+            refSbInFlight(now);
+    }
+
     /** Number of per-bank refreshes currently in flight. */
     int refPbCount(Tick now) const;
 
@@ -125,12 +133,6 @@ class Rank
      */
     static double refreshInflationMult(const MemConfig &cfg,
                                        bool abInFlight, int pbInFlight);
-
-    /** Any bank active (open row) or refreshing; drives background power. */
-    bool isActive(Tick now) const;
-
-    /** Any bank with an open row (demand activity, refresh excluded). */
-    bool hasOpenRow() const;
 
     /** End tick of the newest in-flight refresh (0 when none). */
     Tick refreshBusyUntil() const;

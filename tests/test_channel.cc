@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 
@@ -188,6 +189,32 @@ TEST_F(ChannelTest, SampleActivityCountsRankTicks)
     ch.sampleActivity(1);
     EXPECT_EQ(ch.stats().rankTotalTicks, 4u);
     EXPECT_EQ(ch.stats().rankActiveTicks, 1u);
+}
+
+TEST_F(ChannelTest, SampleActivityCountsOpenRowsAndRefreshes)
+{
+    // A rank is active while any of its rows is open or a refresh of
+    // any granularity is in flight; the span form bills the same
+    // predicate once per skipped tick.
+    Channel ch(&cfg_, &timing_);
+    ch.issue(act(0, 7, 1), 0);
+    ch.issue(refresh(CommandType::kRefPb, 1, 2), 0);
+    ch.sampleActivity(1);
+    EXPECT_EQ(ch.stats().rankActiveTicks, 2u);
+    ch.sampleActivitySpan(2, 5);
+    EXPECT_EQ(ch.stats().rankActiveTicks, 12u);
+    EXPECT_EQ(ch.stats().rankTotalTicks, 12u);
+
+    // Close rank 0's row; rank 1's refresh ends at tRFCpb.
+    const Tick t = at(timing_.tRcd);
+    ch.issue(col(CommandType::kRdA, 0, 7), t);
+    const Tick idle = at(std::max(timing_.tRfcPb, timing_.tRc));
+    ch.sampleActivity(idle);
+    EXPECT_EQ(ch.stats().rankActiveTicks, 12u);
+    ch.issue(refresh(CommandType::kRefAb, 0), idle);
+    ch.sampleActivitySpan(idle + 1, 3);
+    EXPECT_EQ(ch.stats().rankActiveTicks, 15u);
+    EXPECT_EQ(ch.stats().rankTotalTicks, 20u);
 }
 
 TEST_F(ChannelTest, ResetStatsClearsCounters)

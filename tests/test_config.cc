@@ -109,6 +109,25 @@ TEST(Config, ValidateBoundsChannelGeometry)
         << err;
 }
 
+TEST(Config, ValidateBoundsQueueCapacity)
+{
+    // The controller indexes each queue with one 64-bit mask per bank:
+    // the paper's 64 entries (Table 1) is also the most it can hold.
+    for (const bool read : {true, false}) {
+        MemConfig cfg;
+        cfg.org.rowsPerBank = rowsPerBankFor(cfg.density);
+        int &size = read ? cfg.readQueueSize : cfg.writeQueueSize;
+        const std::string key = read ? "readQueueSize" : "writeQueueSize";
+        size = 64;
+        EXPECT_EQ(cfg.validate(), "") << key;
+        size = 65;
+        const std::string err = cfg.validate();
+        EXPECT_NE(err.find("config key '" + key + "' must be <= 64 (got 65)"),
+                  std::string::npos)
+            << err;
+    }
+}
+
 TEST(ConfigDeath, RejectsBadWatermarks)
 {
     MemConfig cfg;

@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for the bounded request queue.
+ * Unit tests for the bounded request queue, and a property test of its
+ * per-bank index against a brute-force recount.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "controller/queues.hh"
 
 using namespace dsarp;
@@ -97,4 +99,76 @@ TEST(RequestQueue, RowCount)
     EXPECT_EQ(q.rowCount(0, 2, 78), 1);
     EXPECT_EQ(q.rowCount(1, 2, 77), 1);
     EXPECT_EQ(q.rowCount(0, 3, 77), 0);
+}
+
+TEST(RequestQueue, BankIndexMatchesBruteForceRecount)
+{
+    // Random push/pop sequences at several capacities and geometries
+    // (up to the 64-entry, 64-bank bounds). After every step the bank
+    // masks and every count must equal a recount over at(i).
+    struct Shape
+    {
+        int capacity, ranks, banks;
+    };
+    for (const Shape shape : {Shape{1, 1, 1}, Shape{7, 2, 8},
+                              Shape{64, 2, 8}, Shape{64, 1, 64},
+                              Shape{33, 8, 8}}) {
+        RequestQueue q(shape.capacity, shape.ranks, shape.banks);
+        const int num_banks = shape.ranks * shape.banks;
+        Rng rng(static_cast<std::uint64_t>(shape.capacity * 131 + num_banks));
+        std::uint64_t next_id = 0;
+        for (int step = 0; step < 4000; ++step) {
+            // Drift between empty and full: push-biased in the first
+            // half of every 400 steps, pop-biased in the second.
+            const bool push_bias = step % 400 < 200;
+            if (!q.empty() && rng.below(4) >= (push_bias ? 3u : 1u)) {
+                const int i = static_cast<int>(rng.below(q.size()));
+                const std::uint64_t id = q.at(i).id;
+                EXPECT_EQ(q.pop(i).id, id);
+            } else {
+                const bool was_full = q.full();
+                const bool pushed = q.push(makeReq(
+                    ++next_id, static_cast<RankId>(rng.below(shape.ranks)),
+                    static_cast<BankId>(rng.below(shape.banks)),
+                    static_cast<RowId>(rng.below(3))));
+                EXPECT_EQ(pushed, !was_full);
+            }
+
+            std::uint64_t busy = 0;
+            for (int bank = 0; bank < num_banks; ++bank) {
+                std::uint64_t pos = 0;
+                for (int i = 0; i < q.size(); ++i) {
+                    const DecodedAddr &loc = q.at(i).loc;
+                    if (loc.rank * shape.banks + loc.bank == bank)
+                        pos |= std::uint64_t(1) << i;
+                }
+                ASSERT_EQ(q.positions(bank), pos)
+                    << "step " << step << " bank " << bank;
+                if (pos)
+                    busy |= std::uint64_t(1) << bank;
+            }
+            ASSERT_EQ(q.busyBanks(), busy) << "step " << step;
+
+            for (RankId r = 0; r < shape.ranks; ++r) {
+                int rank_count = 0;
+                for (BankId b = 0; b < shape.banks; ++b) {
+                    int bank_count = 0;
+                    int row_count[3] = {};
+                    for (int i = 0; i < q.size(); ++i) {
+                        const DecodedAddr &loc = q.at(i).loc;
+                        if (loc.rank == r && loc.bank == b) {
+                            ++bank_count;
+                            ++row_count[loc.row];
+                        }
+                    }
+                    ASSERT_EQ(q.bankCount(r, b), bank_count);
+                    for (RowId row = 0; row < 3; ++row)
+                        ASSERT_EQ(q.rowCount(r, b, row), row_count[row]);
+                    ASSERT_EQ(q.rowCount(r, b, 3), 0);
+                    rank_count += bank_count;
+                }
+                ASSERT_EQ(q.rankCount(r), rank_count);
+            }
+        }
+    }
 }

@@ -114,13 +114,17 @@ TEST_F(RankTest, NoInflationWithoutSarp)
     EXPECT_EQ(rank.effTFaw(1), timing_.tFaw);
 }
 
-TEST_F(RankTest, IsActiveTracksOpenAndRefresh)
+TEST_F(RankTest, RefreshInFlightTracksPerBankAndAllBank)
 {
     Rank rank(&cfg_, &timing_);
-    EXPECT_FALSE(rank.isActive(0));
-    rank.bank(1).onAct(0, 9, 0);
-    rank.onAct(0);
-    EXPECT_TRUE(rank.isActive(1));
+    EXPECT_FALSE(rank.refreshInFlight(0));
+    rank.onRefPb(0, 1);
+    EXPECT_TRUE(rank.refreshInFlight(1));
+    EXPECT_FALSE(rank.refreshInFlight(at(timing_.tRfcPb)));
+    const Tick t = at(timing_.tRfcPb);
+    rank.onRefAb(t);
+    EXPECT_TRUE(rank.refreshInFlight(t + 1));
+    EXPECT_FALSE(rank.refreshInFlight(t + timing_.tRfcAb));
 }
 
 TEST_F(SarpRankTest, PerBankInflationDuringRefresh)

@@ -142,7 +142,6 @@ TEST(SelfRefreshRank, DemandAndRefreshIllegalWhileInSelfRefresh)
     EXPECT_FALSE(rank.canRefAb(150));
     EXPECT_FALSE(rank.canRefPbRankLevel(150));
     EXPECT_FALSE(rank.canRefSb(150, 0));
-    EXPECT_FALSE(rank.isActive(150));
 }
 
 TEST(SelfRefreshRank, ExitHonoursMinimumResidencyAndChargesTxs)
@@ -199,10 +198,12 @@ TEST(SelfRefreshChannel, CommandsAndStats)
     act.rank = 1;
     EXPECT_TRUE(ch.canIssue(act, 60));
 
-    // Residency ticks accumulate for the sleeping rank only.
+    // Residency ticks accumulate for the sleeping rank only, and a
+    // sleeping rank is never billed active standby.
     ch.sampleActivity(60);
     EXPECT_EQ(ch.stats().srTicks, 1u);
     EXPECT_EQ(ch.stats().rankTotalTicks, 2u);
+    EXPECT_EQ(ch.stats().rankActiveTicks, 0u);
 
     Command srx;
     srx.type = CommandType::kSrExit;
