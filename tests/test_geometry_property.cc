@@ -68,8 +68,9 @@ TEST_P(GeometryProperty, LegalAndLive)
             << "ch" << ch << ": "
             << (report.violations.empty() ? ""
                                           : report.violations.front());
-        if (mode != RefreshMode::kNoRefresh)
+        if (mode != RefreshMode::kNoRefresh) {
             EXPECT_GT(report.refreshesChecked, 0u);
+        }
     }
     EXPECT_GT(reads, 200u);
     EXPECT_GT(sys.core(0).stats().instructionsRetired, 1000u);

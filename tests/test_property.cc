@@ -67,8 +67,9 @@ TEST_P(RefreshProperty, LegalStreamAndProgress)
     EXPECT_TRUE(report.ok()) << (report.violations.empty()
                                      ? ""
                                      : report.violations.front());
-    if (mode != RefreshMode::kNoRefresh)
+    if (mode != RefreshMode::kNoRefresh) {
         EXPECT_GT(report.refreshesChecked, 0u);
+    }
 
     // 3. No request starves: queues drain (occupancy stays bounded).
     const ControllerStats &cs = sys.controller(0).stats();

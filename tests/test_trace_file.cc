@@ -91,8 +91,9 @@ TEST_F(TraceFileTest, RoundTripThroughWriter)
         EXPECT_EQ(got.gap, expected.gap);
         EXPECT_EQ(got.readAddr, expected.readAddr);
         EXPECT_EQ(got.hasWriteback, expected.hasWriteback);
-        if (expected.hasWriteback)
+        if (expected.hasWriteback) {
             EXPECT_EQ(got.writebackAddr, expected.writebackAddr);
+        }
     }
 }
 

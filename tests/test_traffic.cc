@@ -425,8 +425,9 @@ TEST_F(TrafficRun, MultiTenantReportsFairness)
     EXPECT_GE(res.tenantFairness, 1.0 - 1e-9);
     for (const TenantResult &t : res.tenants) {
         EXPECT_GT(t.generated, 0u);
-        if (t.reads > 0)
+        if (t.reads > 0) {
             EXPECT_GE(t.slowdown, 1.0 - 1e-9);
+        }
     }
 }
 
