@@ -16,6 +16,16 @@
 
 namespace dsarp {
 
+/** SplitMix64's finaliser: a bijection in which every input bit
+ *  reaches every output bit. Also folds digests (command streams). */
+inline std::uint64_t
+mix64(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 /** Deterministic 64-bit PRNG (xoshiro256** seeded via SplitMix64). */
 class Rng
 {
@@ -26,10 +36,7 @@ class Rng
         std::uint64_t x = seed;
         for (auto &word : state_) {
             x += 0x9e3779b97f4a7c15ULL;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            word = z ^ (z >> 31);
+            word = mix64(x);
         }
     }
 

@@ -5,6 +5,22 @@
 
 namespace dsarp {
 
+namespace {
+
+/** Fold one issued command into a command-stream digest. */
+std::uint64_t
+foldCommand(std::uint64_t digest, Tick tick, const Command &cmd)
+{
+    const std::uint64_t target = static_cast<std::uint64_t>(cmd.type) |
+        static_cast<std::uint64_t>(cmd.rank) << 8 |
+        static_cast<std::uint64_t>(cmd.bank) << 16 |
+        static_cast<std::uint64_t>(cmd.hidden) << 24;
+    digest = mix64(digest ^ tick);
+    digest = mix64(digest ^ target);
+    return mix64(digest ^ static_cast<std::uint64_t>(cmd.row));
+}
+
+} // namespace
 
 ChannelController::ChannelController(ChannelId id, const MemConfig *cfg,
                                      const TimingParams *timing,
@@ -134,6 +150,7 @@ ChannelController::tryIssue(const Command &cmd, Tick now)
         return false;
     channel_.issue(cmd, now);
     issuedThisTick_ = true;
+    stats_.cmdDigest = foldCommand(stats_.cmdDigest, now, cmd);
     if (cmdLog_)
         cmdLog_->push_back({now, cmd});
     return true;
@@ -145,6 +162,7 @@ ChannelController::serveDemand(RequestQueue &queue, const CmdChoice &choice,
 {
     const Tick data_tick = channel_.issue(choice.cmd, now);
     issuedThisTick_ = true;
+    stats_.cmdDigest = foldCommand(stats_.cmdDigest, now, choice.cmd);
     if (cmdLog_)
         cmdLog_->push_back({now, choice.cmd});
     lastDemandActivity_[choice.cmd.rank] = now;

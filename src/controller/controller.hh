@@ -56,6 +56,11 @@ struct ControllerStats
     std::uint64_t ticks = 0;
     std::uint64_t readQueueOccupancySum = 0;
     std::uint64_t writeQueueOccupancySum = 0;
+    /** Digest of every command issued since the last reset: each
+     *  command's (tick, type, rank, bank, row, hidden) folded in issue
+     *  order, so a reordered, retimed or retargeted command moves it
+     *  even when every counter above stays put. */
+    std::uint64_t cmdDigest = 0;
 };
 
 class ChannelController : public ControllerView

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "dram/address.hh"
 #include "dram/spec.hh"
 #include "refresh/registry.hh"
@@ -198,6 +199,8 @@ collectChannelStats(System &system, const SystemConfig &sys,
         res.readsCompleted += system.controller(ch).stats().readsCompleted;
         res.writesIssued += system.controller(ch).stats().writesIssued;
         res.readLatency.merge(system.controller(ch).stats().readLatency);
+        res.cmdDigest =
+            mix64(res.cmdDigest ^ system.controller(ch).stats().cmdDigest);
     }
     res.energyPerAccessNj = accesses > 0.0 ? total_nj / accesses : 0.0;
 }

@@ -170,6 +170,10 @@ struct RunResult
     /** Ticks a channel's refresh overlapped a sibling channel's (the
      *  simultaneous-refresh exposure channel staggering removes). */
     std::uint64_t refOverlapTicks = 0;
+    /** The channels' command-stream digests (ControllerStats::
+     *  cmdDigest over the measured window), combined in channel order:
+     *  equal digests mean the same commands at the same ticks. */
+    std::uint64_t cmdDigest = 0;
 };
 
 class Runner

@@ -66,6 +66,7 @@ signature(const RunResult &res)
         << " " << res.refSb << " " << res.refPbHidden << " "
         << res.srEnters << " " << res.srExits << " " << res.srTicks
         << " " << res.refOverlapTicks;
+    out << "\ncommands: " << res.cmdDigest;
     out << "\ntenants:";
     for (const TenantResult &t : res.tenants) {
         out << " [" << t.priority << " " << t.generated << " "

@@ -13,6 +13,10 @@
  * fast path's certificate, or the energy model trips these literals
  * loudly.
  *
+ * Each golden also pins the run's command-stream digest (every
+ * command's tick, type and target, in issue order), which moves on a
+ * reordered command that leaves every counter and speedup unchanged.
+ *
  * The literals were produced by this exact configuration at the
  * commit that introduced (or last intentionally changed) them. An
  * intentional behaviour change must update them in the same commit,
@@ -56,6 +60,7 @@ TEST(GoldenBaselines, Ddr3RefabPinned)
     EXPECT_NEAR(res.energyPerAccessNj, 7.8361748942917551, 1e-6);
     EXPECT_EQ(res.refAb, 32u);
     EXPECT_EQ(res.readsCompleted, 3618u);
+    EXPECT_EQ(res.cmdDigest, 0xf9314189d726e125ULL);
 }
 
 TEST(GoldenBaselines, Ddr3DsarpPinned)
@@ -65,6 +70,7 @@ TEST(GoldenBaselines, Ddr3DsarpPinned)
     EXPECT_NEAR(res.energyPerAccessNj, 6.3576246540214916, 1e-6);
     EXPECT_EQ(res.refPb, 237u);
     EXPECT_EQ(res.readsCompleted, 4701u);
+    EXPECT_EQ(res.cmdDigest, 0x95f654e6736ff1f3ULL);
 }
 
 TEST(GoldenBaselines, Ddr5RefsbPinned)
@@ -76,6 +82,7 @@ TEST(GoldenBaselines, Ddr5RefsbPinned)
     EXPECT_EQ(res.refSb, 90u);
     EXPECT_EQ(res.refPb, 0u);
     EXPECT_EQ(res.readsCompleted, 1925u);
+    EXPECT_EQ(res.cmdDigest, 0x6f1867453a019542ULL);
 }
 
 TEST(GoldenBaselines, Ddr4OpenLoopDsarpPinned)
@@ -96,6 +103,7 @@ TEST(GoldenBaselines, Ddr4OpenLoopDsarpPinned)
     const RunResult res = runner.runTraffic(cfg);
     EXPECT_NEAR(res.readLatency.percentile(99), 293.56000000000040, 1e-9);
     EXPECT_EQ(res.readsCompleted, 2422u);
+    EXPECT_EQ(res.cmdDigest, 0xc3d70f0a8e7d545cULL);
 }
 
 TEST(GoldenBaselines, Ddr5SelfRefreshDsarpPinned)
@@ -115,4 +123,5 @@ TEST(GoldenBaselines, Ddr5SelfRefreshDsarpPinned)
     EXPECT_NEAR(res.energyPerAccessNj, 7.0569467063282341, 1e-6);
     EXPECT_EQ(res.srEnters, 23u);
     EXPECT_EQ(res.srExits, 22u);
+    EXPECT_EQ(res.cmdDigest, 0xaa766736ef0b734eULL);
 }

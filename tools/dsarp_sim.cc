@@ -24,7 +24,8 @@
  * baseline, WS/HS/max-slowdown, refresh counters, and the energy
  * breakdown -- the same numbers the paper's tables are built from.
  * Every run also reports the read-latency distribution (mean and
- * p50/p99/p99.9); --traffic switches to the open-loop front end and
+ * p50/p99/p99.9) and a digest of the measured command stream (equal
+ * digests: the same commands at the same ticks); --traffic switches to the open-loop front end and
  * adds the per-tenant table and fairness figure.
  */
 
@@ -295,5 +296,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(res.refOverlapTicks));
     }
     std::printf("energy per access  : %.2f nJ\n", res.energyPerAccessNj);
+    std::printf("command digest     : %016llx\n",
+                static_cast<unsigned long long>(res.cmdDigest));
     return 0;
 }
