@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulator's hot paths:
- * address decode, FR-FCFS picks, and whole-system tick throughput per
- * refresh mechanism. These guard the simulation speed that the
- * experiment harnesses depend on.
+ * address decode, FR-FCFS picks, the refresh policies' per-tick
+ * decisions, and whole-system tick throughput per refresh mechanism.
+ * These guard the simulation speed that the experiment harnesses
+ * depend on.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,8 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "controller/queues.hh"
 #include "controller/scheduler.hh"
 #include "dram/address.hh"
+#include "refresh/darp.hh"
+#include "refresh/same_bank.hh"
 #include "sim/system.hh"
 #include "workload/benchmark.hh"
 
@@ -170,14 +174,167 @@ BM_FrFcfsPickEmptyQueue(benchmark::State &state)
 }
 BENCHMARK(BM_FrFcfsPickEmptyQueue);
 
+/**
+ * The controller state a refresh policy reads, without a controller:
+ * real read/write queues and a real channel, the drain flag set by
+ * hand, so a decision can be timed on a frozen state.
+ */
+class FrozenView : public ControllerView
+{
+  public:
+    FrozenView(const MemConfig *cfg, const TimingParams *timing)
+        : channel_(cfg, timing),
+          reads_(64, cfg->org.ranksPerChannel, cfg->org.banksPerRank),
+          writes_(64, cfg->org.ranksPerChannel, cfg->org.banksPerRank)
+    {}
+
+    int
+    pendingDemands(RankId r, BankId b) const override
+    {
+        return reads_.bankCount(r, b) + writes_.bankCount(r, b);
+    }
+    std::uint64_t
+    demandBanks() const override
+    {
+        return reads_.busyBanks() | writes_.busyBanks();
+    }
+    int
+    pendingReads(RankId r, BankId b) const override
+    {
+        return reads_.bankCount(r, b);
+    }
+    int
+    pendingWrites(RankId r, BankId b) const override
+    {
+        return writes_.bankCount(r, b);
+    }
+    int
+    pendingDemandsRank(RankId r) const override
+    {
+        return reads_.rankCount(r) + writes_.rankCount(r);
+    }
+    bool inWritebackMode() const override { return writeback_; }
+    Tick lastDemandActivity(RankId) const override { return 0; }
+    const Channel &dram() const override { return channel_; }
+    Rng &schedulerRng() override { return rng_; }
+
+    Channel channel_;
+    RequestQueue reads_;
+    RequestQueue writes_;
+    bool writeback_ = false;
+
+  private:
+    Rng rng_{1};
+};
+
+/** Time one tick's refresh decisions: urgent() then, as on a tick
+ *  that issued nothing, opportunistic(). */
 void
-SystemTicks(benchmark::State &state, RefreshMode mode, bool sarp)
+timeDecisions(benchmark::State &state, RefreshScheduler &policy, Tick now)
+{
+    std::vector<RefreshRequest> urgent;
+    urgent.reserve(8);
+    RefreshRequest opp;
+    for (auto _ : state) {
+        urgent.clear();
+        benchmark::DoNotOptimize(now);
+        policy.urgent(now, urgent);
+        benchmark::DoNotOptimize(policy.opportunistic(now, opp));
+        benchmark::DoNotOptimize(urgent.data());
+    }
+}
+
+void
+BM_RefreshDecision_DarpIdle(benchmark::State &state)
+{
+    // An idle channel: nothing queued, nothing due, every bank holding
+    // pull-in credit, but each rank has a REFpb in flight, so no
+    // pull-in is legal and the probe rejects every candidate bank.
+    MemConfig cfg;
+    cfg.refresh = RefreshMode::kDarp;
+    cfg.finalize();
+    const TimingParams timing = TimingParams::forConfig(cfg);
+    FrozenView view(&cfg, &timing);
+    DarpScheduler darp(&cfg, &timing, &view);
+    for (RankId r = 0; r < 2; ++r) {
+        Command ref;
+        ref.type = CommandType::kRefPb;
+        ref.rank = r;
+        ref.bank = 7;
+        view.channel_.issue(ref, 0);
+    }
+    darp.tick(1);
+    timeDecisions(state, darp, 1);
+}
+BENCHMARK(BM_RefreshDecision_DarpIdle);
+
+void
+BM_RefreshDecision_DarpWriteDrain(benchmark::State &state)
+{
+    // A write drain: 48 writes over all 16 banks (one to three each),
+    // every bank closed and refreshable, so the write-refresh choice
+    // weighs every bank's demand and the idle pull-in finds none.
+    MemConfig cfg;
+    cfg.refresh = RefreshMode::kDarp;
+    cfg.finalize();
+    const TimingParams timing = TimingParams::forConfig(cfg);
+    FrozenView view(&cfg, &timing);
+    DarpScheduler darp(&cfg, &timing, &view);
+    for (int i = 0; i < 48; ++i) {
+        Request req;
+        req.id = i;
+        req.isWrite = true;
+        req.loc.rank = i % 2;
+        req.loc.bank = (i / 2) % 8;
+        if (i < 16 || req.loc.bank != 5)
+            view.writes_.push(req);
+    }
+    view.writeback_ = true;
+    darp.tick(1);
+    timeDecisions(state, darp, 1);
+}
+BENCHMARK(BM_RefreshDecision_DarpWriteDrain);
+
+void
+BM_RefreshDecision_SameBank(benchmark::State &state)
+{
+    // DDR5 REFsb on the canonical 2 x 32-bank channel (16 slices):
+    // reads queued in the even bank groups, and each rank busy with a
+    // slice refresh, so no pull-in of an odd group is legal.
+    MemConfig cfg;
+    cfg.dramSpec = "DDR5-4800";
+    cfg.org.banksPerRank = 32;
+    cfg.refresh = RefreshMode::kSameBank;
+    cfg.finalize();
+    const TimingParams timing = TimingParams::forConfig(cfg);
+    FrozenView view(&cfg, &timing);
+    SameBankScheduler refsb(&cfg, &timing, &view);
+    for (int i = 0; i < 32; ++i) {
+        Request req;
+        req.id = i;
+        req.loc.rank = i % 2;
+        req.loc.bank = (i / 2) % 4 * 8 + (i / 8) % 4;
+        view.reads_.push(req);
+    }
+    for (RankId r = 0; r < 2; ++r) {
+        Command ref;
+        ref.type = CommandType::kRefSb;
+        ref.rank = r;
+        ref.bank = 7;
+        view.channel_.issue(ref, 0);
+    }
+    refsb.tick(1);
+    timeDecisions(state, refsb, 1);
+}
+BENCHMARK(BM_RefreshDecision_SameBank);
+
+void
+SystemTicks(benchmark::State &state, const char *policy)
 {
     SystemConfig cfg;
     cfg.numCores = 8;
     cfg.mem.density = Density::k32Gb;
-    cfg.mem.refresh = mode;
-    cfg.mem.sarp = sarp;
+    cfg.mem.policy = policy;
     std::vector<int> mix;
     for (int c = 0; c < 8; ++c)
         mix.push_back(intensiveBenchmarks()[c % 11]);
@@ -191,28 +348,35 @@ SystemTicks(benchmark::State &state, RefreshMode mode, bool sarp)
 void
 BM_SystemTicks_NoRef(benchmark::State &state)
 {
-    SystemTicks(state, RefreshMode::kNoRefresh, false);
+    SystemTicks(state, "NoREF");
 }
 BENCHMARK(BM_SystemTicks_NoRef);
 
 void
 BM_SystemTicks_RefAb(benchmark::State &state)
 {
-    SystemTicks(state, RefreshMode::kAllBank, false);
+    SystemTicks(state, "REFab");
 }
 BENCHMARK(BM_SystemTicks_RefAb);
 
 void
 BM_SystemTicks_RefPb(benchmark::State &state)
 {
-    SystemTicks(state, RefreshMode::kPerBank, false);
+    SystemTicks(state, "REFpb");
 }
 BENCHMARK(BM_SystemTicks_RefPb);
 
 void
+BM_SystemTicks_Darp(benchmark::State &state)
+{
+    SystemTicks(state, "DARP");
+}
+BENCHMARK(BM_SystemTicks_Darp);
+
+void
 BM_SystemTicks_Dsarp(benchmark::State &state)
 {
-    SystemTicks(state, RefreshMode::kDarp, true);
+    SystemTicks(state, "DSARP");
 }
 BENCHMARK(BM_SystemTicks_Dsarp);
 

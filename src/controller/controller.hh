@@ -124,6 +124,11 @@ class ChannelController : public ControllerView
     /** @name ControllerView */
     /// @{
     int pendingDemands(RankId r, BankId b) const override;
+    std::uint64_t
+    demandBanks() const override
+    {
+        return readQ_.busyBanks() | writeQ_.busyBanks();
+    }
     int pendingReads(RankId r, BankId b) const override;
     int pendingWrites(RankId r, BankId b) const override;
     int pendingDemandsRank(RankId r) const override;

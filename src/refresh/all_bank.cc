@@ -49,6 +49,8 @@ AllBankScheduler::tick(Tick now)
 void
 AllBankScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
 {
+    if (!ledger_.dueMask())
+        return;  // No rank owes a refresh.
     for (RankId r = 0; r < ledger_.numRanks(); ++r) {
         if (rankInSelfRefresh(r, now))
             continue;  // The device refreshes itself; ledger paused.

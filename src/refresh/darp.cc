@@ -1,5 +1,7 @@
 #include "refresh/darp.hh"
 
+#include <bit>
+
 #include "refresh/registry.hh"
 
 namespace dsarp {
@@ -35,14 +37,33 @@ DarpScheduler::DarpScheduler(const MemConfig *cfg,
       banks_(cfg->org.banksPerRank),
       writeRefreshEnabled_(cfg->darpWriteRefresh)
 {
-    dueNow_.assign(cfg->org.ranksPerChannel * banks_, 0);
 }
 
-bool
-DarpScheduler::refreshable(RankId r, BankId b, Tick now) const
+BankId
+DarpScheduler::leastLoaded(RankId r, std::uint64_t banks,
+                           std::uint64_t demand, Tick now) const
 {
     const Rank &rk = view_->dram().rank(r);
-    return rk.canRefPbRankLevel(now) && rk.bank(b).canRefresh(now);
+    // A bank without demand has the fewest (none), and the lowest one
+    // wins ties, so idle banks are tried first.
+    for (std::uint64_t idle = banks & ~demand; idle; idle &= idle - 1) {
+        const BankId b = std::countr_zero(idle) % banks_;
+        if (rk.bank(b).canRefresh(now))
+            return b;
+    }
+    BankId best = kNone;
+    int best_count = 0;
+    for (std::uint64_t busy = banks & demand; busy; busy &= busy - 1) {
+        const BankId b = std::countr_zero(busy) % banks_;
+        if (!rk.bank(b).canRefresh(now))
+            continue;
+        const int count = view_->pendingDemands(r, b);
+        if (best == kNone || count < best_count) {
+            best = b;
+            best_count = count;
+        }
+    }
+    return best;
 }
 
 void
@@ -59,6 +80,7 @@ DarpScheduler::tick(Tick now)
     // whether to postpone. A refresh is postponed when the bank has
     // pending demand requests and the postpone window has room; otherwise
     // the bank is marked for an on-time refresh.
+    const std::uint64_t demand = view_->demandBanks();
     for (RankId r = 0; r < ledger_.numRanks(); ++r) {
         if (rankInSelfRefresh(r, now))
             continue;  // Ledger paused; the device refreshes itself.
@@ -69,10 +91,11 @@ DarpScheduler::tick(Tick now)
                 // Already covered by earlier pull-ins; nothing due.
                 continue;
             }
-            if (view_->pendingDemands(r, b) > 0 && !ledger_.mustForce(r, b)) {
+            const std::uint64_t bit = std::uint64_t(1) << index(r, b);
+            if ((demand & bit) && !ledger_.mustForce(r, b)) {
                 ++stats_.postponed;
             } else {
-                dueNow_[index(r, b)] = 1;
+                dueNow_ |= bit;
             }
         }
     }
@@ -82,43 +105,43 @@ DarpScheduler::tick(Tick now)
 void
 DarpScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
 {
-    // Forced and on-time refreshes first (blocking so the bank drains).
-    for (RankId r = 0; r < ledger_.numRanks(); ++r) {
+    // Forced and on-time refreshes first (blocking so the bank drains),
+    // in ascending bank order, skipping ranks locked in self-refresh.
+    std::uint64_t pending = ledger_.forceMask() | dueNow_;
+    while (pending) {
+        const RankId r = std::countr_zero(pending) / banks_;
+        std::uint64_t bits = pending & ledger_.rankMask(r);
+        pending &= ~bits;
         if (rankInSelfRefresh(r, now))
             continue;
-        for (BankId b = 0; b < banks_; ++b) {
-            if (ledger_.mustForce(r, b) || dueNow_[index(r, b)]) {
-                RefreshRequest req;
-                req.rank = r;
-                req.bank = b;
-                req.blocking = true;
-                out.push_back(req);
-            }
+        for (; bits; bits &= bits - 1) {
+            RefreshRequest req;
+            req.rank = r;
+            req.bank = std::countr_zero(bits) % banks_;
+            req.blocking = true;
+            out.push_back(req);
         }
     }
 
     // Algorithm 1 (write-refresh parallelization): while draining writes,
     // if a rank has no refresh in flight, refresh its bank with the
-    // fewest pending demands, credit permitting.
+    // fewest pending demands, credit permitting. Only closed banks with
+    // pull-in credit can qualify; ties go to the lowest bank.
     if (!writeRefreshEnabled_ || !view_->inWritebackMode())
         return;
-    for (RankId r = 0; r < ledger_.numRanks(); ++r) {
+    const std::uint64_t demand = view_->demandBanks();
+    std::uint64_t candidates =
+        ledger_.pullMask() & ~view_->dram().openBanks();
+    while (candidates) {
+        const RankId r = std::countr_zero(candidates) / banks_;
+        const std::uint64_t banks = candidates & ledger_.rankMask(r);
+        candidates &= ~banks;
+        // A rank with a refresh in flight (or locked in self-refresh,
+        // which canRefPbRankLevel() covers) takes no new one.
         const Rank &rk = view_->dram().rank(r);
-        if (rk.selfRefreshLockout(now) || rk.refPbInFlight(now) ||
-            rk.refAbInFlight(now)) {
+        if (rk.refPbInFlight(now) || !rk.canRefPbRankLevel(now))
             continue;
-        }
-        BankId best = kNone;
-        int best_count = 0;
-        for (BankId b = 0; b < banks_; ++b) {
-            if (!ledger_.canPullIn(r, b) || !refreshable(r, b, now))
-                continue;
-            const int count = view_->pendingDemands(r, b);
-            if (best == kNone || count < best_count) {
-                best = b;
-                best_count = count;
-            }
-        }
+        const BankId best = leastLoaded(r, banks, demand, now);
         if (best != kNone) {
             RefreshRequest req;
             req.rank = r;
@@ -134,23 +157,34 @@ DarpScheduler::opportunistic(Tick now, RefreshRequest &out)
 {
     // Figure 8, step 3: the channel is idle; pick a random bank with no
     // pending demand requests and refresh it (a postponed refresh being
-    // made up, or a new pull-in).
-    const int ranks = ledger_.numRanks();
-    const int total = ranks * banks_;
+    // made up, or a new pull-in). The start bank is drawn even when no
+    // bank qualifies, so the RNG stream does not depend on the masks;
+    // the walk visits banks from it upward, then wraps.
+    const int total = ledger_.numRanks() * banks_;
     const int start = static_cast<int>(view_->schedulerRng().below(total));
-    for (int i = 0; i < total; ++i) {
-        const int idx = (start + i) % total;
-        const RankId r = idx / banks_;
-        const BankId b = idx % banks_;
-        if (view_->pendingDemands(r, b) > 0)
-            continue;
-        if (!ledger_.canPullIn(r, b) || !refreshable(r, b, now))
-            continue;
-        out = RefreshRequest{};
-        out.rank = r;
-        out.bank = b;
-        out.blocking = false;
-        return true;
+    const std::uint64_t candidates = ledger_.pullMask() &
+        ~view_->demandBanks() & ~view_->dram().openBanks();
+    std::uint64_t blocked = 0;  // Banks of ranks that take no REFpb now.
+    for (std::uint64_t bits : {candidates & ~lowBits(start),
+                               candidates & lowBits(start)}) {
+        while ((bits &= ~blocked)) {
+            const int idx = std::countr_zero(bits);
+            const RankId r = idx / banks_;
+            const Rank &rk = view_->dram().rank(r);
+            if (!rk.canRefPbRankLevel(now)) {
+                blocked |= ledger_.rankMask(r);
+                continue;
+            }
+            bits &= bits - 1;
+            const BankId b = idx % banks_;
+            if (!rk.bank(b).canRefresh(now))
+                continue;
+            out = RefreshRequest{};
+            out.rank = r;
+            out.bank = b;
+            out.blocking = false;
+            return true;
+        }
     }
     return false;
 }
@@ -163,7 +197,7 @@ DarpScheduler::onIssued(const RefreshRequest &req, Tick)
     if (ledger_.owed(req.rank, req.bank) <= 0)
         ++stats_.pulledIn;
     ledger_.onRefresh(req.rank, req.bank);
-    dueNow_[index(req.rank, req.bank)] = 0;
+    dueNow_ &= ~(std::uint64_t(1) << index(req.rank, req.bank));
     ++stats_.issued;
 }
 
@@ -174,8 +208,7 @@ DarpScheduler::onSrEnter(RankId rank, Tick now)
     // Anything marked due is covered by the device's internal refresh;
     // the flags would otherwise survive the residency and fire stale
     // blocking requests at exit.
-    for (BankId b = 0; b < banks_; ++b)
-        dueNow_[index(rank, b)] = 0;
+    dueNow_ &= ~ledger_.rankMask(rank);
 }
 
 void

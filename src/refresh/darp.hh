@@ -14,11 +14,21 @@
  * channel drains a write batch, every tRFCpb the scheduler refreshes the
  * bank with the fewest pending demands (credit permitting), hiding the
  * refresh under the batched writes.
+ *
+ * Decisions come from bank masks (bit rank x banks + bank): the
+ * ledger's force/pull-in masks, the on-time mask dueNow_, the
+ * controller's demandBanks() and the channel's openBanks(). Urgent
+ * requests are the set bits of force | dueNow_ outside ranks locked in
+ * self-refresh; the idle pull-in and the write-refresh choice test
+ * DRAM legality only for pull-in-eligible closed banks (an open bank
+ * can never take a plain refresh), in the same order and with the same
+ * RNG draw as a walk over every bank.
  */
 
 #ifndef DSARP_REFRESH_DARP_HH
 #define DSARP_REFRESH_DARP_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "refresh/ledger.hh"
@@ -49,20 +59,27 @@ class DarpScheduler : public RefreshScheduler
 
     const RefreshLedger &ledger() const { return ledger_; }
 
+    /** Banks marked for an on-time refresh (bit rank x banks + bank). */
+    std::uint64_t dueNow() const { return dueNow_; }
+
   protected:
     // Protected, not private: HiRA (refresh/hira.hh) extends DARP's
     // out-of-order scheduling with hidden-refresh issue paths.
     int index(RankId r, BankId b) const { return r * banks_ + b; }
 
-    /** Bank eligible to receive a refresh right now (DRAM-state check). */
-    bool refreshable(RankId r, BankId b, Tick now) const;
+    /** Write-refresh choice among rank @p r's candidate @p banks (bank
+     *  bits): the refreshable one with the fewest pending demands,
+     *  lowest first on ties; kNone when none can refresh. */
+    BankId leastLoaded(RankId r, std::uint64_t banks, std::uint64_t demand,
+                       Tick now) const;
 
     RefreshLedger ledger_;
     int banks_;
     bool writeRefreshEnabled_;
 
-    /** Banks whose nominal refresh could not be postponed (Figure 8 "R"). */
-    std::vector<std::uint8_t> dueNow_;
+    /** Banks whose nominal refresh could not be postponed (Figure 8
+     *  "R"), one bit per bank as in the ledger's masks. */
+    std::uint64_t dueNow_ = 0;
 
     Tick lastTick_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/config.hh"
 #include "common/log.hh"
 
 namespace dsarp {
@@ -14,6 +15,8 @@ RefreshLedger::RefreshLedger(int ranks, int banks, Cycles period,
 {
     DSARP_ASSERT(ranks > 0 && banks > 0 && period > Cycles(0),
                  "bad ledger shape");
+    DSARP_ASSERT(ranks * banks <= MemOrg::kMaxBanksPerChannel,
+                 "ledger exceeds the 64-unit masks");
     owed_.assign(ranks * banks, 0);
     nextAccrual_.resize(ranks * banks);
     firstAccrual_.resize(ranks * banks);
@@ -31,6 +34,7 @@ RefreshLedger::RefreshLedger(int ranks, int banks, Cycles period,
                            channel_phase);
             firstAccrual_[index(r, b)] = offset;
             nextAccrual_[index(r, b)] = offset;
+            refreshMasks(index(r, b));
         }
     }
     refreshNextAny();
@@ -59,6 +63,8 @@ RefreshLedger::setDenominator(int denom)
         balance = static_cast<int>(scaled / denom_);
     }
     denom_ = denom;
+    for (int i = 0; i < static_cast<int>(owed_.size()); ++i)
+        refreshMasks(i);
 }
 
 bool
@@ -67,13 +73,14 @@ RefreshLedger::advanceTo(Tick now)
     if (now < nextAny_)
         return false;
     for (int i = 0; i < static_cast<int>(owed_.size()); ++i) {
-        if (pausedAt_[i / banks_] != kTickNever)
-            continue;  // Rank in self-refresh: the device accrues.
+        if (pausedAt_[i / banks_] != kTickNever || nextAccrual_[i] > now)
+            continue;  // Paused (the device accrues) or not yet due.
         while (nextAccrual_[i] <= now) {
             owed_[i] += denom_;
             nextAccrual_[i] += period_;
             ++totalAccrued_;
         }
+        refreshMasks(i);
     }
     refreshNextAny();
     return true;
@@ -88,6 +95,19 @@ RefreshLedger::refreshNextAny()
             earliest = std::min(earliest, nextAccrual_[i]);
     }
     nextAny_ = earliest;
+}
+
+void
+RefreshLedger::refreshMasks(int i)
+{
+    const std::uint64_t bit = std::uint64_t(1) << i;
+    const int window = maxSlack_ * denom_;
+    const auto place = [bit](std::uint64_t &mask, bool on) {
+        mask = on ? mask | bit : mask & ~bit;
+    };
+    place(forceMask_, owed_[i] >= window);
+    place(dueMask_, owed_[i] > 0);
+    place(pullMask_, owed_[i] - denom_ >= -window);
 }
 
 void
@@ -125,6 +145,7 @@ RefreshLedger::resumeRank(RankId r, Tick now)
         // reports phantom accruals from inside the residency.
         nextAccrual_[i] += paused;
         firstAccrual_[i] += paused;
+        refreshMasks(i);
     }
     refreshNextAny();
 }
@@ -169,6 +190,7 @@ RefreshLedger::onPartialRefresh(RankId r, BankId b, int parts)
     ++totalRetired_;
     DSARP_ASSERT(owed_[index(r, b)] >= -maxSlack_ * denom_,
                  "pulled in beyond the JEDEC window");
+    refreshMasks(index(r, b));
 }
 
 bool

@@ -15,6 +15,15 @@
  * Accrual instants are staggered across units so refreshes do not
  * synchronize (bank b of rank r accrues at offset b*tREFIpb within its
  * period, matching the round-robin origin of per-bank refresh).
+ *
+ * Beside the balances the ledger keeps three unit masks (bit
+ * r x banks + b, the bank bit of Channel::openBanks() when units are
+ * banks): mustForce(), due() and canPullIn() of every unit at once,
+ * updated wherever a balance changes. A policy intersects them with
+ * the controller's demand and open-bank masks and tests DRAM legality
+ * only for the units left, instead of asking unit by unit every tick.
+ * A ledger holds at most 64 units, the channel bound
+ * MemConfig::validate() enforces.
  */
 
 #ifndef DSARP_REFRESH_LEDGER_HH
@@ -69,6 +78,21 @@ class RefreshLedger
     /** Same, for a refresh retiring @p parts sub-units (fractional
      *  accounting: HiRA's one-row hidden refreshes). */
     bool canPullInParts(RankId r, BankId b, int parts) const;
+
+    /** @name Unit masks: bit r x banksPerRank() + b is set iff the
+     *  predicate above holds for unit (r, b). */
+    /// @{
+    std::uint64_t forceMask() const { return forceMask_; }  ///< mustForce
+    std::uint64_t dueMask() const { return dueMask_; }      ///< due
+    std::uint64_t pullMask() const { return pullMask_; }    ///< canPullIn
+
+    /** Rank @p r's units. */
+    std::uint64_t
+    rankMask(RankId r) const
+    {
+        return lowBits(banks_) << (r * banks_);
+    }
+    /// @}
 
     /** Record an issued refresh for the unit. */
     void onRefresh(RankId r, BankId b = 0);
@@ -128,6 +152,9 @@ class RefreshLedger
     /** Recompute nextAny_ from nextAccrual_ and the pause state. */
     void refreshNextAny();
 
+    /** Recompute unit @p i's bits in the three masks from its balance. */
+    void refreshMasks(int i);
+
     int ranks_;
     int banks_;
     Tick period_;
@@ -139,6 +166,9 @@ class RefreshLedger
     /** Earliest nextAccrual_ over unpaused ranks (kTickNever: none),
      *  recomputed on every accrual, pause and resume. */
     Tick nextAny_ = kTickNever;
+    std::uint64_t forceMask_ = 0;
+    std::uint64_t dueMask_ = 0;
+    std::uint64_t pullMask_ = 0;
     int denom_ = 1;
     std::uint64_t totalAccrued_ = 0;
     std::uint64_t totalRetired_ = 0;

@@ -48,6 +48,8 @@ PerBankScheduler::tick(Tick now)
 void
 PerBankScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
 {
+    if (!ledger_.dueMask())
+        return;  // No bank owes a refresh.
     for (RankId r = 0; r < ledger_.numRanks(); ++r) {
         if (rankInSelfRefresh(r, now))
             continue;  // The device refreshes itself; ledger paused.

@@ -1,5 +1,7 @@
 #include "refresh/same_bank.hh"
 
+#include <bit>
+
 #include "common/log.hh"
 #include "refresh/registry.hh"
 
@@ -50,19 +52,25 @@ SameBankScheduler::SameBankScheduler(const MemConfig *cfg,
       pullInEnabled_(cfg->sameBankPullIn),
       pairingEnabled_(cfg->hira && cfg->org.subarraysPerBank >= 2)
 {
-    DSARP_ASSERT(timing->banksPerGroup > 0,
-                 "REFsb scheduler needs a spec with same-bank refresh");
-    dueNow_.assign(cfg->org.ranksPerChannel * groups_, 0);
+    DSARP_ASSERT(timing->banksPerGroup > 0 &&
+                     groups_ * banksPerGroup_ == cfg->org.banksPerRank,
+                 "REFsb scheduler needs same-bank slices that tile the "
+                 "rank");
     pairDraw_.assign(cfg->org.ranksPerChannel * groups_, -1);
 }
 
-int
-SameBankScheduler::pendingDemandsGroup(RankId r, int g) const
+std::uint64_t
+SameBankScheduler::slicesOf(std::uint64_t banks) const
 {
-    int count = 0;
-    for (int b = g * banksPerGroup_; b < (g + 1) * banksPerGroup_; ++b)
-        count += view_->pendingDemands(r, b);
-    return count;
+    // Slices tile each rank's banks, so bank bit i lies in slice bit
+    // i / banksPerGroup_.
+    std::uint64_t slices = 0;
+    while (banks) {
+        const int slice = std::countr_zero(banks) / banksPerGroup_;
+        slices |= std::uint64_t(1) << slice;
+        banks &= ~(lowBits(banksPerGroup_) << (slice * banksPerGroup_));
+    }
+    return slices;
 }
 
 void
@@ -80,6 +88,7 @@ SameBankScheduler::tick(Tick now)
     // any bank of the group has pending demands and the postpone
     // window has room; otherwise mark the slice for an on-time
     // refresh.
+    const std::uint64_t demand = slicesOf(view_->demandBanks());
     for (RankId r = 0; r < ledger_.numRanks(); ++r) {
         if (rankInSelfRefresh(r, now))
             continue;  // Ledger paused; the device refreshes itself.
@@ -92,12 +101,13 @@ SameBankScheduler::tick(Tick now)
             // becomes legal, so stop postponing two slots ahead of the
             // hard JEDEC limit -- the drain headroom keeps the bound
             // (never > 9 intervals unrefreshed) safe under load.
-            if (pendingDemandsGroup(r, g) > 0 &&
+            const std::uint64_t bit = std::uint64_t(1) << index(r, g);
+            if ((demand & bit) &&
                 ledger_.owed(r, g) + 2 < ledger_.maxSlack() &&
                 !ledger_.mustForce(r, g)) {
                 ++stats_.postponed;
             } else {
-                dueNow_[index(r, g)] = 1;
+                dueNow_ |= bit;
             }
         }
     }
@@ -107,12 +117,17 @@ SameBankScheduler::tick(Tick now)
 void
 SameBankScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
 {
-    for (RankId r = 0; r < ledger_.numRanks(); ++r) {
+    // Forced and on-time slices in ascending order, skipping ranks
+    // locked in self-refresh.
+    std::uint64_t pending = ledger_.forceMask() | dueNow_;
+    while (pending) {
+        const RankId r = std::countr_zero(pending) / groups_;
+        std::uint64_t bits = pending & ledger_.rankMask(r);
+        pending &= ~bits;
         if (rankInSelfRefresh(r, now))
             continue;
-        for (int g = 0; g < groups_; ++g) {
-            if (!ledger_.mustForce(r, g) && !dueNow_[index(r, g)])
-                continue;
+        for (; bits; bits &= bits - 1) {
+            const int g = std::countr_zero(bits) % groups_;
             RefreshRequest req;
             req.sameBank = true;
             req.rank = r;
@@ -146,27 +161,31 @@ SameBankScheduler::opportunistic(Tick now, RefreshRequest &out)
 {
     // Idle-channel pull-in (Figure 8, step 3, at slice granularity):
     // a random slice with no pending demands in any of its banks
-    // receives a postponed or pulled-in refresh, credit permitting.
+    // receives a postponed or pulled-in refresh, credit permitting. A
+    // slice with an open bank cannot refresh, so only slices free of
+    // both are tested, from the drawn start upward, then wrapped. (The
+    // ledger stays at denominator 1, so pullMask() is one-slot credit.)
     if (!pullInEnabled_)
         return false;
     const int total = ledger_.numRanks() * groups_;
     const int start = static_cast<int>(view_->schedulerRng().below(total));
-    for (int i = 0; i < total; ++i) {
-        const int idx = (start + i) % total;
-        const RankId r = idx / groups_;
-        const int g = idx % groups_;
-        if (pendingDemandsGroup(r, g) > 0)
-            continue;
-        if (!ledger_.canPullInParts(r, g, 1) ||
-            !view_->dram().rank(r).canRefSb(now, g)) {
-            continue;
+    const std::uint64_t candidates = ledger_.pullMask() &
+        ~slicesOf(view_->demandBanks() | view_->dram().openBanks());
+    for (std::uint64_t bits : {candidates & ~lowBits(start),
+                               candidates & lowBits(start)}) {
+        for (; bits; bits &= bits - 1) {
+            const int idx = std::countr_zero(bits);
+            const RankId r = idx / groups_;
+            const int g = idx % groups_;
+            if (!view_->dram().rank(r).canRefSb(now, g))
+                continue;
+            out = RefreshRequest{};
+            out.sameBank = true;
+            out.rank = r;
+            out.bank = g;
+            out.blocking = false;
+            return true;
         }
-        out = RefreshRequest{};
-        out.sameBank = true;
-        out.rank = r;
-        out.bank = g;
-        out.blocking = false;
-        return true;
     }
     return false;
 }
@@ -189,7 +208,7 @@ SameBankScheduler::onIssued(const RefreshRequest &req, Tick)
     } else {
         ledger_.onRefresh(req.rank, g);
     }
-    dueNow_[index(req.rank, g)] = 0;
+    dueNow_ &= ~(std::uint64_t(1) << index(req.rank, g));
     pairDraw_[index(req.rank, g)] = -1;
     ++stats_.issued;
 }
@@ -200,10 +219,9 @@ SameBankScheduler::onSrEnter(RankId rank, Tick now)
     ledger_.pauseRank(rank, now);
     // Due slices and pairing draws are covered by the device's own
     // refresh during the residency.
-    for (int g = 0; g < groups_; ++g) {
-        dueNow_[index(rank, g)] = 0;
+    dueNow_ &= ~ledger_.rankMask(rank);
+    for (int g = 0; g < groups_; ++g)
         pairDraw_[index(rank, g)] = -1;
-    }
 }
 
 void

@@ -17,7 +17,11 @@
  * its banks has pending demand requests (credit permitting, forced at
  * the JEDEC postpone limit), and idle channels pull slices in
  * opportunistically (gated by MemConfig::sameBankPullIn, config key
- * "refresh.samebank.pullIn").
+ * "refresh.samebank.pullIn"). As in DARP, the decisions come from unit
+ * masks (bit rank x groups + group): the ledger's force/pull-in masks,
+ * the on-time mask dueNow_, and the controller's demand and open-bank
+ * masks folded to slices; DRAM legality is tested only for slices with
+ * no demand and no open bank.
  *
  * HiRA composition (Yağlıkçı+, MICRO'22): under the "HiRAsb" registry
  * entry (MemConfig::hira set), a due slice that is two or more slots
@@ -31,6 +35,7 @@
 #ifndef DSARP_REFRESH_SAME_BANK_HH
 #define DSARP_REFRESH_SAME_BANK_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "refresh/ledger.hh"
@@ -67,11 +72,16 @@ class SameBankScheduler : public RefreshScheduler
     /** Commands that covered two slots (HiRA slice pairing). */
     std::uint64_t pairedIssued() const { return pairedIssued_; }
 
+    /** Slices marked for an on-time refresh (bit rank x groups +
+     *  group). */
+    std::uint64_t dueNow() const { return dueNow_; }
+
   private:
     int index(RankId r, int g) const { return r * groups_ + g; }
 
-    /** Demand requests pending for any bank of the slice. */
-    int pendingDemandsGroup(RankId r, int g) const;
+    /** Slices holding a set bit of @p banks, a bank mask in the
+     *  layout of Channel::openBanks(). */
+    std::uint64_t slicesOf(std::uint64_t banks) const;
 
     RefreshLedger ledger_;  ///< One unit per (rank, bank-group slice).
     int groups_;
@@ -80,7 +90,7 @@ class SameBankScheduler : public RefreshScheduler
     bool pairingEnabled_;   ///< HiRA refresh-refresh slice doubling.
 
     /** Slices whose nominal refresh could not be postponed. */
-    std::vector<std::uint8_t> dueNow_;
+    std::uint64_t dueNow_ = 0;
 
     /** Per-slice pairing coverage draw for the next due slot: -1
      *  undecided, else 0/1 (one draw per slot, reset on issue). */

@@ -24,8 +24,14 @@
 
 namespace dsarp {
 
-/** Controller state a refresh policy may observe (paper Section 4.2.1:
- *  DARP monitors the bank request queues' occupancies). */
+/**
+ * Controller state a refresh policy may observe (paper Section 4.2.1:
+ * DARP monitors the bank request queues' occupancies). Per-bank counts
+ * answer "how many"; demandBanks() answers "which banks" for the whole
+ * channel at once, in the bank-bit layout of Channel::openBanks() and
+ * RefreshLedger's unit masks, so a policy can pick candidates with
+ * mask arithmetic instead of asking bank by bank.
+ */
 class ControllerView
 {
   public:
@@ -33,6 +39,10 @@ class ControllerView
 
     /** Pending read+write demand requests queued for a bank. */
     virtual int pendingDemands(RankId r, BankId b) const = 0;
+
+    /** Banks with pendingDemands() > 0: bit rank x banksPerRank +
+     *  bank. */
+    virtual std::uint64_t demandBanks() const = 0;
     virtual int pendingReads(RankId r, BankId b) const = 0;
     virtual int pendingWrites(RankId r, BankId b) const = 0;
     virtual int pendingDemandsRank(RankId r) const = 0;

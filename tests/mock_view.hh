@@ -9,6 +9,7 @@
 #ifndef DSARP_TESTS_MOCK_VIEW_HH
 #define DSARP_TESTS_MOCK_VIEW_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "common/config.hh"
@@ -32,6 +33,17 @@ class MockView : public ControllerView
     pendingDemands(RankId r, BankId b) const override
     {
         return reads_[index(r, b)] + writes_[index(r, b)];
+    }
+
+    std::uint64_t
+    demandBanks() const override
+    {
+        std::uint64_t banks = 0;
+        for (std::size_t i = 0; i < reads_.size(); ++i) {
+            if (reads_[i] + writes_[i] > 0)
+                banks |= std::uint64_t(1) << i;
+        }
+        return banks;
     }
 
     int

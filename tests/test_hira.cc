@@ -117,6 +117,7 @@ TEST(Hira, FactoryBuildsAHiraScheduler)
         {
         }
         int pendingDemands(RankId, BankId) const override { return 0; }
+        std::uint64_t demandBanks() const override { return 0; }
         int pendingReads(RankId, BankId) const override { return 0; }
         int pendingWrites(RankId, BankId) const override { return 0; }
         int pendingDemandsRank(RankId) const override { return 0; }

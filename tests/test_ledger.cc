@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hh"
@@ -189,18 +190,62 @@ TEST(Ledger, MultiRankIndependence)
     EXPECT_EQ(ledger.owed(0, 5), ledger.owed(1, 5) + 1);
 }
 
+TEST(Ledger, RejectsMoreUnitsThanTheMasksHold)
+{
+    // 64 units fill the masks; one more unit is a shape error.
+    RefreshLedger full(2, 32, Cycles(1000), Cycles(0), Cycles(10));
+    EXPECT_EQ(full.pullMask(), ~std::uint64_t(0));
+    EXPECT_DEATH(RefreshLedger(3, 22, Cycles(1000), Cycles(0), Cycles(0)),
+                 "64-unit");
+}
+
+namespace {
+
+/** The ledger's three unit masks must equal a recount of mustForce(),
+ *  due() and canPullIn() over every unit. */
+::testing::AssertionResult
+masksMatchRecount(const RefreshLedger &ledger)
+{
+    std::uint64_t force = 0, due = 0, pull = 0;
+    const int banks = ledger.banksPerRank();
+    for (RankId r = 0; r < ledger.numRanks(); ++r) {
+        for (BankId b = 0; b < banks; ++b) {
+            const std::uint64_t bit = std::uint64_t(1) << (r * banks + b);
+            force |= ledger.mustForce(r, b) ? bit : 0;
+            due |= ledger.due(r, b) ? bit : 0;
+            pull |= ledger.canPullIn(r, b) ? bit : 0;
+        }
+    }
+    if (ledger.forceMask() == force && ledger.dueMask() == due &&
+        ledger.pullMask() == pull) {
+        return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+        << std::hex << "force " << ledger.forceMask() << " vs " << force
+        << ", due " << ledger.dueMask() << " vs " << due << ", pull "
+        << ledger.pullMask() << " vs " << pull;
+}
+
+} // namespace
+
 TEST(LedgerProperty, CachedWakeAndAccrualReportMatchBruteForce)
 {
-    // Random advanceTo / onRefresh / pauseRank / resumeRank /
-    // setDenominator sequences, in the order a controller makes them
-    // (state changes at an instant follow that instant's advanceTo).
-    // The cached nextAccrualTick() must equal a brute-force minimum
-    // over a reference accrual ladder, and advanceTo()'s report must
-    // agree with accruedBetween() over the same span, unit by unit.
-    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    // Random advanceTo / onRefresh / onPartialRefresh / pauseRank /
+    // resumeRank / setDenominator sequences, in the order a controller
+    // makes them (state changes at an instant follow that instant's
+    // advanceTo). The cached nextAccrualTick() must equal a
+    // brute-force minimum over a reference accrual ladder,
+    // advanceTo()'s report must agree with accruedBetween() over the
+    // same span, unit by unit, and after every step the force, due and
+    // pull-in masks must equal a recount over every unit. Seeds past 24
+    // fill all 64 units (8 ranks x 8 banks, 2 x 32).
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
         Rng rng(seed);
-        const int ranks = 1 + static_cast<int>(rng.below(3));
-        const int banks = 1 + static_cast<int>(rng.below(8));
+        const bool full = seed > 24;
+        const int ranks = full ? (seed % 2 ? 8 : 2)
+                               : 1 + static_cast<int>(rng.below(3));
+        const int banks = full ? (seed % 2 ? 8 : 32)
+                               : 1 + static_cast<int>(rng.below(8));
         const Tick period = 200 + rng.below(800);
         const Tick rank_stagger = rng.below(300);
         const Tick unit_stagger = rng.below(100);
@@ -254,6 +299,8 @@ TEST(LedgerProperty, CachedWakeAndAccrualReportMatchBruteForce)
                 }
             }
             ASSERT_EQ(accrued, any) << "seed " << seed << " step " << step;
+            ASSERT_TRUE(masksMatchRecount(ledger))
+                << "seed " << seed << " step " << step << " after advance";
 
             const RankId r = static_cast<RankId>(rng.below(ranks));
             const BankId b = static_cast<BankId>(rng.below(banks));
@@ -263,6 +310,13 @@ TEST(LedgerProperty, CachedWakeAndAccrualReportMatchBruteForce)
                 if (ledger.canPullIn(r, b))
                     ledger.onRefresh(r, b);
                 break;
+              case 5: {
+                // A fraction of a slot, as FGR and HiRA retire.
+                const int parts = 1 + static_cast<int>(rng.below(denom));
+                if (ledger.canPullInParts(r, b, parts))
+                    ledger.onPartialRefresh(r, b, parts);
+                break;
+              }
               case 2:
                 if (paused_at[r] == kTickNever) {
                     ledger.pauseRank(r, now);
@@ -287,6 +341,8 @@ TEST(LedgerProperty, CachedWakeAndAccrualReportMatchBruteForce)
               default:
                 break;
             }
+            ASSERT_TRUE(masksMatchRecount(ledger))
+                << "seed " << seed << " step " << step << " after action";
 
             Tick want = kTickNever;
             for (int u = 0; u < ranks * banks; ++u) {
