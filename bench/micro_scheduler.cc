@@ -241,6 +241,7 @@ timeDecisions(benchmark::State &state, RefreshScheduler &policy, Tick now)
         policy.urgent(now, urgent);
         benchmark::DoNotOptimize(policy.opportunistic(now, opp));
         benchmark::DoNotOptimize(urgent.data());
+        benchmark::ClobberMemory();
     }
 }
 
@@ -271,9 +272,10 @@ BENCHMARK(BM_RefreshDecision_DarpIdle);
 void
 BM_RefreshDecision_DarpWriteDrain(benchmark::State &state)
 {
-    // A write drain: 48 writes over all 16 banks (one to three each),
-    // every bank closed and refreshable, so the write-refresh choice
-    // weighs every bank's demand and the idle pull-in finds none.
+    // A write drain: 44 writes over all 16 banks, three per bank but
+    // one on bank 5 of each rank, every bank closed and refreshable,
+    // so the write-refresh choice weighs every bank's demand (bank 5
+    // wins) and the idle pull-in finds none.
     MemConfig cfg;
     cfg.refresh = RefreshMode::kDarp;
     cfg.finalize();

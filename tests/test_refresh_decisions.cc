@@ -4,8 +4,7 @@
  * urgent set (forced and on-time banks, then the write-refresh pick)
  * and its idle-bank pull-in, and REFsb's urgent slices and slice
  * pull-in, are each held to a reference that walks every bank (or
- * slice) in order, asking the ledger and the view one unit at a time:
- * the way the policies decided before the ledger kept unit masks.
+ * slice) in order, asking the ledger and the view one unit at a time.
  *
  * The driver randomizes ledger balances (accruals, forced backlogs,
  * pull-ins up to the JEDEC limit), per-bank demand through MockView,
@@ -248,15 +247,15 @@ struct Tally
  * Perturbs the state a refresh policy reads: per-bank demand and the
  * drain flag in the view, open rows, refreshing banks and
  * self-refresh residencies in the view's channel (the policy hears of
- * SRE/SRX as the controller would tell it).
+ * SRE/SRX as the controller would tell it). @p groups is the number
+ * of REFsb slices per rank, 0 for per-bank refresh.
  */
 class StateDriver
 {
   public:
     StateDriver(const MemConfig &cfg, MockView &view,
-                RefreshScheduler &sched, Rng &rng, bool same_bank)
-        : cfg_(cfg), view_(view), sched_(sched), rng_(rng),
-          sameBank_(same_bank)
+                RefreshScheduler &sched, Rng &rng, int groups)
+        : cfg_(cfg), view_(view), sched_(sched), rng_(rng), groups_(groups)
     {}
 
     void
@@ -307,10 +306,9 @@ class StateDriver
             cmd.type = CommandType::kPre;
             break;
           case 6:
-            if (sameBank_) {
+            if (groups_ > 0) {
                 cmd.type = CommandType::kRefSb;
-                cmd.bank %= static_cast<const SameBankScheduler &>(sched_)
-                                .numGroups();
+                cmd.bank %= groups_;
             } else {
                 cmd.type = CommandType::kRefPb;
             }
@@ -366,7 +364,7 @@ class StateDriver
     MockView &view_;
     RefreshScheduler &sched_;
     Rng &rng_;
-    bool sameBank_;
+    int groups_;
 };
 
 /** The next tick: mostly short hops; sometimes one refresh latency,
@@ -393,8 +391,6 @@ issueRefresh(MockView &view, RefreshScheduler &sched,
     cmd.type = req.sameBank ? CommandType::kRefSb : CommandType::kRefPb;
     cmd.rank = req.rank;
     cmd.bank = req.bank;
-    cmd.rowsOverride = req.rowsOverride;
-    cmd.tRfcOverride = req.tRfcOverride;
     if (!view.channel().canIssue(cmd, now))
         return false;
     view.channel().issue(cmd, now);
@@ -434,7 +430,7 @@ driveDarp(int ranks, bool sarp, bool hira, bool write_refresh,
         hira ? std::make_unique<HiraScheduler>(&cfg, &timing, &view)
              : std::make_unique<DarpScheduler>(&cfg, &timing, &view);
     Rng rng(seed);
-    StateDriver driver(cfg, view, *sched, rng, false);
+    StateDriver driver(cfg, view, *sched, rng, 0);
 
     Tick now = 0;
     for (int step = 0; step < 4000; ++step) {
@@ -511,7 +507,7 @@ driveSameBank(int ranks, int banks_per_rank, int group_size, bool pull_in,
     MockView view(&cfg, &timing);
     SameBankScheduler sched(&cfg, &timing, &view);
     Rng rng(seed);
-    StateDriver driver(cfg, view, sched, rng, true);
+    StateDriver driver(cfg, view, sched, rng, sched.numGroups());
 
     Tick now = 0;
     for (int step = 0; step < 4000; ++step) {
