@@ -472,7 +472,10 @@ driveDarp(int ranks, bool sarp, bool hira, bool write_refresh,
                 ++tally.seen[kDue];
         }
         const int idx = got.rank * ledger.banksPerRank() + got.bank;
-        ++tally.seen[!found ? kNoPull : idx >= start ? kPullBefore : kPullAfter];
+        if (!found)
+            ++tally.seen[kNoPull];
+        else
+            ++tally.seen[idx >= start ? kPullBefore : kPullAfter];
         countLockouts(ledger, ledger.forceMask() | sched->dueNow(), view, now,
                       tally);
 
@@ -542,7 +545,10 @@ driveSameBank(int ranks, int banks_per_rank, int group_size, bool pull_in,
                                                                : kDue];
         }
         const int idx = got.rank * sched.numGroups() + got.bank;
-        ++tally.seen[!found ? kNoPull : idx >= start ? kPullBefore : kPullAfter];
+        if (!found)
+            ++tally.seen[kNoPull];
+        else
+            ++tally.seen[idx >= start ? kPullBefore : kPullAfter];
         countLockouts(ledger, ledger.forceMask() | sched.dueNow(), view, now,
                       tally);
 

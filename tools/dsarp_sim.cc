@@ -25,8 +25,9 @@
  * breakdown -- the same numbers the paper's tables are built from.
  * Every run also reports the read-latency distribution (mean and
  * p50/p99/p99.9) and a digest of the measured command stream (equal
- * digests: the same commands at the same ticks); --traffic switches to the open-loop front end and
- * adds the per-tenant table and fairness figure.
+ * digests: the same commands at the same ticks); --traffic switches
+ * to the open-loop front end and adds the per-tenant table and
+ * fairness figure.
  */
 
 #include <chrono>
