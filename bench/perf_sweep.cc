@@ -11,6 +11,11 @@
  * slower than the cycle engine beyond --tolerance, which is the CI
  * perf-smoke gate.
  *
+ * Each pass also folds every run's command digest (RunResult::
+ * cmdDigest) into a per-point and a whole-grid digest, in grid and
+ * workload order, so --jobs cannot change them. A digest that differs
+ * between passes fails the gate exactly like a ws_sum mismatch.
+ *
  * Flags: --grid fig13|smoke, --jobs N, --tolerance F, --out FILE
  * (plus the usual DSARP_BENCH_* scale knobs).
  */
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "common/rng.hh"
 
 using namespace dsarp;
 using namespace dsarp::bench;
@@ -45,7 +51,9 @@ struct PassResult
     double wallSeconds = 0.0;
     double simCyclesPerSec = 0.0;
     std::vector<double> pointSeconds;
+    std::vector<std::uint64_t> pointDigests;
     double wsSum = 0.0;  ///< Fingerprint: identical across passes.
+    std::uint64_t digest = 0;  ///< Command-stream fingerprint, likewise.
 };
 
 double
@@ -81,8 +89,13 @@ runPass(Runner &runner, const std::vector<GridPoint> &grid,
         const auto p0 = std::chrono::steady_clock::now();
         const auto results = sharded.run(cfg, workloads);
         pass.pointSeconds.push_back(secondsSince(p0));
-        for (const RunResult &r : results)
+        std::uint64_t point_digest = 0;
+        for (const RunResult &r : results) {
             pass.wsSum += r.ws;
+            point_digest = mix64(point_digest ^ r.cmdDigest);
+        }
+        pass.pointDigests.push_back(point_digest);
+        pass.digest = mix64(pass.digest ^ point_digest);
     }
     pass.wallSeconds = secondsSince(t0);
     std::fprintf(stderr, "%70s\r", "");
@@ -101,11 +114,18 @@ writeJsonPass(std::FILE *f, const PassResult &p, bool last)
     std::fprintf(f,
                  "    {\"engine\": \"%s\", \"jobs\": %d, "
                  "\"wall_seconds\": %.6f, \"sim_cycles_per_sec\": %.1f, "
-                 "\"ws_sum\": %.9f,\n     \"point_seconds\": [",
+                 "\"ws_sum\": %.9f, \"digest\": \"%016llx\",\n"
+                 "     \"point_seconds\": [",
                  p.engine.c_str(), p.jobs, p.wallSeconds,
-                 p.simCyclesPerSec, p.wsSum);
+                 p.simCyclesPerSec, p.wsSum,
+                 static_cast<unsigned long long>(p.digest));
     for (std::size_t i = 0; i < p.pointSeconds.size(); ++i)
         std::fprintf(f, "%s%.6f", i ? ", " : "", p.pointSeconds[i]);
+    std::fprintf(f, "],\n     \"point_digests\": [");
+    for (std::size_t i = 0; i < p.pointDigests.size(); ++i) {
+        std::fprintf(f, "%s\"%016llx\"", i ? ", " : "",
+                     static_cast<unsigned long long>(p.pointDigests[i]));
+    }
     std::fprintf(f, "]}%s\n", last ? "" : ",");
 }
 
@@ -197,21 +217,25 @@ main(int argc, char **argv)
     // Pass 1 is the seed configuration this PR is measured against:
     // the cycle-by-cycle engine on a single thread.
     std::vector<PassResult> passes;
-    passes.push_back(runPass(runner, grid, workloads, "cycle", 1));
-    std::printf("cycle  x1: %8.2fs  (%.2e sim-cycles/sec)\n",
-                passes.back().wallSeconds, passes.back().simCyclesPerSec);
-    passes.push_back(runPass(runner, grid, workloads, "event", 1));
-    std::printf("event  x1: %8.2fs  (%.2e sim-cycles/sec)\n",
-                passes.back().wallSeconds, passes.back().simCyclesPerSec);
-    passes.push_back(runPass(runner, grid, workloads, "event", jobs));
-    std::printf("event x%-2d: %8.2fs  (%.2e sim-cycles/sec)\n", jobs,
-                passes.back().wallSeconds, passes.back().simCyclesPerSec);
+    const auto timed = [&](const char *engine, int pass_jobs) {
+        passes.push_back(runPass(runner, grid, workloads, engine, pass_jobs));
+        const PassResult &p = passes.back();
+        std::printf("%s x%d: %8.2fs  (%.2e sim-cycles/sec)  "
+                    "digest %016llx\n",
+                    engine, pass_jobs, p.wallSeconds, p.simCyclesPerSec,
+                    static_cast<unsigned long long>(p.digest));
+    };
+    timed("cycle", 1);
+    timed("event", 1);
+    timed("event", jobs);
 
     const double cycle1 = passes[0].wallSeconds;
     const double event1 = passes[1].wallSeconds;
     const double eventJ = passes[2].wallSeconds;
     const bool identical = passes[0].wsSum == passes[1].wsSum &&
-                           passes[0].wsSum == passes[2].wsSum;
+                           passes[0].wsSum == passes[2].wsSum &&
+                           passes[0].digest == passes[1].digest &&
+                           passes[0].digest == passes[2].digest;
     std::printf("speedup event x1 vs cycle x1: %.3fx\n", cycle1 / event1);
     std::printf("speedup event x%d vs cycle x1: %.3fx\n", jobs,
                 cycle1 / eventJ);
