@@ -29,12 +29,12 @@ main(int argc, char **argv)
     const auto workloads = makeIntensiveWorkloads(
         runner.workloadsPerCategory() * 2, 8, 21);
 
-    const auto ideal = wsOf(sweep(runner, mechNoRef(Density::k32Gb),
+    const auto ideal = wsOf(sweep(runner, mechNamed("NoREF", Density::k32Gb),
                                   workloads));
 
     std::printf("%-22s %10s %12s\n", "rank phase", "WS", "loss vs ideal");
     for (int divisor : {2, 4, 8, 16, 64}) {
-        RunConfig cfg = mechRefAb(Density::k32Gb);
+        RunConfig cfg = mechNamed("REFab", Density::k32Gb);
         cfg.refabStaggerDivisor = divisor;
         const auto ws = wsOf(sweep(runner, cfg, workloads));
         std::printf("tREFI/(%2d*ranks) %15.3f %11.1f%%\n", divisor,

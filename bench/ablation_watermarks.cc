@@ -31,9 +31,9 @@ main(int argc, char **argv)
     std::printf("%-18s %12s %14s\n", "watermarks hi/lo", "DARP vs REFpb",
                 "pulled-in/run");
     for (int high : {40, 48, 54, 60}) {
-        RunConfig base = mechRefPb(Density::k32Gb);
+        RunConfig base = mechNamed("REFpb", Density::k32Gb);
         base.writeHighWatermark = high;
-        RunConfig darp = mechDarp(Density::k32Gb);
+        RunConfig darp = mechNamed("DARP", Density::k32Gb);
         darp.writeHighWatermark = high;
 
         std::vector<double> ws_b, ws_d;

@@ -147,24 +147,6 @@ applyJobsFromArgs(int argc, char **argv)
     }
 }
 
-/**
- * A sweep point selecting its mechanism by refresh-policy registry
- * name ("DSARP", "FGR2x", ...) -- the same names dsarp_sim --mech and
- * Simulation::builder().policy() accept -- and optionally its DRAM
- * backend by spec-registry name. Prefer this over the mech*() helpers
- * when a bench iterates over mechanisms.
- */
-inline RunConfig
-mechNamed(const std::string &policy, Density d,
-          const std::string &dramSpec = "")
-{
-    RunConfig cfg;
-    cfg.density = d;
-    cfg.policy = policy;
-    cfg.dramSpec = dramSpec;
-    return cfg;
-}
-
 /** Print a figure/table banner. */
 inline void
 banner(const char *id, const char *what)

@@ -27,14 +27,14 @@ main(int argc, char **argv)
         runner.workloadsPerCategory() * 2, 8, 41);
 
     const auto ideal =
-        wsOf(sweep(runner, mechNoRef(Density::k32Gb), workloads));
+        wsOf(sweep(runner, mechNamed("NoREF", Density::k32Gb), workloads));
 
     std::printf("%-10s %10s %12s %12s\n", "overlap", "mech", "WS",
                 "loss/ideal");
     for (int overlap : {1, 2, 4}) {
         for (bool dsarp : {false, true}) {
-            RunConfig cfg = dsarp ? mechDsarp(Density::k32Gb)
-                                  : mechRefPb(Density::k32Gb);
+            RunConfig cfg = dsarp ? mechNamed("DSARP", Density::k32Gb)
+                                  : mechNamed("REFpb", Density::k32Gb);
             cfg.maxOverlappedRefPb = overlap;
             const auto ws = wsOf(sweep(runner, cfg, workloads));
             std::printf("%-10d %10s %12.3f %11.1f%%\n", overlap,

@@ -30,8 +30,8 @@ main(int argc, char **argv)
     std::printf("%-10s %8s %8s %8s %8s %8s %8s\n", "density", "0%", "25%",
                 "50%", "75%", "100%", "gmean");
     for (Density d : densities()) {
-        const auto ideal = sweep(runner, mechNoRef(d), workloads);
-        const auto refab = sweep(runner, mechRefAb(d), workloads);
+        const auto ideal = sweep(runner, mechNamed("NoREF", d), workloads);
+        const auto refab = sweep(runner, mechNamed("REFab", d), workloads);
 
         std::map<int, std::vector<double>> loss_by_cat;
         std::vector<double> ratios;

@@ -26,9 +26,9 @@ main(int argc, char **argv)
 
     std::printf("%-10s %12s %12s\n", "density", "REFab loss", "REFpb loss");
     for (Density d : densities()) {
-        const auto ideal = sweep(runner, mechNoRef(d), workloads);
-        const auto refab = sweep(runner, mechRefAb(d), workloads);
-        const auto refpb = sweep(runner, mechRefPb(d), workloads);
+        const auto ideal = sweep(runner, mechNamed("NoREF", d), workloads);
+        const auto refab = sweep(runner, mechNamed("REFab", d), workloads);
+        const auto refpb = sweep(runner, mechNamed("REFpb", d), workloads);
 
         std::vector<double> ab_ratio, pb_ratio;
         for (std::size_t i = 0; i < workloads.size(); ++i) {

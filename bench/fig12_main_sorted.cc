@@ -30,11 +30,11 @@ main(int argc, char **argv)
         makeWorkloads(runner.workloadsPerCategory(), 8, 1);
 
     for (Density d : densities()) {
-        const auto refab = sweep(runner, mechRefAb(d), workloads);
-        const auto refpb = sweep(runner, mechRefPb(d), workloads);
-        const auto darp = sweep(runner, mechDarp(d), workloads);
-        const auto sarppb = sweep(runner, mechSarpPb(d), workloads);
-        const auto dsarp = sweep(runner, mechDsarp(d), workloads);
+        const auto refab = sweep(runner, mechNamed("REFab", d), workloads);
+        const auto refpb = sweep(runner, mechNamed("REFpb", d), workloads);
+        const auto darp = sweep(runner, mechNamed("DARP", d), workloads);
+        const auto sarppb = sweep(runner, mechNamed("SARPpb", d), workloads);
+        const auto dsarp = sweep(runner, mechNamed("DSARP", d), workloads);
 
         // Sort workload indices by DARP improvement, as in the paper.
         std::vector<int> order(workloads.size());

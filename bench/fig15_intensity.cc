@@ -32,11 +32,10 @@ main(int argc, char **argv)
         std::printf("%-10s %8s %8s %8s %8s %8s %8s\n", "density", "0%",
                     "25%", "50%", "75%", "100%", "avg");
         for (Density d : densities()) {
-            const RunConfig base_cfg = std::string(base) == "REFab"
-                ? mechRefAb(d)
-                : mechRefPb(d);
-            const auto base_res = sweep(runner, base_cfg, workloads);
-            const auto dsarp_res = sweep(runner, mechDsarp(d), workloads);
+            const auto base_res =
+                sweep(runner, mechNamed(base, d), workloads);
+            const auto dsarp_res =
+                sweep(runner, mechNamed("DSARP", d), workloads);
 
             std::map<int, std::vector<double>> gain_by_cat;
             std::vector<double> ws_d, ws_b;

@@ -41,25 +41,17 @@ main(int argc, char **argv)
         std::printf(" %8s", "REFsb");
     std::printf(" %8s\n", "DSARP");
     for (Density d : densities()) {
-        RunConfig refabCfg = mechRefAb(d);
-        refabCfg.dramSpec = spec;
-        const auto refab = wsOf(sweep(runner, refabCfg, workloads));
+        const auto refab =
+            wsOf(sweep(runner, mechNamed("REFab", d, spec), workloads));
         std::printf("%-10s %8.3f", densityName(d), 1.0);
 
-        RunConfig fgr2 = mechRefAb(d);
-        fgr2.refresh = RefreshMode::kFgr2x;
-        RunConfig fgr4 = mechRefAb(d);
-        fgr4.refresh = RefreshMode::kFgr4x;
-        RunConfig ar = mechRefAb(d);
-        ar.refresh = RefreshMode::kAdaptive;
-
-        std::vector<RunConfig> points = {fgr2, fgr4, ar};
+        std::vector<const char *> mechs = {"FGR2x", "FGR4x", "AR"};
         if (same_bank)
-            points.push_back(mechNamed("REFsb", d, spec));
-        points.push_back(mechDsarp(d));
-        for (RunConfig cfg : points) {
-            cfg.dramSpec = spec;
-            const auto ws = wsOf(sweep(runner, cfg, workloads));
+            mechs.push_back("REFsb");
+        mechs.push_back("DSARP");
+        for (const char *mech : mechs) {
+            const auto ws =
+                wsOf(sweep(runner, mechNamed(mech, d, spec), workloads));
             std::printf(" %8.3f",
                         1.0 + gmeanPctOver(ws, refab) / 100.0);
         }

@@ -17,6 +17,7 @@
 #include "controller/scheduler.hh"
 #include "dram/address.hh"
 #include "refresh/darp.hh"
+#include "refresh/registry.hh"
 #include "refresh/same_bank.hh"
 #include "sim/system.hh"
 #include "workload/benchmark.hh"
@@ -252,7 +253,8 @@ BM_RefreshDecision_DarpIdle(benchmark::State &state)
     // pull-in credit, but each rank has a REFpb in flight, so no
     // pull-in is legal and the probe rejects every candidate bank.
     MemConfig cfg;
-    cfg.refresh = RefreshMode::kDarp;
+    cfg.policy = "DARP";
+    RefreshPolicyRegistry::instance().resolve(cfg);
     cfg.finalize();
     const TimingParams timing = TimingParams::forConfig(cfg);
     FrozenView view(&cfg, &timing);
@@ -277,7 +279,8 @@ BM_RefreshDecision_DarpWriteDrain(benchmark::State &state)
     // so the write-refresh choice weighs every bank's demand (bank 5
     // wins) and the idle pull-in finds none.
     MemConfig cfg;
-    cfg.refresh = RefreshMode::kDarp;
+    cfg.policy = "DARP";
+    RefreshPolicyRegistry::instance().resolve(cfg);
     cfg.finalize();
     const TimingParams timing = TimingParams::forConfig(cfg);
     FrozenView view(&cfg, &timing);
@@ -306,7 +309,8 @@ BM_RefreshDecision_SameBank(benchmark::State &state)
     MemConfig cfg;
     cfg.dramSpec = "DDR5-4800";
     cfg.org.banksPerRank = 32;
-    cfg.refresh = RefreshMode::kSameBank;
+    cfg.policy = "REFsb";
+    RefreshPolicyRegistry::instance().resolve(cfg);
     cfg.finalize();
     const TimingParams timing = TimingParams::forConfig(cfg);
     FrozenView view(&cfg, &timing);

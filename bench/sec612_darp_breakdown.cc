@@ -29,12 +29,14 @@ main(int argc, char **argv)
     std::printf("%-10s %16s %16s %14s\n", "density", "out-of-order",
                 "full DARP", "wr-ref delta");
     for (Density d : densities()) {
-        const auto refab = wsOf(sweep(runner, mechRefAb(d), workloads));
+        const auto refab =
+            wsOf(sweep(runner, mechNamed("REFab", d), workloads));
 
-        RunConfig ooo = mechDarp(d);
+        RunConfig ooo = mechNamed("DARP", d);
         ooo.darpWriteRefresh = false;
         const auto ooo_ws = wsOf(sweep(runner, ooo, workloads));
-        const auto darp_ws = wsOf(sweep(runner, mechDarp(d), workloads));
+        const auto darp_ws =
+            wsOf(sweep(runner, mechNamed("DARP", d), workloads));
 
         const double ooo_pct = gmeanPctOver(ooo_ws, refab);
         const double darp_pct = gmeanPctOver(darp_ws, refab);

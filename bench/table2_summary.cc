@@ -30,11 +30,14 @@ main(int argc, char **argv)
     std::printf("%-8s %-10s %10s %10s %12s %12s\n", "density", "mech",
                 "max/pb", "max/ab", "gmean/pb", "gmean/ab");
     for (Density d : densities()) {
-        const auto refab = wsOf(sweep(runner, mechRefAb(d), workloads));
-        const auto refpb = wsOf(sweep(runner, mechRefPb(d), workloads));
-        const auto darp = wsOf(sweep(runner, mechDarp(d), workloads));
-        const auto sarppb = wsOf(sweep(runner, mechSarpPb(d), workloads));
-        const auto dsarp = wsOf(sweep(runner, mechDsarp(d), workloads));
+        const auto wsFor = [&](const char *mech) {
+            return wsOf(sweep(runner, mechNamed(mech, d), workloads));
+        };
+        const auto refab = wsFor("REFab");
+        const auto refpb = wsFor("REFpb");
+        const auto darp = wsFor("DARP");
+        const auto sarppb = wsFor("SARPpb");
+        const auto dsarp = wsFor("DSARP");
 
         const struct
         {

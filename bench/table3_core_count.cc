@@ -30,9 +30,9 @@ main(int argc, char **argv)
         const auto workloads = makeIntensiveWorkloads(
             runner.workloadsPerCategory() * 2, cores, 5);
 
-        RunConfig base = mechRefAb(d);
+        RunConfig base = mechNamed("REFab", d);
         base.numCores = cores;
-        RunConfig dsarp = mechDsarp(d);
+        RunConfig dsarp = mechNamed("DSARP", d);
         dsarp.numCores = cores;
 
         std::vector<double> ws_b, ws_d, hs_b, hs_d, ms_b, ms_d, e_b, e_d;

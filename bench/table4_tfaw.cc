@@ -30,10 +30,10 @@ main(int argc, char **argv)
     for (int faw : {5, 10, 15, 20, 25, 30}) {
         const int rrd = faw / 5;
 
-        RunConfig base = mechRefPb(d);
+        RunConfig base = mechNamed("REFpb", d);
         base.tFawOverride = faw;
         base.tRrdOverride = rrd;
-        RunConfig sarp = mechSarpPb(d);
+        RunConfig sarp = mechNamed("SARPpb", d);
         sarp.tFawOverride = faw;
         sarp.tRrdOverride = rrd;
 

@@ -30,9 +30,9 @@ main(int argc, char **argv)
 
     std::printf("%-12s %14s\n", "subarrays", "WS improvement");
     for (int subarrays : {1, 2, 4, 8, 16, 32, 64}) {
-        RunConfig base = mechRefPb(d);
+        RunConfig base = mechNamed("REFpb", d);
         base.subarraysPerBank = subarrays;
-        RunConfig sarp = mechSarpPb(d);
+        RunConfig sarp = mechNamed("SARPpb", d);
         sarp.subarraysPerBank = subarrays;
 
         std::vector<double> ws_b, ws_s;

@@ -28,11 +28,11 @@ main(int argc, char **argv)
     std::printf("%-10s %10s %10s %12s %12s\n", "density", "max/pb",
                 "max/ab", "gmean/pb", "gmean/ab");
     for (Density d : densities()) {
-        RunConfig ab = mechRefAb(d);
+        RunConfig ab = mechNamed("REFab", d);
         ab.retentionMs = 64;
-        RunConfig pb = mechRefPb(d);
+        RunConfig pb = mechNamed("REFpb", d);
         pb.retentionMs = 64;
-        RunConfig ds = mechDsarp(d);
+        RunConfig ds = mechNamed("DSARP", d);
         ds.retentionMs = 64;
 
         const auto ws_ab = wsOf(sweep(runner, ab, workloads));

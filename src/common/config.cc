@@ -13,23 +13,6 @@
 namespace dsarp {
 
 const char *
-refreshModeName(RefreshMode mode)
-{
-    switch (mode) {
-      case RefreshMode::kNoRefresh: return "NoREF";
-      case RefreshMode::kAllBank: return "REFab";
-      case RefreshMode::kPerBank: return "REFpb";
-      case RefreshMode::kElastic: return "Elastic";
-      case RefreshMode::kDarp: return "DARP";
-      case RefreshMode::kFgr2x: return "FGR2x";
-      case RefreshMode::kFgr4x: return "FGR4x";
-      case RefreshMode::kAdaptive: return "AR";
-      case RefreshMode::kSameBank: return "REFsb";
-    }
-    return "?";
-}
-
-const char *
 densityName(Density d)
 {
     switch (d) {
@@ -217,49 +200,10 @@ MemConfig::validate() const
                  "only be narrowed");
         }
     }
-    if (selfRefreshIdleCycles < 0) {
-        fail("config key 'energy.selfRefreshIdle' must be >= 0 cycles, "
-             "0 to disable the self-refresh energy state (got " +
-             std::to_string(selfRefreshIdleCycles) + ")");
-    }
     if (srIdleEntryCycles < 0) {
         fail("config key 'refresh.selfRefresh.idleEntry' must be >= 0 "
              "cycles, 0 to disable command-level self-refresh (got " +
              std::to_string(srIdleEntryCycles) + ")");
-    }
-    if (srIdleEntryCycles > 0 && selfRefreshIdleCycles > 0) {
-        fail("config keys 'refresh.selfRefresh.idleEntry' and "
-             "'energy.selfRefreshIdle' are mutually exclusive: the "
-             "command-level protocol already bills IDD6 from real "
-             "self-refresh residency");
-    }
-    if (selfRefreshIdleCycles > 0 && refresh != RefreshMode::kNoRefresh) {
-        // The legacy accounting-only state must not be configured past
-        // the point where its claim becomes one the device cannot
-        // honour: beyond one tREFIab the rank would sit in the IDD6
-        // state across the external refresh commands the schedule
-        // keeps issuing (and before the demand/refresh activity split
-        // such thresholds silently never fired at all). Long
-        // self-refresh residency belongs to the command-level
-        // protocol.
-        if (const DramSpec *spec =
-                DramSpecRegistry::instance().find(dramSpec)) {
-            const Cycles trefi_cycles = TimingParams::nsToCyclesFloor(
-                Nanoseconds(retentionMs * 1e6 /
-                            spec->refreshesPerRetention),
-                spec->tCkNs);
-            if (selfRefreshIdleCycles > trefi_cycles.count()) {
-                fail("config key 'energy.selfRefreshIdle' (" +
-                     std::to_string(selfRefreshIdleCycles) + ") exceeds "
-                     "tREFIab (~" +
-                     std::to_string(trefi_cycles.count()) +
-                     " cycles) of DRAM spec '" + spec->name + "'; the "
-                     "energy-only state cannot outlast the external "
-                     "refresh schedule -- use "
-                     "'refresh.selfRefresh.idleEntry' for command-level "
-                     "self-refresh");
-            }
-        }
     }
     if (fgrRate != 0 && fgrRate != 1 && fgrRate != 2 && fgrRate != 4) {
         fail("config key 'refresh.fgrRate' must be 0 (profile default), "

@@ -21,13 +21,10 @@
 namespace dsarp {
 
 /**
- * Refresh timing profiles evaluated in the paper (Sections 6.1, 6.5).
- *
- * @deprecated as a *selection* mechanism: pick policies by name through
- * MemConfig::policy and the RefreshPolicyRegistry instead. The enum
- * survives as the compact timing-profile descriptor that TimingParams
- * and the checker consume; registry entries set it from their config
- * bundles, and hand-written configs may still assign it directly.
+ * Refresh timing profiles evaluated in the paper (Sections 6.1, 6.5):
+ * the compact descriptor TimingParams and the checker consume. Not a
+ * selector -- MemConfig::policy names the mechanism, and
+ * RefreshPolicyRegistry::resolve() sets this tag from the name.
  */
 enum class RefreshMode {
     kNoRefresh,  ///< Ideal baseline: refresh eliminated.
@@ -40,9 +37,6 @@ enum class RefreshMode {
     kAdaptive,   ///< Adaptive refresh (AR) [Mukundan+, ISCA'13]: 1x/4x FGR.
     kSameBank,   ///< REFsb: DDR5 same-bank refresh (one bank-group slice).
 };
-
-/** Human-readable mechanism name, e.g. for bench table headers. */
-const char *refreshModeName(RefreshMode mode);
 
 /** DRAM chip density; determines rows/bank and tRFC (paper Table 1). */
 enum class Density { k8Gb, k16Gb, k32Gb };
@@ -144,14 +138,14 @@ struct MemConfig
     /**
      * Refresh mechanism by registry name ("REFab", "DSARP", "FGR2x",
      * ...; case-insensitive, aliases accepted -- see
-     * refresh/registry.hh). This is the canonical selection field: when
-     * non-empty, RefreshPolicyRegistry::resolve() applies the named
-     * mechanism's config bundle (overwriting `refresh` and `sarp`)
-     * before the system is built. When empty, the deprecated
-     * (`refresh`, `sarp`) pair below selects the mechanism unchanged.
+     * refresh/registry.hh), the only selector. Before the system is
+     * built, RefreshPolicyRegistry::resolve() derives the `refresh`,
+     * `sarp` and `hira` tags below from it.
      */
-    std::string policy;
+    std::string policy = "REFab";
 
+    /** @name Tags set by resolve() from `policy`. */
+    /// @{
     RefreshMode refresh = RefreshMode::kAllBank;  ///< Timing profile.
     bool sarp = false;      ///< Subarray access refresh parallelization.
 
@@ -163,6 +157,7 @@ struct MemConfig
      * same Eq. 1-3 modeling as SARP).
      */
     bool hira = false;
+    /// @}
 
     /**
      * Fraction of activated rows whose refresh can hide beneath the
@@ -206,8 +201,6 @@ struct MemConfig
      * the controller issues SRX (no earlier than tCKESR after entry)
      * and the first command is charged the full tXS exit latency.
      * 0 disables the protocol entirely (bit-identical behaviour).
-     * This supersedes the accounting-only "energy.selfRefreshIdle"
-     * state below; the two are mutually exclusive.
      */
     int srIdleEntryCycles = 0;
 
@@ -221,24 +214,6 @@ struct MemConfig
      * covers proportionally fewer rows.
      */
     int fgrRate = 0;
-
-    /**
-     * Energy-model self-refresh state (config key
-     * "energy.selfRefreshIdle"): after this many consecutive
-     * demand-idle DRAM cycles a rank is billed the spec's IDD6
-     * self-refresh current instead of IDD2N precharge standby.
-     * 0 disables the state, which keeps every pre-existing energy
-     * number bit-identical. This is an energy accounting state only --
-     * the command protocol (and the external refresh schedule) is not
-     * altered.
-     *
-     * @deprecated Use the command-level protocol
-     * (refresh.selfRefresh.idleEntry) instead: this state grants IDD6
-     * savings with zero performance cost. Thresholds above tREFIab
-     * are rejected at validation (before the demand/refresh activity
-     * split they could silently never fire).
-     */
-    int selfRefreshIdleCycles = 0;
 
     /**
      * Enable DARP's second component (write-refresh parallelization).

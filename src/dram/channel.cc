@@ -17,7 +17,6 @@ Channel::Channel(const MemConfig *cfg, const TimingParams *timing)
     for (int r = 0; r < cfg->org.ranksPerChannel; ++r)
         ranks_.emplace_back(cfg, timing);
     wrDataEnd_.assign(cfg->org.ranksPerChannel, 0);
-    lastDemandActiveAt_.assign(cfg->org.ranksPerChannel, 0);
     rankDeadlineCache_.assign(cfg->org.ranksPerChannel, 0);
     rankDeadlineDirty_.assign(cfg->org.ranksPerChannel, 1);
 }
@@ -101,8 +100,6 @@ Channel::issue(const Command &cmd, Tick now)
     DSARP_ASSERT(canIssue(cmd, now), "issuing illegal command");
     Rank &rk = ranks_[cmd.rank];
     rankDeadlineDirty_[cmd.rank] = 1;
-    if (!isRefreshCmd(cmd.type) && !isSelfRefreshCmd(cmd.type))
-        lastDemandActiveAt_[cmd.rank] = now;
     switch (cmd.type) {
       case CommandType::kAct:
         rk.bank(cmd.bank).onAct(now, cmd.row, cmd.subarray);
@@ -221,10 +218,6 @@ Channel::nextDeadline(Tick now) const
         add(lastRdCmdAt_ + timing_->tRtw);
     for (RankId r = 0; r < static_cast<RankId>(ranks_.size()); ++r) {
         add(wrDataEnd_[r] + timing_->tWtr);
-        if (cfg_->selfRefreshIdleCycles > 0) {
-            add(lastDemandActiveAt_[r] +
-                static_cast<Tick>(cfg_->selfRefreshIdleCycles));
-        }
         // A rank's deadline set only moves when a command issues to it
         // (every eff* flip instant -- refresh start/end -- is either an
         // issue or itself an enumerated deadline capping the cached
@@ -255,20 +248,6 @@ Channel::sampleActivitySpan(Tick firstTick, Tick ticks)
         }
 
         const bool row_open = openBanks_ & rankBankBits(r);
-        if (cfg_->selfRefreshIdleCycles > 0 &&
-            firstTick - lastDemandActiveAt_[r] >=
-                static_cast<Tick>(cfg_->selfRefreshIdleCycles) &&
-            !row_open) {
-            stats_.rankSelfRefTicks += ticks;
-            if (rk.refAbInFlight(firstTick))
-                stats_.refAbCyclesSrMasked += ticks;
-            stats_.refPbCyclesSrMasked +=
-                ticks * static_cast<std::uint64_t>(rk.refPbCount(firstTick));
-            if (rk.refSbInFlight(firstTick))
-                stats_.refSbCyclesSrMasked += ticks;
-            continue;
-        }
-
         if (row_open || rk.refreshInFlight(firstTick))
             stats_.rankActiveTicks += ticks;
     }
@@ -287,34 +266,8 @@ Channel::sampleActivity(Tick now)
             continue;
         }
 
-        // Legacy energy-model self-refresh state: a rank past the
-        // demand-idle threshold is billed IDD6 instead of IDD2N.
-        // The clock is *demand* activity only -- a refresh in flight
-        // must not reset it (under any enabled schedule a rank
-        // refreshes at least once per tREFI, so a refresh-reset clock
-        // could never cross a threshold above that). Accounting only:
-        // commands and the external refresh schedule are unchanged.
-        const bool row_open = openBanks_ & rankBankBits(r);
-        if (cfg_->selfRefreshIdleCycles > 0 &&
-            now - lastDemandActiveAt_[r] >=
-                static_cast<Tick>(cfg_->selfRefreshIdleCycles) &&
-            !row_open) {
-            ++stats_.rankSelfRefTicks;
-            // External refresh bursts landing inside the IDD6 window
-            // are what the state's current already prices: record
-            // their in-flight ticks so the energy model does not bill
-            // the burst premium on top (per kind -- the per-cycle
-            // currents differ).
-            if (rk.refAbInFlight(now))
-                ++stats_.refAbCyclesSrMasked;
-            stats_.refPbCyclesSrMasked +=
-                static_cast<std::uint64_t>(rk.refPbCount(now));
-            if (rk.refSbInFlight(now))
-                ++stats_.refSbCyclesSrMasked;
-            continue;
-        }
-
         // Active standby: a row open or a refresh in flight.
+        const bool row_open = openBanks_ & rankBankBits(r);
         if (row_open || rk.refreshInFlight(now))
             ++stats_.rankActiveTicks;
     }

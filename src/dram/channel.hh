@@ -42,26 +42,6 @@ struct ChannelStats
     /** Rank-ticks with an open row or refresh in flight (background pwr). */
     std::uint64_t rankActiveTicks = 0;
     std::uint64_t rankTotalTicks = 0;
-    /**
-     * Rank-ticks billed at the IDD6 self-refresh current under the
-     * legacy accounting-only state: demand-idle past the
-     * MemConfig::selfRefreshIdleCycles threshold with no bank open (a
-     * refresh in flight no longer resets the clock -- it is not
-     * demand activity). Always 0 when the knob is disabled, keeping
-     * legacy energy numbers bit-identical.
-     */
-    std::uint64_t rankSelfRefTicks = 0;
-
-    /**
-     * Refresh cycles that elapsed while their rank qualified for the
-     * legacy IDD6 state (per command kind, counted per in-flight
-     * tick). The energy model subtracts these from the burst billing:
-     * IDD6 already prices the refresh work, so charging the external
-     * burst on top would bill the same ticks twice.
-     */
-    std::uint64_t refAbCyclesSrMasked = 0;
-    std::uint64_t refPbCyclesSrMasked = 0;
-    std::uint64_t refSbCyclesSrMasked = 0;
 
     /** @name Command-level self-refresh protocol (SRE/SRX). */
     /// @{
@@ -122,8 +102,8 @@ class Channel
     /**
      * Earliest pending channel/rank/bank threshold strictly after
      * @p now (kTickNever when none): bus-turnaround instants (command
-     * legality leads the burst by tCL/tCWL), tWTR/tRTW windows, the
-     * legacy IDD6 idle threshold, and every rank/bank deadline.
+     * legality leads the burst by tCL/tCWL), tWTR/tRTW windows, and
+     * every rank/bank deadline.
      */
     Tick nextDeadline(Tick now) const;
 
@@ -181,16 +161,6 @@ class Channel
     /** Per-rank memo of Rank::nextDeadline, dirtied by issue(). */
     mutable std::vector<Tick> rankDeadlineCache_;
     mutable std::vector<std::uint8_t> rankDeadlineDirty_;
-
-    /**
-     * Per-rank tick of the last *demand* command (ACT/RD/WR/PRE).
-     * Refresh commands deliberately do not update it: under any
-     * enabled refresh schedule a rank sees a refresh at least every
-     * tREFI, so a clock reset by refresh activity could never cross a
-     * threshold above it -- the idle-detection bug that kept the
-     * self-refresh energy state from ever firing.
-     */
-    std::vector<Tick> lastDemandActiveAt_;
 
     RefreshSpanCallback refreshSpanCb_;
 

@@ -71,10 +71,9 @@ struct EnergyParams
     double refPbCurrentDivisor = 8.0;
 
     /**
-     * IDD6-style self-refresh current in mA, billed per rank-cycle
-     * while the energy model's self-refresh state is armed
-     * (MemConfig::selfRefreshIdleCycles > 0) and the rank has been
-     * idle past the threshold. Always below IDD2N.
+     * IDD6 self-refresh current in mA, billed per rank-cycle of
+     * SRE/SRX residency (refresh.selfRefresh.idleEntry). Always below
+     * IDD2N.
      */
     double idd6 = 12.0;
 

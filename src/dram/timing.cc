@@ -20,17 +20,6 @@ TimingParams::nsToCyclesFloor(Nanoseconds ns, Nanoseconds tCk)
 }
 
 double
-TimingParams::fgrRfcDivisor(int rateMultiplier)
-{
-    switch (rateMultiplier) {
-      case 1: return 1.0;
-      case 2: return 1.35;
-      case 4: return 1.63;
-    }
-    DSARP_PANIC("unsupported FGR rate");
-}
-
-double
 TimingParams::rfcDivisorFor(int rateMultiplier) const
 {
     switch (rateMultiplier) {
@@ -45,12 +34,6 @@ TimingParams
 TimingParams::forConfig(const MemConfig &cfg)
 {
     return DramSpecRegistry::instance().at(cfg.dramSpec).timingFor(cfg);
-}
-
-TimingParams
-TimingParams::ddr3_1333(const MemConfig &cfg)
-{
-    return DramSpecRegistry::instance().at("DDR3-1333").timingFor(cfg);
 }
 
 } // namespace dsarp

@@ -133,13 +133,6 @@ struct TimingParams
     static TimingParams forConfig(const MemConfig &cfg);
 
     /**
-     * The DDR3-1333 parameter set for a memory configuration,
-     * regardless of cfg.dramSpec. Kept for pre-registry callers; a
-     * shim over forConfig()'s derivation with the "DDR3-1333" spec.
-     */
-    static TimingParams ddr3_1333(const MemConfig &cfg);
-
-    /**
      * Convert nanoseconds to (rounded-up) bus cycles. The single
      * blessed ns -> cycles conversion point: all other arithmetic
      * between Nanoseconds and Cycles is a compile error, and the repo
@@ -150,14 +143,6 @@ struct TimingParams
 
     /** nsToCycles, but truncating (tREFI intervals round down). */
     static Cycles nsToCyclesFloor(Nanoseconds ns, Nanoseconds tCk);
-
-    /**
-     * The paper's Section 6.5 DDR3 FGR projections (1.35x/1.63x),
-     * independent of any spec.
-     * @deprecated use rfcDivisorFor() on a resolved parameter set so
-     * DDR4's native divisors are honoured.
-     */
-    static double fgrRfcDivisor(int rateMultiplier);
 };
 
 } // namespace dsarp

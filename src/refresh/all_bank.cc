@@ -6,20 +6,14 @@ namespace dsarp {
 
 DSARP_REGISTER_REFRESH_POLICY(refab, {
     "REFab", "rank-level all-bank refresh (DDR baseline)",
-    [](MemConfig &m) {
-        m.refresh = RefreshMode::kAllBank;
-        m.sarp = false;
-    },
+    nullptr,  // The tags resolve() resets to are REFab's.
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<AllBankScheduler>(&c, &t, &v);
     }}, {"all_bank"})
 
 DSARP_REGISTER_REFRESH_POLICY(sarpab, {
     "SARPab", "all-bank refresh + subarray access-refresh parallelization",
-    [](MemConfig &m) {
-        m.refresh = RefreshMode::kAllBank;
-        m.sarp = true;
-    },
+    [](MemConfig &m) { m.sarp = true; },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<AllBankScheduler>(&c, &t, &v);
     }}, {"sarp_ab"})

@@ -9,10 +9,7 @@ namespace dsarp {
 DSARP_REGISTER_REFRESH_POLICY(darp, {
     "DARP", "out-of-order per-bank refresh + write-refresh "
             "parallelization (paper Section 4.2)",
-    [](MemConfig &m) {
-        m.refresh = RefreshMode::kDarp;
-        m.sarp = false;
-    },
+    [](MemConfig &m) { m.refresh = RefreshMode::kDarp; },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<DarpScheduler>(&c, &t, &v);
     }})

@@ -15,30 +15,21 @@ namespace dsarp {
 
 DSARP_REGISTER_REFRESH_POLICY(fgr2x, {
     "FGR2x", "DDR4 fine granularity refresh at 2x rate",
-    [](MemConfig &m) {
-        m.refresh = RefreshMode::kFgr2x;
-        m.sarp = false;
-    },
+    [](MemConfig &m) { m.refresh = RefreshMode::kFgr2x; },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<AllBankScheduler>(&c, &t, &v);
     }})
 
 DSARP_REGISTER_REFRESH_POLICY(fgr4x, {
     "FGR4x", "DDR4 fine granularity refresh at 4x rate",
-    [](MemConfig &m) {
-        m.refresh = RefreshMode::kFgr4x;
-        m.sarp = false;
-    },
+    [](MemConfig &m) { m.refresh = RefreshMode::kFgr4x; },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<AllBankScheduler>(&c, &t, &v);
     }})
 
 DSARP_REGISTER_REFRESH_POLICY(adaptive, {
     "AR", "adaptive refresh [Mukundan+, ISCA'13]: dynamic 1x/4x FGR mix",
-    [](MemConfig &m) {
-        m.refresh = RefreshMode::kAdaptive;
-        m.sarp = false;
-    },
+    [](MemConfig &m) { m.refresh = RefreshMode::kAdaptive; },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<AdaptiveScheduler>(&c, &t, &v);
     }}, {"adaptive"})

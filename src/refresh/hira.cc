@@ -13,7 +13,6 @@ DSARP_REGISTER_REFRESH_POLICY(hira, {
         // hidden-refresh paths and the tRRD/tFAW power-integrity
         // inflation while one is in flight.
         m.refresh = RefreshMode::kDarp;
-        m.sarp = false;
         m.hira = true;
     },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {

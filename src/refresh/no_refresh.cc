@@ -9,10 +9,7 @@ namespace dsarp {
 
 DSARP_REGISTER_REFRESH_POLICY(noref, {
     "NoREF", "ideal refresh-free baseline (upper bound)",
-    [](MemConfig &m) {
-        m.refresh = RefreshMode::kNoRefresh;
-        m.sarp = false;
-    },
+    [](MemConfig &m) { m.refresh = RefreshMode::kNoRefresh; },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<NoRefreshScheduler>(&c, &t, &v);
     }}, {"none", "no_refresh"})

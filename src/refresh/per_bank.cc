@@ -6,10 +6,7 @@ namespace dsarp {
 
 DSARP_REGISTER_REFRESH_POLICY(refpb, {
     "REFpb", "sequential round-robin per-bank refresh (LPDDR baseline)",
-    [](MemConfig &m) {
-        m.refresh = RefreshMode::kPerBank;
-        m.sarp = false;
-    },
+    [](MemConfig &m) { m.refresh = RefreshMode::kPerBank; },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<PerBankScheduler>(&c, &t, &v);
     }}, {"per_bank"})

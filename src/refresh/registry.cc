@@ -117,26 +117,11 @@ RefreshPolicyRegistry::resolve(MemConfig &cfg) const
     // Entry references are stable (deque), so the lock protects only
     // the lookup -- config bundles run unlocked and may re-enter the
     // registry.
-    if (cfg.policy.empty()) {
-        // Deprecated enum-pair path: never touch the config -- unnamed
-        // combinations (e.g. Elastic+SARP) are legal there and must
-        // keep their hand-assembled semantics. Canonicalise the name
-        // only when its bundle reproduces this exact config, so
-        // re-resolving the result (e.g. a config copied out of a built
-        // System) can never reinterpret it.
-        const Entry &entry = at(legacyPolicyName(cfg.refresh, cfg.sarp));
-        if (entry.configure) {
-            MemConfig probe = cfg;
-            entry.configure(probe);
-            if (probe.refresh == cfg.refresh && probe.sarp == cfg.sarp)
-                cfg.policy = entry.name;
-        } else {
-            cfg.policy = entry.name;
-        }
-        return entry;
-    }
     const Entry &entry = at(cfg.policy);
     cfg.policy = entry.name;
+    cfg.refresh = RefreshMode::kAllBank;
+    cfg.sarp = false;
+    cfg.hira = false;
     if (entry.configure)
         entry.configure(cfg);
     return entry;
@@ -146,27 +131,7 @@ std::unique_ptr<RefreshScheduler>
 RefreshPolicyRegistry::make(const MemConfig &cfg, const TimingParams &timing,
                             ControllerView &view) const
 {
-    const std::string key = cfg.policy.empty()
-        ? legacyPolicyName(cfg.refresh, cfg.sarp)
-        : cfg.policy;
-    return at(key).make(cfg, timing, view);
-}
-
-std::string
-legacyPolicyName(RefreshMode mode, bool sarp)
-{
-    if (sarp) {
-        // The three named SARP combinations of the paper; any other
-        // SARP pairing has no canonical mechanism name and is reported
-        // under its base schedule.
-        if (mode == RefreshMode::kAllBank)
-            return "SARPab";
-        if (mode == RefreshMode::kPerBank)
-            return "SARPpb";
-        if (mode == RefreshMode::kDarp)
-            return "DSARP";
-    }
-    return refreshModeName(mode);
+    return at(cfg.policy).make(cfg, timing, view);
 }
 
 } // namespace dsarp

@@ -7,8 +7,9 @@
  * AR) and any user-defined policy -- is one registry entry carrying:
  *
  *   - the canonical name (plus aliases; lookups are case-insensitive),
- *   - a config bundle applied before the system is built (the refresh
- *     timing profile and the SARP flag, e.g. "DSARP" = DARP + SARP),
+ *   - a config bundle applied before the system is built: the refresh
+ *     timing profile and the SARP/HiRA flags where they differ from
+ *     REFab's (e.g. "DSARP" = DARP timing + SARP),
  *   - a factory building the per-channel scheduler.
  *
  * Policies register themselves from static initializers in their own
@@ -17,9 +18,9 @@
  * name table to edit. The core is linked as a CMake OBJECT library so
  * the registrars are never dead-stripped.
  *
- * Selection: set MemConfig::policy to a registered name. When the
- * field is empty, the deprecated (RefreshMode, sarp) pair is mapped to
- * its canonical name instead, which keeps pre-registry code working.
+ * Selection: set MemConfig::policy to a registered name; it is the
+ * only selector. resolve() derives the refresh/sarp/hira tags from the
+ * name alone.
  */
 
 #ifndef DSARP_REFRESH_REGISTRY_HH
@@ -49,10 +50,10 @@ class RefreshPolicyRegistry
         std::string summary;  ///< One-liner for --list-mechs and docs.
 
         /**
-         * Apply the mechanism's config bundle: the legacy timing-profile
-         * enum (which TimingParams and the checker still consume) and
-         * flags such as MemConfig::sarp. Run by resolve() when the
-         * mechanism was selected by name.
+         * Apply the mechanism's config bundle: the timing-profile tag
+         * (which TimingParams and the checker consume) and flags such
+         * as MemConfig::sarp, where they differ from REFab's. Run by
+         * resolve() after it reset the tags; may be empty.
          */
         std::function<void(MemConfig &)> configure;
 
@@ -96,19 +97,14 @@ class RefreshPolicyRegistry
 
     /**
      * Resolve @p cfg to its registry entry and canonicalise it:
-     * cfg.policy is rewritten to the canonical spelling and the entry's
-     * config bundle is applied. An empty cfg.policy is first derived
-     * from the deprecated (refresh, sarp) pair, in which case the
-     * bundle is *not* applied so hand-built legacy configs (including
-     * unnamed combinations such as Elastic+SARP) keep their exact
-     * semantics.
+     * cfg.policy is rewritten to the canonical spelling, the refresh,
+     * sarp and hira tags are reset to REFab's values, and the entry's
+     * config bundle is applied. A resolved config therefore depends on
+     * its name alone, and resolving it again changes nothing.
      */
     const Entry &resolve(MemConfig &cfg) const;
 
-    /**
-     * Build the scheduler selected by @p cfg (by name, or by the
-     * deprecated enum pair when cfg.policy is empty).
-     */
+    /** Build the scheduler named by cfg.policy. */
     std::unique_ptr<RefreshScheduler> make(const MemConfig &cfg,
                                            const TimingParams &timing,
                                            ControllerView &view) const;
@@ -129,13 +125,6 @@ class RefreshPolicyRegistry
      *  when later (runtime) registrations grow the registry. */
     std::deque<Entry> entries_;
 };
-
-/**
- * Canonical mechanism name for a deprecated (RefreshMode, sarp) pair:
- * the bridge that keeps enum-configured code addressable by the
- * registry ("DARP"+sarp → "DSARP", etc.).
- */
-std::string legacyPolicyName(RefreshMode mode, bool sarp);
 
 /**
  * Define a static registrar. Use at namespace scope in the policy's

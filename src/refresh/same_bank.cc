@@ -10,11 +10,7 @@ namespace dsarp {
 DSARP_REGISTER_REFRESH_POLICY(refsb, {
     "REFsb", "DDR5 same-bank refresh: one command refreshes a "
              "bank-group slice while other groups keep serving",
-    [](MemConfig &m) {
-        m.refresh = RefreshMode::kSameBank;
-        m.sarp = false;
-        m.hira = false;
-    },
+    [](MemConfig &m) { m.refresh = RefreshMode::kSameBank; },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<SameBankScheduler>(&c, &t, &v);
     }}, {"same_bank", "samebank"})
@@ -24,7 +20,6 @@ DSARP_REGISTER_REFRESH_POLICY(hirasb, {
               "slices when a bank group falls two slots behind",
     [](MemConfig &m) {
         m.refresh = RefreshMode::kSameBank;
-        m.sarp = false;
         m.hira = true;
     },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {

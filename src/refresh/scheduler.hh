@@ -13,7 +13,6 @@
 #define DSARP_REFRESH_SCHEDULER_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/config.hh"
@@ -214,18 +213,6 @@ class RefreshScheduler
     ControllerView *view_;
     RefreshSchedStats stats_;
 };
-
-/**
- * Build the policy selected by cfg for one channel.
- *
- * @deprecated Use RefreshPolicyRegistry::instance().make() (or better,
- * select mechanisms by name via MemConfig::policy / the Simulation
- * facade); this wrapper only remains so pre-registry callers compile.
- */
-[[deprecated("use RefreshPolicyRegistry (refresh/registry.hh)")]]
-std::unique_ptr<RefreshScheduler>
-makeRefreshScheduler(const MemConfig &cfg, const TimingParams &timing,
-                     ControllerView &view);
 
 } // namespace dsarp
 

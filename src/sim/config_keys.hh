@@ -39,7 +39,6 @@ inline constexpr char kSameBankGroupSize[] = "refresh.samebank.groupSize";
 inline constexpr char kSameBankPullIn[] = "refresh.samebank.pullIn";
 inline constexpr char kSrIdleEntry[] = "refresh.selfRefresh.idleEntry";
 inline constexpr char kFgrRate[] = "refresh.fgrRate";
-inline constexpr char kSelfRefreshIdle[] = "energy.selfRefreshIdle";
 inline constexpr char kNumCores[] = "numCores";
 inline constexpr char kSeed[] = "seed";
 inline constexpr char kEnableChecker[] = "enableChecker";
@@ -61,6 +60,10 @@ inline constexpr char kTrafficTrace[] = "traffic.trace";
 inline constexpr char kTenantCount[] = "tenant.count";
 inline constexpr char kTenantPriorities[] = "tenant.priorities";
 
+/** A removed key: setting it fails with "removed; use
+ *  'refresh.selfRefresh.idleEntry'" (kSrIdleEntry). Not in kAllKeys. */
+inline constexpr char kRemovedSelfRefreshIdle[] = "energy.selfRefreshIdle";
+
 /** Every key, for exhaustiveness checks (tests, lint self-test). */
 inline constexpr const char *const kAllKeys[] = {
     kPolicy,          kDramSpec,           kDensityGb,
@@ -71,8 +74,8 @@ inline constexpr const char *const kAllKeys[] = {
     kRefabStaggerDivisor, kMaxOverlappedRefPb, kTFawOverride,
     kTRrdOverride,    kDarpWriteRefresh,   kHiraCoverage,
     kHiraDelay,       kSameBankGroupSize,  kSameBankPullIn,
-    kSrIdleEntry,     kFgrRate,            kSelfRefreshIdle,
-    kNumCores,        kSeed,               kEnableChecker,
+    kSrIdleEntry,     kFgrRate,            kNumCores,
+    kSeed,            kEnableChecker,
     kWarmupCycles,    kMeasureCycles,      kWorkloadSeed,
     kIntensityPct,    kSimEngine,          kTrafficMode,
     kTrafficRate,     kTrafficReadPct,     kTrafficHotRowPct,

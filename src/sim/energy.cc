@@ -34,33 +34,21 @@ channelEnergy(const ChannelStats &stats, const TimingParams &timing,
     // Refresh: all-bank commands draw IDD5B; a per-bank refresh draws a
     // spec-geometry fraction of that above background (Section 4.3.3) --
     // the divisor comes from the spec's per-bank tRFC table, not from
-    // whatever banksPerRank the config happens to use. Cycles that
-    // elapsed while their rank sat in the legacy IDD6 state are
-    // excluded: that state's current already prices the refresh work,
-    // so billing the external burst too would charge the same ticks
-    // twice. (Masked ticks are counted in flight, issue cycles
-    // wholesale, so a burst straddling a stats reset can leave more
-    // masked than billed -- clamp at zero.)
-    auto billed = [](std::uint64_t cycles, std::uint64_t masked) {
-        return static_cast<double>(cycles > masked ? cycles - masked : 0);
-    };
+    // whatever banksPerRank the config happens to use.
     const double ref_cur = p.vdd * (p.idd5b - p.idd3n) * tck * to_nj;
     e.refreshNj =
-        ref_cur * billed(stats.refAbCycles, stats.refAbCyclesSrMasked) +
+        ref_cur * static_cast<double>(stats.refAbCycles) +
         ref_cur / p.refPbCurrentDivisor *
-            billed(stats.refPbCycles, stats.refPbCyclesSrMasked) +
+            static_cast<double>(stats.refPbCycles) +
         // Same-bank slices: the divisor is derived per resolved
         // geometry/density (timing), not static spec data.
         ref_cur / timing.refSbEnergyDivisor *
-            billed(stats.refSbCycles, stats.refSbCyclesSrMasked);
+            static_cast<double>(stats.refSbCycles);
 
     // Background: active standby while any bank is open or refreshing;
-    // IDD6 for real self-refresh residency (srTicks, the SRE/SRX
-    // protocol) and for the legacy demand-idle energy state
-    // (rankSelfRefTicks; 0 unless energy.selfRefreshIdle is set);
+    // IDD6 for self-refresh residency (srTicks, the SRE/SRX protocol);
     // precharge standby otherwise.
-    const double sref_ticks = static_cast<double>(
-        stats.rankSelfRefTicks + stats.srTicks);
+    const double sref_ticks = static_cast<double>(stats.srTicks);
     const double idle_ticks = static_cast<double>(
         stats.rankTotalTicks - stats.rankActiveTicks) - sref_ticks;
     e.backgroundNj = p.vdd *

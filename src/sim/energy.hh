@@ -13,13 +13,9 @@
  * parts derive it from their per-bank tRFC table -- and a same-bank
  * slice (DDR5 REFsb) likewise via refSbCurrentDivisor.
  *
- * Self-refresh: real SRE/SRX residency (ChannelStats::srTicks, the
+ * Self-refresh: SRE/SRX residency (ChannelStats::srTicks, the
  * refresh.selfRefresh.idleEntry protocol) is billed at the spec's
- * IDD6, as is the legacy demand-idle accounting state
- * (rankSelfRefTicks, key energy.selfRefreshIdle; disabled by
- * default). Refresh cycles that elapsed inside the legacy IDD6 window
- * are excluded from the burst billing -- IDD6 already prices refresh,
- * so the same ticks are never charged twice.
+ * IDD6.
  */
 
 #ifndef DSARP_SIM_ENERGY_HH

@@ -183,8 +183,6 @@ keyTable()
                &ExperimentConfig::srIdleEntry),
         intKey(keys::kFgrRate, &ExperimentConfig::fgrRate),
         intKey(keys::kChannelStagger, &ExperimentConfig::channelStagger),
-        intKey(keys::kSelfRefreshIdle,
-               &ExperimentConfig::selfRefreshIdle),
         intKey(keys::kNumCores, &ExperimentConfig::numCores),
         u64Key(keys::kSeed, &ExperimentConfig::seed),
         boolKey(keys::kEnableChecker, &ExperimentConfig::enableChecker),
@@ -251,6 +249,10 @@ ExperimentConfig::trySet(const std::string &key, const std::string &value)
         if (!err.empty())
             err = "config key '" + std::string(desc.key) + "': " + err;
         return err;
+    }
+    if (wanted == lowered(keys::kRemovedSelfRefreshIdle)) {
+        return std::string("config key '") + keys::kRemovedSelfRefreshIdle +
+            "': removed; use '" + keys::kSrIdleEntry + "'";
     }
     std::ostringstream msg;
     msg << "unknown config key '" << key << "'; known:";
@@ -463,7 +465,6 @@ ExperimentConfig::toSystemConfig() const
     sys.mem.sameBankPullIn = sameBankPullIn;
     sys.mem.srIdleEntryCycles = srIdleEntry;
     sys.mem.fgrRate = fgrRate;
-    sys.mem.selfRefreshIdleCycles = selfRefreshIdle;
     sys.traffic = traffic;
     sys.numCores = numCores;
     sys.seed = seed;

@@ -98,11 +98,6 @@ struct ExperimentConfig
      *  -1 = the even spread tREFIab / channels, > 0 = explicit. */
     int channelStagger = 0;
 
-    /** Legacy accounting-only self-refresh energy state (key
-     *  "energy.selfRefreshIdle"); 0 disables. Deprecated in favour of
-     *  refresh.selfRefresh.idleEntry. */
-    int selfRefreshIdle = 0;
-
     // --- Open-loop traffic front end ---------------------------------
     /**
      * The traffic.* / tenant.* key family (see TrafficConfig):

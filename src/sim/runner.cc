@@ -37,81 +37,16 @@ envKnob(const char *name, std::uint64_t fallback)
 std::string
 RunConfig::mechanismName() const
 {
-    if (!policy.empty())
-        return RefreshPolicyRegistry::instance().at(policy).name;
-    if (sarp) {
-        if (refresh == RefreshMode::kAllBank)
-            return "SARPab";
-        if (refresh == RefreshMode::kPerBank)
-            return "SARPpb";
-        if (refresh == RefreshMode::kDarp)
-            return "DSARP";
-    }
-    return refreshModeName(refresh);
+    return RefreshPolicyRegistry::instance().at(policy).name;
 }
 
 RunConfig
-mechRefAb(Density d)
+mechNamed(const std::string &policy, Density d, const std::string &dramSpec)
 {
     RunConfig cfg;
     cfg.density = d;
-    cfg.refresh = RefreshMode::kAllBank;
-    return cfg;
-}
-
-RunConfig
-mechRefPb(Density d)
-{
-    RunConfig cfg = mechRefAb(d);
-    cfg.refresh = RefreshMode::kPerBank;
-    return cfg;
-}
-
-RunConfig
-mechElastic(Density d)
-{
-    RunConfig cfg = mechRefAb(d);
-    cfg.refresh = RefreshMode::kElastic;
-    return cfg;
-}
-
-RunConfig
-mechDarp(Density d)
-{
-    RunConfig cfg = mechRefAb(d);
-    cfg.refresh = RefreshMode::kDarp;
-    return cfg;
-}
-
-RunConfig
-mechSarpAb(Density d)
-{
-    RunConfig cfg = mechRefAb(d);
-    cfg.sarp = true;
-    return cfg;
-}
-
-RunConfig
-mechSarpPb(Density d)
-{
-    RunConfig cfg = mechRefPb(d);
-    cfg.sarp = true;
-    return cfg;
-}
-
-RunConfig
-mechDsarp(Density d)
-{
-    RunConfig cfg = mechDarp(d);
-    cfg.sarp = true;
-    return cfg;
-}
-
-RunConfig
-mechNoRef(Density d)
-{
-    RunConfig cfg = mechRefAb(d);
-    cfg.refresh = RefreshMode::kNoRefresh;
+    cfg.policy = policy;
+    cfg.dramSpec = dramSpec;
     return cfg;
 }
 
@@ -129,8 +64,6 @@ Runner::makeSystemConfig(const RunConfig &cfg)
     sys.mem.channelStaggerCycles = cfg.channelStaggerCycles;
     sys.mem.density = cfg.density;
     sys.mem.retentionMs = cfg.retentionMs;
-    sys.mem.refresh = cfg.refresh;
-    sys.mem.sarp = cfg.sarp;
     sys.mem.darpWriteRefresh = cfg.darpWriteRefresh;
     sys.mem.org.subarraysPerBank = cfg.subarraysPerBank;
     sys.mem.tFawOverride = cfg.tFawOverride;
@@ -261,10 +194,7 @@ Runner::aloneIpc(int bench_idx, const SystemConfig &sys)
     // baselines).
     SystemConfig alone = sys;
     alone.mem.policy = "NoREF";
-    alone.mem.refresh = RefreshMode::kNoRefresh;
-    alone.mem.sarp = false;
     alone.mem.srIdleEntryCycles = 0;
-    alone.mem.selfRefreshIdleCycles = 0;
     alone.numCores = 1;
     alone.enableChecker = false;
     System system(alone, std::vector<int>{bench_idx});

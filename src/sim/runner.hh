@@ -59,14 +59,9 @@ struct RunConfig
      *  refresh.channelStagger key): 0 off, -1 = tREFIab / channels. */
     int channelStaggerCycles = 0;
 
-    /**
-     * Refresh mechanism by registry name; when non-empty it wins over
-     * the (refresh, sarp) pair below (see MemConfig::policy).
-     */
-    std::string policy;
+    /** Refresh mechanism by registry name (see MemConfig::policy). */
+    std::string policy = "REFab";
 
-    RefreshMode refresh = RefreshMode::kAllBank;
-    bool sarp = false;
     int retentionMs = 32;
     int numCores = 8;
     int subarraysPerBank = 8;
@@ -105,19 +100,17 @@ struct RunConfig
      */
     TrafficConfig traffic;
 
-    /** The paper's mechanism names (REFab, REFpb, DARP, SARPab, ...). */
+    /** The canonical spelling of `policy` (REFab, DSARP, ...). */
     std::string mechanismName() const;
 };
 
-/** Canonical mechanism configurations from Section 6. */
-RunConfig mechRefAb(Density d);
-RunConfig mechRefPb(Density d);
-RunConfig mechElastic(Density d);
-RunConfig mechDarp(Density d);
-RunConfig mechSarpAb(Density d);
-RunConfig mechSarpPb(Density d);
-RunConfig mechDsarp(Density d);
-RunConfig mechNoRef(Density d);
+/**
+ * The sweep point for a mechanism by registry name -- anything
+ * MemConfig::policy accepts -- at density @p d, optionally on a DRAM
+ * spec by registry name (empty keeps the default, DDR3-1333).
+ */
+RunConfig mechNamed(const std::string &policy, Density d,
+                    const std::string &dramSpec = "");
 
 /** Per-tenant figures of an open-loop (traffic) run. */
 struct TenantResult

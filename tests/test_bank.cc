@@ -26,7 +26,7 @@ class BankTest : public ::testing::Test
     {
         MemConfig cfg;
         cfg.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg);
+        timing_ = TimingParams::forConfig(cfg);
     }
 
     Bank

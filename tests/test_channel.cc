@@ -13,6 +13,7 @@
 
 #include "common/rng.hh"
 #include "dram/channel.hh"
+#include "refresh/registry.hh"
 
 using namespace dsarp;
 
@@ -31,7 +32,7 @@ class ChannelTest : public ::testing::Test
     ChannelTest()
     {
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
     }
 
     Command
@@ -240,7 +241,8 @@ TEST(ChannelProperty, OpenBankMaskMirrorsBanks)
     for (const bool sarp : {false, true}) {
         for (std::uint64_t seed = 1; seed <= 4; ++seed) {
             MemConfig cfg;
-            cfg.sarp = sarp;
+            cfg.policy = sarp ? "SARPab" : "REFab";
+            RefreshPolicyRegistry::instance().resolve(cfg);
             cfg.finalize();
             const TimingParams timing = TimingParams::forConfig(cfg);
             Channel ch(&cfg, &timing);

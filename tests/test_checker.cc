@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "refresh/registry.hh"
 #include "sim/checker.hh"
 
 using namespace dsarp;
@@ -27,7 +28,7 @@ class CheckerTest : public ::testing::Test
     CheckerTest()
     {
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
     }
 
     TimedCommand
@@ -162,7 +163,8 @@ TEST_F(CheckerTest, FlagsActDuringRefreshWithoutSarp)
 
 TEST_F(CheckerTest, SarpAllowsOtherSubarrayAct)
 {
-    cfg_.sarp = true;
+    cfg_.policy = "SARPab";
+    RefreshPolicyRegistry::instance().resolve(cfg_);
     const std::vector<TimedCommand> log = {
         ref(0, CommandType::kRefPb, 0, 0),  // Refreshing subarray 0.
         act(1, 0, 0, cfg_.org.rowsPerSubarray() + 3),
@@ -172,7 +174,8 @@ TEST_F(CheckerTest, SarpAllowsOtherSubarrayAct)
 
 TEST_F(CheckerTest, SarpFlagsSameSubarrayAct)
 {
-    cfg_.sarp = true;
+    cfg_.policy = "SARPab";
+    RefreshPolicyRegistry::instance().resolve(cfg_);
     const std::vector<TimedCommand> log = {
         ref(0, CommandType::kRefPb, 0, 0),
         act(1, 0, 0, 3),  // Subarray 0: conflicts with the refresh.
@@ -182,7 +185,8 @@ TEST_F(CheckerTest, SarpFlagsSameSubarrayAct)
 
 TEST_F(CheckerTest, SarpEnforcesInflatedTrrd)
 {
-    cfg_.sarp = true;
+    cfg_.policy = "SARPab";
+    RefreshPolicyRegistry::instance().resolve(cfg_);
     const Cycles inflated =
         timing_.tRrd.ceilScaled(cfg_.sarpInflationPb);
     const std::vector<TimedCommand> log = {

@@ -95,6 +95,14 @@ TEST(Cli, BadConfigValuesStayFatalNamedErrors)
     setFatalHandler(prev);
 }
 
+TEST(CliDeath, RemovedKeyNamesItsReplacement)
+{
+    EXPECT_EXIT(parse({"--set", "energy.selfRefreshIdle=1000"}),
+                testing::ExitedWithCode(1),
+                "config key 'energy.selfRefreshIdle': removed; use "
+                "'refresh.selfRefresh.idleEntry'");
+}
+
 TEST(Cli, LayeringConfigFileThenEnvThenFlags)
 {
     const std::string path = testing::TempDir() + "cli_layering.cfg";

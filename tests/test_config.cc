@@ -26,10 +26,6 @@ TEST(Config, DensityRefreshLatency)
 
 TEST(Config, Names)
 {
-    EXPECT_STREQ(refreshModeName(RefreshMode::kAllBank), "REFab");
-    EXPECT_STREQ(refreshModeName(RefreshMode::kPerBank), "REFpb");
-    EXPECT_STREQ(refreshModeName(RefreshMode::kDarp), "DARP");
-    EXPECT_STREQ(refreshModeName(RefreshMode::kNoRefresh), "NoREF");
     EXPECT_STREQ(densityName(Density::k16Gb), "16Gb");
 }
 
@@ -63,6 +59,7 @@ TEST(Config, DefaultsMatchTable1)
     EXPECT_EQ(cfg.mem.writeQueueSize, 64);
     EXPECT_EQ(cfg.mem.writeLowWatermark, 32);
     EXPECT_EQ(cfg.mem.retentionMs, 32);
+    EXPECT_EQ(cfg.mem.policy, "REFab");
 }
 
 TEST(Config, ValidateNamesEveryBadKey)

@@ -11,6 +11,7 @@
 
 #include "controller/controller.hh"
 #include "dram/address.hh"
+#include "refresh/registry.hh"
 
 using namespace dsarp;
 
@@ -22,10 +23,20 @@ class ControllerTest : public ::testing::Test
     ControllerTest()
     {
         cfg_.org.channels = 1;
-        cfg_.refresh = RefreshMode::kNoRefresh;
+        cfg_.policy = "NoREF";
+        RefreshPolicyRegistry::instance().resolve(cfg_);
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
         map_ = std::make_unique<AddressMap>(cfg_.org);
+        rebuild();
+    }
+
+    /** Switch to refresh mechanism @p policy, keeping the timing. */
+    void
+    select(const char *policy)
+    {
+        cfg_.policy = policy;
+        RefreshPolicyRegistry::instance().resolve(cfg_);
         rebuild();
     }
 
@@ -185,8 +196,7 @@ TEST_F(ControllerTest, QueueFullRejects)
 
 TEST_F(ControllerTest, UrgentRefreshBlocksNewActsToTargetBank)
 {
-    cfg_.refresh = RefreshMode::kPerBank;
-    rebuild();
+    select("REFpb");
     // Keep bank 0 of rank 0 under continuous load; once its refresh is
     // forced (credit exhausted), a refresh must still get through.
     std::uint64_t id = 0;
@@ -204,8 +214,7 @@ TEST_F(ControllerTest, UrgentRefreshBlocksNewActsToTargetBank)
 
 TEST_F(ControllerTest, RefreshSchedulerStatsExposed)
 {
-    cfg_.refresh = RefreshMode::kAllBank;
-    rebuild();
+    select("REFab");
     runTicks(static_cast<int>((4 * timing_.tRefiAb).count()));
     EXPECT_GT(ctl_->refreshStats().issued, 0u);
     EXPECT_EQ(ctl_->refreshStats().issued,

@@ -9,6 +9,7 @@
 
 #include "mock_view.hh"
 #include "refresh/darp.hh"
+#include "refresh/registry.hh"
 
 using namespace dsarp;
 
@@ -19,9 +20,10 @@ class DarpTest : public ::testing::Test
   protected:
     DarpTest()
     {
-        cfg_.refresh = RefreshMode::kDarp;
+        cfg_.policy = "DARP";
+        RefreshPolicyRegistry::instance().resolve(cfg_);
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
         view_ = std::make_unique<MockView>(&cfg_, &timing_);
         sched_ = std::make_unique<DarpScheduler>(&cfg_, &timing_,
                                                  view_.get());

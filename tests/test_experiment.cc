@@ -52,6 +52,34 @@ TEST(ExperimentConfig, UnknownKeyNamesItselfAndListsKnown)
     EXPECT_NE(err.find("writeHighWatermark"), std::string::npos) << err;
 }
 
+TEST(ExperimentConfig, RemovedKeyNamesItsReplacement)
+{
+    ExperimentConfig cfg;
+    const std::string err = cfg.trySet("energy.selfRefreshIdle", "1000");
+    EXPECT_NE(err.find("config key 'energy.selfRefreshIdle': removed; "
+                       "use 'refresh.selfRefresh.idleEntry'"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("known:"), std::string::npos) << err;
+}
+
+TEST(ExperimentConfigDeath, RemovedKeyInAConfigFileNamesTheLine)
+{
+    const std::string path =
+        ::testing::TempDir() + "/dsarp_removed_key.cfg";
+    {
+        std::ofstream out(path);
+        out << "policy = REFab\n"
+            << "energy.selfRefreshIdle = 1000\n";
+    }
+    ExperimentConfig cfg;
+    EXPECT_EXIT(cfg.applyFile(path), testing::ExitedWithCode(1),
+                "dsarp_removed_key.cfg:2: config key "
+                "'energy.selfRefreshIdle': removed; use "
+                "'refresh.selfRefresh.idleEntry'");
+    std::remove(path.c_str());
+}
+
 TEST(ExperimentConfig, BadValueNamesTheKey)
 {
     ExperimentConfig cfg;

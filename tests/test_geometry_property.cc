@@ -19,8 +19,8 @@ using namespace dsarp;
 
 namespace {
 
-/** (channels, ranks, retentionMs, mechanism, sarp) */
-using GeomPoint = std::tuple<int, int, int, RefreshMode, bool>;
+/** (channels, ranks, retentionMs, mechanism) */
+using GeomPoint = std::tuple<int, int, int, const char *>;
 
 class GeometryProperty : public ::testing::TestWithParam<GeomPoint>
 {
@@ -29,28 +29,23 @@ class GeometryProperty : public ::testing::TestWithParam<GeomPoint>
 std::string
 name(const ::testing::TestParamInfo<GeomPoint> &info)
 {
-    const auto [ch, ranks, ret, mode, sarp] = info.param;
-    std::string out = "ch" + std::to_string(ch) + "_rk" +
-        std::to_string(ranks) + "_ret" + std::to_string(ret) + "_" +
-        refreshModeName(mode);
-    if (sarp)
-        out += "_SARP";
-    return out;
+    const auto [ch, ranks, ret, mech] = info.param;
+    return "ch" + std::to_string(ch) + "_rk" + std::to_string(ranks) +
+        "_ret" + std::to_string(ret) + "_" + mech;
 }
 
 } // namespace
 
 TEST_P(GeometryProperty, LegalAndLive)
 {
-    const auto [channels, ranks, retention, mode, sarp] = GetParam();
+    const auto [channels, ranks, retention, mech] = GetParam();
 
     SystemConfig cfg;
     cfg.numCores = 2;
     cfg.mem.org.channels = channels;
     cfg.mem.org.ranksPerChannel = ranks;
     cfg.mem.retentionMs = retention;
-    cfg.mem.refresh = mode;
-    cfg.mem.sarp = sarp;
+    cfg.mem.policy = mech;
     cfg.enableChecker = true;
     cfg.seed = 29;
 
@@ -68,9 +63,7 @@ TEST_P(GeometryProperty, LegalAndLive)
             << "ch" << ch << ": "
             << (report.violations.empty() ? ""
                                           : report.violations.front());
-        if (mode != RefreshMode::kNoRefresh) {
-            EXPECT_GT(report.refreshesChecked, 0u);
-        }
+        EXPECT_GT(report.refreshesChecked, 0u);
     }
     EXPECT_GT(reads, 200u);
     EXPECT_GT(sys.core(0).stats().instructionsRetired, 1000u);
@@ -81,20 +74,15 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2),
                        ::testing::Values(1, 2, 4),
                        ::testing::Values(32),
-                       ::testing::Values(RefreshMode::kAllBank,
-                                         RefreshMode::kPerBank,
-                                         RefreshMode::kDarp),
-                       ::testing::Values(false)),
+                       ::testing::Values("REFab", "REFpb", "DARP")),
     name);
 
 INSTANTIATE_TEST_SUITE_P(
     Retention64, GeometryProperty,
     ::testing::Combine(::testing::Values(1), ::testing::Values(2),
                        ::testing::Values(64),
-                       ::testing::Values(RefreshMode::kAllBank,
-                                         RefreshMode::kPerBank,
-                                         RefreshMode::kDarp),
-                       ::testing::Values(false, true)),
+                       ::testing::Values("REFab", "REFpb", "DARP",
+                                         "SARPab", "SARPpb", "DSARP")),
     name);
 
 namespace {
@@ -107,7 +95,7 @@ TEST(GeometryExtras, RetentionScalesRefreshCount)
         cfg.numCores = 2;
         cfg.mem.org.channels = 1;
         cfg.mem.retentionMs = retention;
-        cfg.mem.refresh = RefreshMode::kAllBank;
+        cfg.mem.policy = "REFab";
         System sys(cfg, {benchmarkIndex("gcc-like"),
                          benchmarkIndex("milc-like")});
         sys.run(60000);
@@ -125,7 +113,7 @@ TEST(GeometryExtras, MoreChannelsMoreThroughput)
         SystemConfig cfg;
         cfg.numCores = 4;
         cfg.mem.org.channels = channels;
-        cfg.mem.refresh = RefreshMode::kPerBank;
+        cfg.mem.policy = "REFpb";
         System sys(cfg, {benchmarkIndex("stream-like"),
                          benchmarkIndex("mcf-like"),
                          benchmarkIndex("milc-like"),

@@ -441,8 +441,8 @@ TEST(HiraFgr, RateKeyScalesPerBankTimingWithNativeDivisors)
     MemConfig base;
     base.dramSpec = "DDR4-2400";
     base.density = Density::k8Gb;
-    base.refresh = RefreshMode::kDarp;
-    base.hira = true;
+    base.policy = "HiRA";
+    RefreshPolicyRegistry::instance().resolve(base);
     base.finalize();
     const TimingParams t1 = TimingParams::forConfig(base);
 
@@ -505,7 +505,8 @@ TEST(HiraFgr, UnfittablePerBankScheduleDiesWithNamedKeys)
     MemConfig cfg;
     cfg.dramSpec = "DDR4-2400";
     cfg.density = Density::k32Gb;
-    cfg.refresh = RefreshMode::kDarp;
+    cfg.policy = "DARP";
+    RefreshPolicyRegistry::instance().resolve(cfg);
     cfg.fgrRate = 4;
     cfg.org.rowsPerBank = rowsPerBankFor(cfg.density);
     EXPECT_DEATH(TimingParams::forConfig(cfg), "refresh.fgrRate");

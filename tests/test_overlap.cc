@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "refresh/registry.hh"
 #include "sim/checker.hh"
 #include "sim/system.hh"
 #include "workload/benchmark.hh"
@@ -22,7 +23,8 @@ class OverlapTest : public ::testing::Test
     makeCfg(int max_overlap)
     {
         MemConfig cfg;
-        cfg.refresh = RefreshMode::kPerBank;
+        cfg.policy = "REFpb";
+        RefreshPolicyRegistry::instance().resolve(cfg);
         cfg.maxOverlappedRefPb = max_overlap;
         cfg.finalize();
         return cfg;
@@ -34,7 +36,7 @@ class OverlapTest : public ::testing::Test
 TEST_F(OverlapTest, StandardDisallowsOverlap)
 {
     MemConfig cfg = makeCfg(1);
-    const TimingParams timing = TimingParams::ddr3_1333(cfg);
+    const TimingParams timing = TimingParams::forConfig(cfg);
     Rank rank(&cfg, &timing);
     rank.onRefPb(0, 0);
     EXPECT_FALSE(rank.canRefPbRankLevel(1));
@@ -44,7 +46,7 @@ TEST_F(OverlapTest, StandardDisallowsOverlap)
 TEST_F(OverlapTest, ExtensionAllowsBoundedOverlap)
 {
     MemConfig cfg = makeCfg(3);
-    const TimingParams timing = TimingParams::ddr3_1333(cfg);
+    const TimingParams timing = TimingParams::forConfig(cfg);
     Rank rank(&cfg, &timing);
     rank.onRefPb(0, 0);
     EXPECT_TRUE(rank.canRefPbRankLevel(1));
@@ -60,7 +62,7 @@ TEST_F(OverlapTest, ExtensionAllowsBoundedOverlap)
 TEST_F(OverlapTest, RefAbStillNeedsQuietRank)
 {
     MemConfig cfg = makeCfg(4);
-    const TimingParams timing = TimingParams::ddr3_1333(cfg);
+    const TimingParams timing = TimingParams::forConfig(cfg);
     Rank rank(&cfg, &timing);
     rank.onRefPb(0, 0);
     EXPECT_FALSE(rank.canRefAb(1));
@@ -84,7 +86,7 @@ TEST_F(OverlapTest, InflationScalesWithInFlightCount)
 TEST_F(OverlapTest, CheckerFlagsOverlapBeyondLimit)
 {
     MemConfig cfg = makeCfg(2);
-    const TimingParams timing = TimingParams::ddr3_1333(cfg);
+    const TimingParams timing = TimingParams::forConfig(cfg);
     const auto ref = [](Tick t, BankId b) {
         Command cmd;
         cmd.type = CommandType::kRefPb;
@@ -107,8 +109,7 @@ TEST_F(OverlapTest, SystemRunsLegallyWithOverlap)
         cfg.numCores = 2;
         cfg.mem.org.channels = 1;
         cfg.mem.density = Density::k32Gb;
-        cfg.mem.refresh = RefreshMode::kDarp;
-        cfg.mem.sarp = true;
+        cfg.mem.policy = "DSARP";
         cfg.mem.maxOverlappedRefPb = overlap;
         cfg.enableChecker = true;
         System sys(cfg, {benchmarkIndex("mcf-like"),
@@ -135,7 +136,7 @@ TEST_F(OverlapTest, OverlapRelievesRefpbSerializationPathology)
         cfg.numCores = 2;
         cfg.mem.org.channels = 1;
         cfg.mem.density = Density::k32Gb;
-        cfg.mem.refresh = RefreshMode::kPerBank;
+        cfg.mem.policy = "REFpb";
         cfg.mem.maxOverlappedRefPb = overlap;
         cfg.seed = 11;
         System sys(cfg, {benchmarkIndex("mcf-like"),

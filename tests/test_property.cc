@@ -1,6 +1,6 @@
 /**
  * @file
- * Parameterized property sweep: every (mechanism, density, SARP) point
+ * Parameterized property sweep: every (mechanism, density) point
  * must produce a JEDEC-legal command stream (independent checker), keep
  * every bank's refresh obligations inside the postpone window, and make
  * forward progress.
@@ -19,7 +19,7 @@ using namespace dsarp;
 
 namespace {
 
-using Point = std::tuple<RefreshMode, Density, bool>;
+using Point = std::tuple<const char *, Density>;
 
 class RefreshProperty : public ::testing::TestWithParam<Point>
 {
@@ -28,27 +28,21 @@ class RefreshProperty : public ::testing::TestWithParam<Point>
 std::string
 pointName(const ::testing::TestParamInfo<Point> &info)
 {
-    const auto [mode, density, sarp] = info.param;
-    std::string name = refreshModeName(mode);
-    name += "_";
-    name += densityName(density);
-    if (sarp)
-        name += "_SARP";
-    return name;
+    const auto [mech, density] = info.param;
+    return std::string(mech) + "_" + densityName(density);
 }
 
 } // namespace
 
 TEST_P(RefreshProperty, LegalStreamAndProgress)
 {
-    const auto [mode, density, sarp] = GetParam();
+    const auto [mech, density] = GetParam();
 
     SystemConfig cfg;
     cfg.numCores = 2;
     cfg.mem.org.channels = 1;
     cfg.mem.density = density;
-    cfg.mem.refresh = mode;
-    cfg.mem.sarp = sarp;
+    cfg.mem.policy = mech;
     cfg.enableChecker = true;
     cfg.seed = 17;
 
@@ -67,7 +61,7 @@ TEST_P(RefreshProperty, LegalStreamAndProgress)
     EXPECT_TRUE(report.ok()) << (report.violations.empty()
                                      ? ""
                                      : report.violations.front());
-    if (mode != RefreshMode::kNoRefresh) {
+    if (sys.config().mem.refresh != RefreshMode::kNoRefresh) {
         EXPECT_GT(report.refreshesChecked, 0u);
     }
 
@@ -80,21 +74,16 @@ TEST_P(RefreshProperty, LegalStreamAndProgress)
 INSTANTIATE_TEST_SUITE_P(
     AllMechanisms, RefreshProperty,
     ::testing::Combine(
-        ::testing::Values(RefreshMode::kNoRefresh, RefreshMode::kAllBank,
-                          RefreshMode::kPerBank, RefreshMode::kElastic,
-                          RefreshMode::kDarp, RefreshMode::kFgr2x,
-                          RefreshMode::kFgr4x, RefreshMode::kAdaptive),
-        ::testing::Values(Density::k8Gb, Density::k32Gb),
-        ::testing::Values(false)),
+        ::testing::Values("NoREF", "REFab", "REFpb", "Elastic", "DARP",
+                          "FGR2x", "FGR4x", "AR"),
+        ::testing::Values(Density::k8Gb, Density::k32Gb)),
     pointName);
 
 INSTANTIATE_TEST_SUITE_P(
     SarpMechanisms, RefreshProperty,
     ::testing::Combine(
-        ::testing::Values(RefreshMode::kAllBank, RefreshMode::kPerBank,
-                          RefreshMode::kDarp),
-        ::testing::Values(Density::k8Gb, Density::k16Gb, Density::k32Gb),
-        ::testing::Values(true)),
+        ::testing::Values("SARPab", "SARPpb", "DSARP"),
+        ::testing::Values(Density::k8Gb, Density::k16Gb, Density::k32Gb)),
     pointName);
 
 namespace {
@@ -115,8 +104,7 @@ TEST_P(SubarrayProperty, SarpLegalAcrossSubarrayCounts)
     cfg.mem.org.channels = 1;
     cfg.mem.org.subarraysPerBank = subarrays;
     cfg.mem.density = density;
-    cfg.mem.refresh = RefreshMode::kPerBank;
-    cfg.mem.sarp = true;
+    cfg.mem.policy = "SARPpb";
     cfg.enableChecker = true;
     cfg.seed = 23;
 

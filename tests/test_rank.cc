@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "dram/rank.hh"
+#include "refresh/registry.hh"
 
 using namespace dsarp;
 
@@ -25,7 +26,7 @@ class RankTest : public ::testing::Test
     RankTest()
     {
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
     }
 
     MemConfig cfg_;
@@ -35,7 +36,11 @@ class RankTest : public ::testing::Test
 class SarpRankTest : public RankTest
 {
   protected:
-    SarpRankTest() { cfg_.sarp = true; }
+    SarpRankTest()
+    {
+        cfg_.policy = "SARPab";
+        RefreshPolicyRegistry::instance().resolve(cfg_);
+    }
 };
 
 } // namespace

@@ -25,6 +25,7 @@
 #include "mock_view.hh"
 #include "refresh/darp.hh"
 #include "refresh/hira.hh"
+#include "refresh/registry.hh"
 #include "refresh/same_bank.hh"
 
 using namespace dsarp;
@@ -417,9 +418,8 @@ driveDarp(int ranks, bool sarp, bool hira, bool write_refresh,
           int overlapped, std::uint64_t seed, Tally &tally)
 {
     MemConfig cfg;
-    cfg.refresh = RefreshMode::kDarp;
-    cfg.sarp = sarp;
-    cfg.hira = hira;
+    cfg.policy = hira ? "HiRA" : sarp ? "DSARP" : "DARP";
+    RefreshPolicyRegistry::instance().resolve(cfg);
     cfg.darpWriteRefresh = write_refresh;
     cfg.maxOverlappedRefPb = overlapped;
     cfg.org.ranksPerChannel = ranks;
@@ -504,7 +504,8 @@ driveSameBank(int ranks, int banks_per_rank, int group_size, bool pull_in,
     cfg.org.banksPerRank = banks_per_rank;
     cfg.sameBankGroupSize = group_size;
     cfg.sameBankPullIn = pull_in;
-    cfg.refresh = RefreshMode::kSameBank;
+    cfg.policy = "REFsb";
+    RefreshPolicyRegistry::instance().resolve(cfg);
     cfg.finalize();
     const TimingParams timing = TimingParams::forConfig(cfg);
     MockView view(&cfg, &timing);

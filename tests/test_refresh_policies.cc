@@ -24,7 +24,7 @@ class PolicyTest : public ::testing::Test
     PolicyTest()
     {
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
         view_ = std::make_unique<MockView>(&cfg_, &timing_);
     }
 

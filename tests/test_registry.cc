@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the string-keyed refresh-policy registry: every paper
- * mechanism round-trips by name (and alias), unknown names fail with a
- * helpful error, the legacy enum bridge maps both ways, and -- the
- * acceptance bar for the open API -- a custom policy registered at
+ * Tests for the string-keyed refresh-policy registry: every built-in
+ * mechanism round-trips by name (and alias), a resolved config depends
+ * on its name alone, unknown names fail with a helpful error, and --
+ * the acceptance bar for the open API -- a custom policy registered at
  * runtime drives a full System with no factory/enum edits.
  */
 
@@ -23,39 +23,44 @@ using namespace dsarp;
 
 namespace {
 
-/** Expected config bundle per canonical mechanism name. */
+/** Expected resolved tags per canonical mechanism name. */
 struct Expected
 {
     const char *name;
     RefreshMode mode;
     bool sarp;
+    bool hira;
 };
 
+/** The paper's eleven mechanisms, then the HiRA and DDR5 extensions. */
 const std::vector<Expected> &
-paperMechanisms()
+builtinMechanisms()
 {
     static const std::vector<Expected> table = {
-        {"NoREF", RefreshMode::kNoRefresh, false},
-        {"REFab", RefreshMode::kAllBank, false},
-        {"REFpb", RefreshMode::kPerBank, false},
-        {"Elastic", RefreshMode::kElastic, false},
-        {"DARP", RefreshMode::kDarp, false},
-        {"SARPab", RefreshMode::kAllBank, true},
-        {"SARPpb", RefreshMode::kPerBank, true},
-        {"DSARP", RefreshMode::kDarp, true},
-        {"FGR2x", RefreshMode::kFgr2x, false},
-        {"FGR4x", RefreshMode::kFgr4x, false},
-        {"AR", RefreshMode::kAdaptive, false},
+        {"NoREF", RefreshMode::kNoRefresh, false, false},
+        {"REFab", RefreshMode::kAllBank, false, false},
+        {"REFpb", RefreshMode::kPerBank, false, false},
+        {"Elastic", RefreshMode::kElastic, false, false},
+        {"DARP", RefreshMode::kDarp, false, false},
+        {"SARPab", RefreshMode::kAllBank, true, false},
+        {"SARPpb", RefreshMode::kPerBank, true, false},
+        {"DSARP", RefreshMode::kDarp, true, false},
+        {"FGR2x", RefreshMode::kFgr2x, false, false},
+        {"FGR4x", RefreshMode::kFgr4x, false, false},
+        {"AR", RefreshMode::kAdaptive, false, false},
+        {"HiRA", RefreshMode::kDarp, false, true},
+        {"REFsb", RefreshMode::kSameBank, false, false},
+        {"HiRAsb", RefreshMode::kSameBank, false, true},
     };
     return table;
 }
 
 } // namespace
 
-TEST(Registry, AllPaperMechanismsRegistered)
+TEST(Registry, AllBuiltinMechanismsRegistered)
 {
     const auto &registry = RefreshPolicyRegistry::instance();
-    for (const Expected &mech : paperMechanisms()) {
+    for (const Expected &mech : builtinMechanisms()) {
         const auto *entry = registry.find(mech.name);
         ASSERT_NE(entry, nullptr) << mech.name;
         EXPECT_EQ(entry->name, mech.name);
@@ -91,81 +96,56 @@ TEST(Registry, LookupIsCaseInsensitiveAndAliased)
 
 TEST(Registry, ResolveAppliesConfigBundle)
 {
-    for (const Expected &mech : paperMechanisms()) {
+    for (const Expected &mech : builtinMechanisms()) {
         MemConfig cfg;
         cfg.policy = mech.name;
-        // Adversarial initial state: the bundle must win.
-        cfg.refresh = RefreshMode::kElastic;
-        cfg.sarp = !mech.sarp;
         RefreshPolicyRegistry::instance().resolve(cfg);
         EXPECT_EQ(cfg.policy, mech.name);
         EXPECT_EQ(cfg.refresh, mech.mode) << mech.name;
         EXPECT_EQ(cfg.sarp, mech.sarp) << mech.name;
+        EXPECT_EQ(cfg.hira, mech.hira) << mech.name;
     }
 }
 
-TEST(Registry, ResolveLegacyEnumPairPreservesConfig)
+TEST(Registry, ResolvedTagsDependOnTheNameAlone)
 {
-    // The pre-registry selection style: enum + sarp flag, no name.
-    // Unnamed combinations (e.g. Elastic+SARP) keep their
-    // hand-assembled semantics and stay enum-selected, so resolving
-    // again (e.g. a config copied out of a built System) is a no-op.
+    // Re-resolving a HiRA config as any other mechanism must reset
+    // every tag HiRA's bundle set, not inherit it.
+    const auto &registry = RefreshPolicyRegistry::instance();
     MemConfig cfg;
-    cfg.refresh = RefreshMode::kElastic;
-    cfg.sarp = true;
-    const auto &entry = RefreshPolicyRegistry::instance().resolve(cfg);
-    EXPECT_EQ(entry.name, "Elastic");
-    EXPECT_TRUE(cfg.policy.empty());  // "Elastic" would drop the SARP.
-    EXPECT_EQ(cfg.refresh, RefreshMode::kElastic);
-    EXPECT_TRUE(cfg.sarp);  // Not clobbered by the Elastic bundle.
+    for (const Expected &mech : builtinMechanisms()) {
+        cfg.policy = "HiRA";
+        registry.resolve(cfg);
+        EXPECT_EQ(cfg.refresh, RefreshMode::kDarp);
+        EXPECT_FALSE(cfg.sarp);
+        EXPECT_TRUE(cfg.hira);
 
-    RefreshPolicyRegistry::instance().resolve(cfg);  // Idempotent.
-    EXPECT_EQ(cfg.refresh, RefreshMode::kElastic);
-    EXPECT_TRUE(cfg.sarp);
-
-    // A pair the registry does name canonicalises -- and re-resolving
-    // the result reproduces the same config.
-    MemConfig named;
-    named.refresh = RefreshMode::kDarp;
-    named.sarp = true;
-    RefreshPolicyRegistry::instance().resolve(named);
-    EXPECT_EQ(named.policy, "DSARP");
-    RefreshPolicyRegistry::instance().resolve(named);
-    EXPECT_EQ(named.refresh, RefreshMode::kDarp);
-    EXPECT_TRUE(named.sarp);
+        cfg.policy = mech.name;
+        registry.resolve(cfg);
+        EXPECT_EQ(cfg.refresh, mech.mode) << mech.name;
+        EXPECT_EQ(cfg.sarp, mech.sarp) << mech.name;
+        EXPECT_EQ(cfg.hira, mech.hira) << mech.name;
+    }
 }
 
-TEST(Registry, LegacyPolicyNameBridge)
-{
-    EXPECT_EQ(legacyPolicyName(RefreshMode::kAllBank, false), "REFab");
-    EXPECT_EQ(legacyPolicyName(RefreshMode::kAllBank, true), "SARPab");
-    EXPECT_EQ(legacyPolicyName(RefreshMode::kPerBank, true), "SARPpb");
-    EXPECT_EQ(legacyPolicyName(RefreshMode::kDarp, true), "DSARP");
-    EXPECT_EQ(legacyPolicyName(RefreshMode::kDarp, false), "DARP");
-    EXPECT_EQ(legacyPolicyName(RefreshMode::kNoRefresh, false), "NoREF");
-    EXPECT_EQ(legacyPolicyName(RefreshMode::kFgr4x, false), "FGR4x");
-}
-
-TEST(Registry, MakeDispatchesByNameAndByLegacyEnum)
+TEST(Registry, MakeDispatchesByName)
 {
     MemConfig cfg;
     cfg.finalize();
-    const TimingParams timing = TimingParams::ddr3_1333(cfg);
+    const TimingParams timing = TimingParams::forConfig(cfg);
     MockView view(&cfg, &timing);
 
-    // By name.
-    MemConfig named = cfg;
-    named.policy = "DARP";
+    MemConfig darp = cfg;
+    darp.policy = "DARP";
     auto by_name =
-        RefreshPolicyRegistry::instance().make(named, timing, view);
+        RefreshPolicyRegistry::instance().make(darp, timing, view);
     EXPECT_NE(dynamic_cast<DarpScheduler *>(by_name.get()), nullptr);
 
-    // By deprecated enum pair (policy left empty).
-    MemConfig legacy = cfg;
-    legacy.refresh = RefreshMode::kElastic;
-    auto by_enum =
-        RefreshPolicyRegistry::instance().make(legacy, timing, view);
-    EXPECT_NE(dynamic_cast<ElasticScheduler *>(by_enum.get()), nullptr);
+    MemConfig elastic = cfg;
+    elastic.policy = "elastic";  // Case-insensitive, like resolve().
+    auto by_alias =
+        RefreshPolicyRegistry::instance().make(elastic, timing, view);
+    EXPECT_NE(dynamic_cast<ElasticScheduler *>(by_alias.get()), nullptr);
 }
 
 TEST(RegistryDeath, UnknownNameListsKnownMechanisms)
@@ -235,11 +215,7 @@ int TestPulseScheduler::issuedCount = 0;
 const bool testPolicyRegistered [[maybe_unused]] =
     RefreshPolicyRegistry::instance().add(
         {"TestPulse", "test-local custom policy (registered at runtime)",
-         [](MemConfig &m) {
-             // Reuse the all-bank timing profile; dispatch is by name.
-             m.refresh = RefreshMode::kAllBank;
-             m.sarp = false;
-         },
+         nullptr,  // REFab's timing profile; dispatch is by name.
          [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
              return std::make_unique<TestPulseScheduler>(&c, &t, &v);
          }},

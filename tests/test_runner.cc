@@ -15,28 +15,23 @@ using namespace dsarp;
 
 TEST(RunnerConfig, MechanismNames)
 {
-    EXPECT_EQ(mechRefAb(Density::k8Gb).mechanismName(), "REFab");
-    EXPECT_EQ(mechRefPb(Density::k8Gb).mechanismName(), "REFpb");
-    EXPECT_EQ(mechElastic(Density::k8Gb).mechanismName(), "Elastic");
-    EXPECT_EQ(mechDarp(Density::k8Gb).mechanismName(), "DARP");
-    EXPECT_EQ(mechSarpAb(Density::k8Gb).mechanismName(), "SARPab");
-    EXPECT_EQ(mechSarpPb(Density::k8Gb).mechanismName(), "SARPpb");
-    EXPECT_EQ(mechDsarp(Density::k8Gb).mechanismName(), "DSARP");
-    EXPECT_EQ(mechNoRef(Density::k8Gb).mechanismName(), "NoREF");
+    for (const char *mech : {"REFab", "REFpb", "Elastic", "DARP", "SARPab",
+                             "SARPpb", "DSARP", "NoREF"}) {
+        EXPECT_EQ(mechNamed(mech, Density::k8Gb).mechanismName(), mech);
+    }
+    // Lookups are case-insensitive; the canonical spelling comes back.
+    EXPECT_EQ(mechNamed("dsarp", Density::k8Gb).mechanismName(), "DSARP");
 }
 
-TEST(RunnerConfig, PresetsSetSarpFlags)
+TEST(RunnerConfig, DefaultMechanismIsREFab)
 {
-    EXPECT_FALSE(mechDarp(Density::k8Gb).sarp);
-    EXPECT_TRUE(mechSarpPb(Density::k8Gb).sarp);
-    EXPECT_TRUE(mechDsarp(Density::k8Gb).sarp);
-    EXPECT_EQ(mechDsarp(Density::k8Gb).refresh, RefreshMode::kDarp);
-    EXPECT_EQ(mechSarpAb(Density::k8Gb).refresh, RefreshMode::kAllBank);
+    EXPECT_EQ(RunConfig{}.mechanismName(), "REFab");
+    EXPECT_EQ(Runner::makeSystemConfig(RunConfig{}).mem.policy, "REFab");
 }
 
 TEST(RunnerConfig, MakeSystemConfigCopiesKnobs)
 {
-    RunConfig cfg = mechDsarp(Density::k16Gb);
+    RunConfig cfg = mechNamed("DSARP", Density::k16Gb);
     cfg.subarraysPerBank = 32;
     cfg.tFawOverride = 10;
     cfg.numCores = 4;
@@ -47,12 +42,12 @@ TEST(RunnerConfig, MakeSystemConfigCopiesKnobs)
     EXPECT_EQ(sys.mem.tFawOverride, 10);
     EXPECT_EQ(sys.numCores, 4);
     EXPECT_EQ(sys.mem.retentionMs, 64);
-    EXPECT_TRUE(sys.mem.sarp);
+    EXPECT_EQ(sys.mem.policy, "DSARP");
 }
 
 TEST(RunnerConfig, OptionalKnobsDefaultToMemConfig)
 {
-    const RunConfig cfg = mechRefPb(Density::k8Gb);
+    const RunConfig cfg = mechNamed("REFpb", Density::k8Gb);
     const SystemConfig sys = Runner::makeSystemConfig(cfg);
     const MemConfig defaults;
     EXPECT_EQ(sys.mem.writeHighWatermark, defaults.writeHighWatermark);
@@ -63,7 +58,7 @@ TEST(RunnerConfig, OptionalKnobsDefaultToMemConfig)
 
 TEST(RunnerConfig, OptionalKnobsOverrideWhenSet)
 {
-    RunConfig cfg = mechRefPb(Density::k8Gb);
+    RunConfig cfg = mechNamed("REFpb", Density::k8Gb);
     cfg.writeHighWatermark = 48;
     cfg.writeLowWatermark = 16;
     cfg.refabStaggerDivisor = 2;
@@ -137,14 +132,14 @@ TEST_F(ShortRunner, EnvControlsWindows)
 
 TEST_F(ShortRunner, AloneIpcCachedAndPositive)
 {
-    const RunConfig cfg = mechRefAb(Density::k8Gb);
+    const RunConfig cfg = mechNamed("REFab", Density::k8Gb);
     const double a = runner_->aloneIpc(10, cfg);
     EXPECT_GT(a, 0.0);
     EXPECT_LE(a, 3.0);
     // Second call must be a cache hit with the identical value.
     EXPECT_DOUBLE_EQ(runner_->aloneIpc(10, cfg), a);
     // A different density is a different cache entry (footprints move).
-    const double b = runner_->aloneIpc(10, mechRefAb(Density::k32Gb));
+    const double b = runner_->aloneIpc(10, mechNamed("REFab", Density::k32Gb));
     EXPECT_GT(b, 0.0);
 }
 
@@ -152,7 +147,7 @@ TEST_F(ShortRunner, RunProducesConsistentMetrics)
 {
     const auto workloads = makeIntensiveWorkloads(1, 8, 11);
     const RunResult res =
-        runner_->run(mechRefPb(Density::k8Gb), workloads[0]);
+        runner_->run(mechNamed("REFpb", Density::k8Gb), workloads[0]);
     ASSERT_EQ(res.ipc.size(), 8u);
     ASSERT_EQ(res.aloneIpc.size(), 8u);
     EXPECT_GT(res.ws, 0.0);
@@ -168,8 +163,9 @@ TEST_F(ShortRunner, RunProducesConsistentMetrics)
 TEST_F(ShortRunner, DeterministicAcrossRuns)
 {
     const auto workloads = makeIntensiveWorkloads(1, 8, 13);
-    const RunResult a = runner_->run(mechDarp(Density::k8Gb), workloads[0]);
-    const RunResult b = runner_->run(mechDarp(Density::k8Gb), workloads[0]);
+    const RunConfig darp = mechNamed("DARP", Density::k8Gb);
+    const RunResult a = runner_->run(darp, workloads[0]);
+    const RunResult b = runner_->run(darp, workloads[0]);
     EXPECT_DOUBLE_EQ(a.ws, b.ws);
     EXPECT_EQ(a.readsCompleted, b.readsCompleted);
 }

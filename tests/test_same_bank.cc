@@ -33,8 +33,8 @@ ddr5Config(int banks_per_rank = 8, int group_size = 0,
     cfg.dramSpec = "DDR5-4800";
     cfg.org.banksPerRank = banks_per_rank;
     cfg.sameBankGroupSize = group_size;
-    cfg.refresh = RefreshMode::kSameBank;
-    cfg.hira = hira;
+    cfg.policy = hira ? "HiRAsb" : "REFsb";
+    RefreshPolicyRegistry::instance().resolve(cfg);
     cfg.finalize();
     return cfg;
 }
@@ -111,9 +111,11 @@ TEST(SameBankTiming, ZeroedOnSpecsWithoutSupport)
 TEST(SameBankTiming, FgrScalesSliceLatency)
 {
     MemConfig base = ddr5Config();
-    base.refresh = RefreshMode::kAllBank;
+    base.policy = "REFab";
+    RefreshPolicyRegistry::instance().resolve(base);
     MemConfig fgr = base;
-    fgr.refresh = RefreshMode::kFgr2x;
+    fgr.policy = "FGR2x";
+    RefreshPolicyRegistry::instance().resolve(fgr);
     const TimingParams t1 = TimingParams::forConfig(base);
     const TimingParams t2 = TimingParams::forConfig(fgr);
     EXPECT_LT(t2.tRfcSb, t1.tRfcSb);
@@ -123,7 +125,8 @@ TEST(SameBankTiming, FgrScalesSliceLatency)
 TEST(SameBankTiming, UnsupportedSpecFailsValidationWithNamedKey)
 {
     MemConfig cfg;
-    cfg.refresh = RefreshMode::kSameBank;  // On default DDR3-1333.
+    cfg.policy = "REFsb";  // On default DDR3-1333.
+    RefreshPolicyRegistry::instance().resolve(cfg);
     const std::string errors = cfg.validate();
     EXPECT_NE(errors.find("bank-group"), std::string::npos);
 

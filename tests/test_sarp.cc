@@ -19,14 +19,13 @@ namespace {
 
 /** Small, fast system: 1 channel, 2 cores, intensive benchmarks. */
 SystemConfig
-smallConfig(RefreshMode mode, bool sarp, int subarrays = 8)
+smallConfig(const char *policy, int subarrays = 8)
 {
     SystemConfig cfg;
     cfg.numCores = 2;
     cfg.mem.org.channels = 1;
     cfg.mem.density = Density::k32Gb;  // Longest refresh: biggest signal.
-    cfg.mem.refresh = mode;
-    cfg.mem.sarp = sarp;
+    cfg.mem.policy = policy;
     cfg.mem.org.subarraysPerBank = subarrays;
     cfg.seed = 7;
     return cfg;
@@ -60,9 +59,9 @@ TEST(Sarp, ServesAccessesDuringPerBankRefresh)
     // because banks keep serving idle subarrays while refreshing.
     const Tick window = 120000;
     const std::uint64_t base =
-        readsServed(smallConfig(RefreshMode::kPerBank, false), window);
+        readsServed(smallConfig("REFpb"), window);
     const std::uint64_t with_sarp =
-        readsServed(smallConfig(RefreshMode::kPerBank, true), window);
+        readsServed(smallConfig("SARPpb"), window);
     EXPECT_GT(with_sarp, base);
 }
 
@@ -70,9 +69,9 @@ TEST(Sarp, HelpsAllBankRefreshToo)
 {
     const Tick window = 120000;
     const std::uint64_t base =
-        readsServed(smallConfig(RefreshMode::kAllBank, false), window);
+        readsServed(smallConfig("REFab"), window);
     const std::uint64_t with_sarp =
-        readsServed(smallConfig(RefreshMode::kAllBank, true), window);
+        readsServed(smallConfig("SARPab"), window);
     EXPECT_GT(with_sarp, base);
 }
 
@@ -81,11 +80,11 @@ TEST(Sarp, BenefitGrowsWithSubarrayCount)
     // Table 5: more subarrays -> lower conflict probability.
     const Tick window = 120000;
     const std::uint64_t s1 =
-        readsServed(smallConfig(RefreshMode::kPerBank, true, 1), window);
+        readsServed(smallConfig("SARPpb", 1), window);
     const std::uint64_t s8 =
-        readsServed(smallConfig(RefreshMode::kPerBank, true, 8), window);
+        readsServed(smallConfig("SARPpb", 8), window);
     const std::uint64_t s64 =
-        readsServed(smallConfig(RefreshMode::kPerBank, true, 64), window);
+        readsServed(smallConfig("SARPpb", 64), window);
     EXPECT_GE(s8, s1);
     EXPECT_GE(s64, s8);
 }
@@ -96,9 +95,9 @@ TEST(Sarp, SingleSubarrayEquivalentToNoSarp)
     // refresh, so SARP degenerates to the baseline (Table 5: 0%).
     const Tick window = 120000;
     const std::uint64_t base =
-        readsServed(smallConfig(RefreshMode::kPerBank, false), window);
+        readsServed(smallConfig("REFpb"), window);
     const std::uint64_t s1 =
-        readsServed(smallConfig(RefreshMode::kPerBank, true, 1), window);
+        readsServed(smallConfig("SARPpb", 1), window);
     const double delta =
         std::abs(static_cast<double>(s1) - static_cast<double>(base)) /
         static_cast<double>(base);
@@ -107,7 +106,7 @@ TEST(Sarp, SingleSubarrayEquivalentToNoSarp)
 
 TEST(Sarp, CommandStreamLegalUnderChecker)
 {
-    SystemConfig cfg = smallConfig(RefreshMode::kPerBank, true);
+    SystemConfig cfg = smallConfig("SARPpb");
     cfg.enableChecker = true;
     System sys(cfg, intensivePair());
     sys.run(60000);
@@ -121,7 +120,7 @@ TEST(Sarp, CommandStreamLegalUnderChecker)
 
 TEST(Sarp, DsarpCommandStreamLegalUnderChecker)
 {
-    SystemConfig cfg = smallConfig(RefreshMode::kDarp, true);
+    SystemConfig cfg = smallConfig("DSARP");
     cfg.enableChecker = true;
     System sys(cfg, intensivePair());
     sys.run(60000);

@@ -13,6 +13,7 @@
 
 #include "common/rng.hh"
 #include "controller/scheduler.hh"
+#include "refresh/registry.hh"
 
 using namespace dsarp;
 
@@ -207,7 +208,8 @@ void
 driveRandomPicks(int capacity, Mix mix, bool sarp, Tally &tally)
 {
     MemConfig cfg;
-    cfg.sarp = sarp;
+    cfg.policy = sarp ? "SARPab" : "REFab";
+    RefreshPolicyRegistry::instance().resolve(cfg);
     cfg.finalize();
     const TimingParams timing = TimingParams::forConfig(cfg);
     Channel channel(&cfg, &timing);
@@ -312,7 +314,7 @@ class FrFcfsTest : public ::testing::Test
         : cfg_(), timing_(), queue_(64, 2, 8)
     {
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
         channel_ = std::make_unique<Channel>(&cfg_, &timing_);
     }
 
@@ -520,7 +522,8 @@ TEST(FrFcfsSarp, YoungerRequestToIdleSubarrayActivatesInRefreshingBank)
     // refreshing subarray. When the bank's oldest request targets that
     // subarray, a younger request to another one must get the ACT.
     MemConfig cfg;
-    cfg.sarp = true;
+    cfg.policy = "SARPab";
+    RefreshPolicyRegistry::instance().resolve(cfg);
     cfg.finalize();
     const TimingParams timing = TimingParams::forConfig(cfg);
     Channel channel(&cfg, &timing);

@@ -16,6 +16,7 @@
 #include "dram/channel.hh"
 #include "dram/spec.hh"
 #include "refresh/ledger.hh"
+#include "refresh/registry.hh"
 #include "sim/checker.hh"
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
@@ -31,7 +32,7 @@ ddr3Timing()
 {
     MemConfig cfg;
     cfg.finalize();
-    return TimingParams::ddr3_1333(cfg);
+    return TimingParams::forConfig(cfg);
 }
 
 MemConfig
@@ -94,7 +95,8 @@ TEST(SelfRefreshTiming, FgrModeShortensExitLatency)
     const TimingParams t1 = TimingParams::forConfig(base);
 
     MemConfig fgr = base;
-    fgr.refresh = RefreshMode::kFgr2x;
+    fgr.policy = "FGR2x";
+    RefreshPolicyRegistry::instance().resolve(fgr);
     const TimingParams t2 = TimingParams::forConfig(fgr);
     EXPECT_LT(t2.tXs, t1.tXs);
     EXPECT_EQ(t2.tXs, t1.tXsFgr);
@@ -485,7 +487,7 @@ TEST(SelfRefreshEndToEnd, NoFreeLunch)
     // idle entry must cut total energy (the ranks really do sleep at
     // IDD6) while weighted speedup measurably degrades (tCKESR
     // residency + the tXS exit charge delay demand) -- the exact
-    // latency/energy trade the accounting-only state hid.
+    // latency/energy trade an energy-only model would hide.
     Runner runner(2000, 60000, 1);
     const Workload w = makeWorkloads(1, 2, 1)[0];  // 0%-intensive.
 
@@ -520,24 +522,7 @@ TEST(SelfRefreshConfig, NamedKeyValidation)
     cfg.srIdleEntry = -1;
     EXPECT_NE(cfg.validate().find("refresh.selfRefresh.idleEntry"),
               std::string::npos);
-
-    // The two self-refresh keys are mutually exclusive.
-    cfg = ExperimentConfig{};
     cfg.srIdleEntry = 1000;
-    cfg.selfRefreshIdle = 1000;
-    EXPECT_NE(cfg.validate().find("mutually exclusive"),
-              std::string::npos);
-
-    // The legacy accounting-only key cannot exceed tREFIab: the state
-    // cannot outlast the external refresh schedule it claims to
-    // replace (DDR3-1333: tREFIab = 2600 cycles).
-    cfg = ExperimentConfig{};
-    cfg.selfRefreshIdle = 3000;
-    const std::string err = cfg.validate();
-    EXPECT_NE(err.find("energy.selfRefreshIdle"), std::string::npos);
-    EXPECT_NE(err.find("refresh.selfRefresh.idleEntry"),
-              std::string::npos);
-    cfg.selfRefreshIdle = 2000;
     EXPECT_EQ(cfg.validate(), "") << cfg.validate();
 
     // refresh.fgrRate accepts only 0/1/2/4.

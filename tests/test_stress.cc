@@ -82,14 +82,13 @@ struct StressOutcome
 
 template <typename TraceT>
 StressOutcome
-runStress(RefreshMode mode, bool sarp, int cores = 2)
+runStress(const char *policy, int cores = 2)
 {
     SystemConfig cfg;
     cfg.numCores = cores;
     cfg.mem.org.channels = 1;
     cfg.mem.density = Density::k32Gb;
-    cfg.mem.refresh = mode;
-    cfg.mem.sarp = sarp;
+    cfg.mem.policy = policy;
     cfg.enableChecker = true;
     cfg.finalize();
 
@@ -116,16 +115,15 @@ runStress(RefreshMode mode, bool sarp, int cores = 2)
 
 TEST(Stress, SingleRowHammerPerBank)
 {
-    for (RefreshMode mode : {RefreshMode::kAllBank, RefreshMode::kPerBank,
-                             RefreshMode::kDarp}) {
-        const StressOutcome out = runStress<SingleRowTrace>(mode, false);
-        EXPECT_GT(out.reads, 1000u) << refreshModeName(mode);
+    for (const char *mech : {"REFab", "REFpb", "DARP"}) {
+        const StressOutcome out = runStress<SingleRowTrace>(mech);
+        EXPECT_GT(out.reads, 1000u) << mech;
         EXPECT_TRUE(out.report.ok())
-            << refreshModeName(mode) << ": "
+            << mech << ": "
             << (out.report.violations.empty()
                     ? ""
                     : out.report.violations.front());
-        EXPECT_GT(out.report.refreshesChecked, 0u) << refreshModeName(mode);
+        EXPECT_GT(out.report.refreshesChecked, 0u) << mech;
     }
 }
 
@@ -133,8 +131,7 @@ TEST(Stress, SingleRowHammerWithSarp)
 {
     // The hammered row's subarray periodically refreshes; SARP must
     // arbitrate the conflicts legally.
-    const StressOutcome out = runStress<SingleRowTrace>(
-        RefreshMode::kDarp, true);
+    const StressOutcome out = runStress<SingleRowTrace>("DSARP");
     EXPECT_GT(out.reads, 1000u);
     EXPECT_TRUE(out.report.ok()) << (out.report.violations.empty()
                                          ? ""
@@ -143,11 +140,11 @@ TEST(Stress, SingleRowHammerWithSarp)
 
 TEST(Stress, WriteFloodDrainsAndRefreshes)
 {
-    for (RefreshMode mode : {RefreshMode::kPerBank, RefreshMode::kDarp}) {
-        const StressOutcome out = runStress<WriteFloodTrace>(mode, false);
-        EXPECT_GT(out.instructions, 5000u) << refreshModeName(mode);
+    for (const char *mech : {"REFpb", "DARP"}) {
+        const StressOutcome out = runStress<WriteFloodTrace>(mech);
+        EXPECT_GT(out.instructions, 5000u) << mech;
         EXPECT_TRUE(out.report.ok())
-            << refreshModeName(mode) << ": "
+            << mech << ": "
             << (out.report.violations.empty()
                     ? ""
                     : out.report.violations.front());
@@ -160,8 +157,7 @@ TEST(Stress, SingleRankGeometry)
     cfg.numCores = 2;
     cfg.mem.org.channels = 1;
     cfg.mem.org.ranksPerChannel = 1;
-    cfg.mem.refresh = RefreshMode::kDarp;
-    cfg.mem.sarp = true;
+    cfg.mem.policy = "DSARP";
     cfg.enableChecker = true;
     System sys(cfg, {10, 15});
     sys.run(Tick(0) + 10 * sys.timing().tRefiAb);
@@ -179,7 +175,7 @@ TEST(Stress, FourRankGeometry)
     cfg.numCores = 4;
     cfg.mem.org.channels = 1;
     cfg.mem.org.ranksPerChannel = 4;
-    cfg.mem.refresh = RefreshMode::kPerBank;
+    cfg.mem.policy = "REFpb";
     cfg.enableChecker = true;
     System sys(cfg, {10, 12, 14, 16});
     sys.run(Tick(0) + 8 * sys.timing().tRefiAb);
@@ -199,8 +195,7 @@ TEST(Stress, TinyQueuesStillProgress)
     cfg.mem.writeQueueSize = 8;
     cfg.mem.writeHighWatermark = 6;
     cfg.mem.writeLowWatermark = 2;
-    cfg.mem.refresh = RefreshMode::kDarp;
-    cfg.mem.sarp = true;
+    cfg.mem.policy = "DSARP";
     System sys(cfg, {10, 14, 16, 17});
     sys.run(30000);
     std::uint64_t reads = 0;

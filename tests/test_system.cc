@@ -16,13 +16,12 @@ using namespace dsarp;
 namespace {
 
 SystemConfig
-config(RefreshMode mode, bool sarp = false, Density d = Density::k32Gb)
+config(const char *policy, Density d = Density::k32Gb)
 {
     SystemConfig cfg;
     cfg.numCores = 4;
     cfg.mem.density = d;
-    cfg.mem.refresh = mode;
-    cfg.mem.sarp = sarp;
+    cfg.mem.policy = policy;
     cfg.seed = 3;
     return cfg;
 }
@@ -65,31 +64,27 @@ runSystem(const SystemConfig &cfg, Tick ticks)
 TEST(SystemIntegration, EveryMechanismMakesProgress)
 {
     const Tick window = 50000;
-    for (RefreshMode mode :
-         {RefreshMode::kNoRefresh, RefreshMode::kAllBank,
-          RefreshMode::kPerBank, RefreshMode::kElastic, RefreshMode::kDarp,
-          RefreshMode::kFgr2x, RefreshMode::kFgr4x,
-          RefreshMode::kAdaptive}) {
-        const RunSummary s = runSystem(config(mode), window);
-        EXPECT_GT(s.reads, 1000u) << refreshModeName(mode);
-        EXPECT_GT(s.writes, 100u) << refreshModeName(mode);
-        EXPECT_GT(s.instructions, 10000u) << refreshModeName(mode);
+    for (const char *mech : {"NoREF", "REFab", "REFpb", "Elastic", "DARP",
+                             "FGR2x", "FGR4x", "AR"}) {
+        const RunSummary s = runSystem(config(mech), window);
+        EXPECT_GT(s.reads, 1000u) << mech;
+        EXPECT_GT(s.writes, 100u) << mech;
+        EXPECT_GT(s.instructions, 10000u) << mech;
     }
 }
 
 TEST(SystemIntegration, SarpVariantsMakeProgress)
 {
     const Tick window = 50000;
-    for (RefreshMode mode : {RefreshMode::kAllBank, RefreshMode::kPerBank,
-                             RefreshMode::kDarp}) {
-        const RunSummary s = runSystem(config(mode, true), window);
-        EXPECT_GT(s.reads, 1000u) << refreshModeName(mode) << "+SARP";
+    for (const char *mech : {"SARPab", "SARPpb", "DSARP"}) {
+        const RunSummary s = runSystem(config(mech), window);
+        EXPECT_GT(s.reads, 1000u) << mech;
     }
 }
 
 TEST(SystemIntegration, RefreshCadenceMatchesMechanism)
 {
-    SystemConfig cfg = config(RefreshMode::kAllBank);
+    SystemConfig cfg = config("REFab");
     System sys(cfg, intensiveMix());
     const Tick window = Tick(0) + 12 * sys.timing().tRefiAb;
     const RunSummary ab = runSystem(cfg, window);
@@ -98,7 +93,7 @@ TEST(SystemIntegration, RefreshCadenceMatchesMechanism)
     EXPECT_LE(ab.refAb, 48u);
     EXPECT_EQ(ab.refPb, 0u);
 
-    const RunSummary pb = runSystem(config(RefreshMode::kPerBank), window);
+    const RunSummary pb = runSystem(config("REFpb"), window);
     EXPECT_EQ(pb.refAb, 0u);
     EXPECT_GE(pb.refPb, 40u * 8u * 8u / 10u);  // ~8x the REFab count.
 }
@@ -108,12 +103,10 @@ TEST(SystemIntegration, RefreshImpactOrdering)
     // The paper's core result, qualitatively: NoREF >= DSARP >= REFpb
     // >= REFab in served instructions for intensive workloads at 32 Gb.
     const Tick window = 150000;
-    const RunSummary ab = runSystem(config(RefreshMode::kAllBank), window);
-    const RunSummary pb = runSystem(config(RefreshMode::kPerBank), window);
-    const RunSummary dsarp =
-        runSystem(config(RefreshMode::kDarp, true), window);
-    const RunSummary ideal =
-        runSystem(config(RefreshMode::kNoRefresh), window);
+    const RunSummary ab = runSystem(config("REFab"), window);
+    const RunSummary pb = runSystem(config("REFpb"), window);
+    const RunSummary dsarp = runSystem(config("DSARP"), window);
+    const RunSummary ideal = runSystem(config("NoREF"), window);
 
     EXPECT_GT(pb.instructions, ab.instructions);
     EXPECT_GT(dsarp.instructions, pb.instructions);
@@ -128,11 +121,9 @@ TEST(SystemIntegration, RefreshImpactOrdering)
 
 TEST(SystemIntegration, AllMechanismStreamsAreLegal)
 {
-    for (RefreshMode mode :
-         {RefreshMode::kAllBank, RefreshMode::kPerBank,
-          RefreshMode::kElastic, RefreshMode::kDarp, RefreshMode::kFgr2x,
-          RefreshMode::kFgr4x, RefreshMode::kAdaptive}) {
-        SystemConfig cfg = config(mode);
+    for (const char *mech : {"REFab", "REFpb", "Elastic", "DARP", "FGR2x",
+                             "FGR4x", "AR"}) {
+        SystemConfig cfg = config(mech);
         cfg.enableChecker = true;
         System sys(cfg, intensiveMix());
         sys.run(40000);
@@ -141,7 +132,7 @@ TEST(SystemIntegration, AllMechanismStreamsAreLegal)
                 verifyCommandLog(sys.commandLog(ch), sys.config().mem,
                                  sys.timing(), sys.now());
             EXPECT_TRUE(report.ok())
-                << refreshModeName(mode) << " ch" << ch << ": "
+                << mech << " ch" << ch << ": "
                 << (report.violations.empty() ? ""
                                               : report.violations.front());
         }
@@ -151,7 +142,7 @@ TEST(SystemIntegration, AllMechanismStreamsAreLegal)
 TEST(SystemIntegration, WriteForwardingServesReads)
 {
     // A write-heavy workload: some reads will hit queued writebacks.
-    SystemConfig cfg = config(RefreshMode::kPerBank);
+    SystemConfig cfg = config("REFpb");
     System sys(cfg, {benchmarkIndex("lbm-like"),
                      benchmarkIndex("stream-like"),
                      benchmarkIndex("lbm-like"),
@@ -168,7 +159,7 @@ TEST(SystemIntegration, WriteForwardingServesReads)
 
 TEST(SystemIntegration, WritebackModeEngagesUnderWritePressure)
 {
-    SystemConfig cfg = config(RefreshMode::kPerBank);
+    SystemConfig cfg = config("REFpb");
     System sys(cfg, {benchmarkIndex("lbm-like"), benchmarkIndex("lbm-like"),
                      benchmarkIndex("stream-like"),
                      benchmarkIndex("lbm-like")});
@@ -181,8 +172,8 @@ TEST(SystemIntegration, WritebackModeEngagesUnderWritePressure)
 
 TEST(SystemIntegration, DeterministicReplay)
 {
-    const RunSummary a = runSystem(config(RefreshMode::kDarp, true), 30000);
-    const RunSummary b = runSystem(config(RefreshMode::kDarp, true), 30000);
+    const RunSummary a = runSystem(config("DSARP"), 30000);
+    const RunSummary b = runSystem(config("DSARP"), 30000);
     EXPECT_EQ(a.reads, b.reads);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.refPb, b.refPb);
@@ -190,7 +181,7 @@ TEST(SystemIntegration, DeterministicReplay)
 
 TEST(SystemIntegration, ResetStatsKeepsRunning)
 {
-    SystemConfig cfg = config(RefreshMode::kDarp);
+    SystemConfig cfg = config("DARP");
     System sys(cfg, intensiveMix());
     sys.run(20000);
     sys.resetStats();
@@ -203,7 +194,7 @@ TEST(SystemIntegration, ResetStatsKeepsRunning)
 TEST(SystemIntegration, CustomTraceSources)
 {
     // The second public constructor: caller-owned trace sources.
-    SystemConfig cfg = config(RefreshMode::kPerBank);
+    SystemConfig cfg = config("REFpb");
     cfg.numCores = 2;
     cfg.finalize();
     AddressMap map(cfg.mem.org);

@@ -6,20 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include "dram/spec.hh"
 #include "dram/timing.hh"
+#include "refresh/registry.hh"
 
 using namespace dsarp;
 
 namespace {
 
 MemConfig
-cfgFor(Density d, int retention_ms = 32,
-       RefreshMode mode = RefreshMode::kAllBank)
+cfgFor(Density d, int retention_ms = 32, const char *policy = "REFab")
 {
     MemConfig cfg;
     cfg.density = d;
     cfg.retentionMs = retention_ms;
-    cfg.refresh = mode;
+    cfg.policy = policy;
+    RefreshPolicyRegistry::instance().resolve(cfg);
     cfg.finalize();
     return cfg;
 }
@@ -37,7 +39,7 @@ TEST(Timing, NsToCycles)
 
 TEST(Timing, Ddr3CoreParameters)
 {
-    const TimingParams t = TimingParams::ddr3_1333(cfgFor(Density::k8Gb));
+    const TimingParams t = TimingParams::forConfig(cfgFor(Density::k8Gb));
     EXPECT_EQ(t.tCl, 9);
     EXPECT_EQ(t.tCwl, 7);
     EXPECT_EQ(t.tRcd, 9);
@@ -50,7 +52,7 @@ TEST(Timing, Ddr3CoreParameters)
 
 TEST(Timing, RefreshIntervals32ms)
 {
-    const TimingParams t = TimingParams::ddr3_1333(cfgFor(Density::k8Gb));
+    const TimingParams t = TimingParams::forConfig(cfgFor(Density::k8Gb));
     // 32 ms / 8192 = 3.9 us = 2604 cycles at 1.5 ns.
     EXPECT_NEAR(static_cast<double>(t.tRefiAb.count()), 2604.0, 2.0);
     EXPECT_EQ(t.tRefiPb, t.tRefiAb / 8);
@@ -59,17 +61,17 @@ TEST(Timing, RefreshIntervals32ms)
 TEST(Timing, RefreshIntervals64ms)
 {
     const TimingParams t =
-        TimingParams::ddr3_1333(cfgFor(Density::k8Gb, 64));
+        TimingParams::forConfig(cfgFor(Density::k8Gb, 64));
     EXPECT_NEAR(static_cast<double>(t.tRefiAb.count()), 5208.0, 4.0);
 }
 
 TEST(Timing, RefreshLatencyScalesWithDensity)
 {
-    const TimingParams t8 = TimingParams::ddr3_1333(cfgFor(Density::k8Gb));
+    const TimingParams t8 = TimingParams::forConfig(cfgFor(Density::k8Gb));
     const TimingParams t16 =
-        TimingParams::ddr3_1333(cfgFor(Density::k16Gb));
+        TimingParams::forConfig(cfgFor(Density::k16Gb));
     const TimingParams t32 =
-        TimingParams::ddr3_1333(cfgFor(Density::k32Gb));
+        TimingParams::forConfig(cfgFor(Density::k32Gb));
     EXPECT_EQ(t8.tRfcAb, 234);   // 350 ns.
     EXPECT_EQ(t16.tRfcAb, 354);  // 530 ns.
     EXPECT_EQ(t32.tRfcAb, 594);  // 890 ns.
@@ -78,7 +80,7 @@ TEST(Timing, RefreshLatencyScalesWithDensity)
 TEST(Timing, PerBankRatioIs2Point3)
 {
     for (Density d : {Density::k8Gb, Density::k16Gb, Density::k32Gb}) {
-        const TimingParams t = TimingParams::ddr3_1333(cfgFor(d));
+        const TimingParams t = TimingParams::forConfig(cfgFor(d));
         const double ratio = static_cast<double>(t.tRfcAb.count()) /
             static_cast<double>(t.tRfcPb.count());
         EXPECT_NEAR(ratio, 2.3, 0.03) << densityName(d);
@@ -89,25 +91,25 @@ TEST(Timing, PerBankRatioIs2Point3)
 
 TEST(Timing, RowsPerRefresh)
 {
-    EXPECT_EQ(TimingParams::ddr3_1333(cfgFor(Density::k8Gb)).rowsPerRefresh,
+    EXPECT_EQ(TimingParams::forConfig(cfgFor(Density::k8Gb)).rowsPerRefresh,
               8);
     EXPECT_EQ(
-        TimingParams::ddr3_1333(cfgFor(Density::k16Gb)).rowsPerRefresh, 16);
+        TimingParams::forConfig(cfgFor(Density::k16Gb)).rowsPerRefresh, 16);
     EXPECT_EQ(
-        TimingParams::ddr3_1333(cfgFor(Density::k32Gb)).rowsPerRefresh, 32);
+        TimingParams::forConfig(cfgFor(Density::k32Gb)).rowsPerRefresh, 32);
     // Retention does not change per-command coverage.
     EXPECT_EQ(
-        TimingParams::ddr3_1333(cfgFor(Density::k8Gb, 64)).rowsPerRefresh,
+        TimingParams::forConfig(cfgFor(Density::k8Gb, 64)).rowsPerRefresh,
         8);
 }
 
 TEST(Timing, FgrScaling)
 {
-    const TimingParams base = TimingParams::ddr3_1333(cfgFor(Density::k32Gb));
-    const TimingParams f2 = TimingParams::ddr3_1333(
-        cfgFor(Density::k32Gb, 32, RefreshMode::kFgr2x));
-    const TimingParams f4 = TimingParams::ddr3_1333(
-        cfgFor(Density::k32Gb, 32, RefreshMode::kFgr4x));
+    const TimingParams base = TimingParams::forConfig(cfgFor(Density::k32Gb));
+    const TimingParams f2 = TimingParams::forConfig(
+        cfgFor(Density::k32Gb, 32, "FGR2x"));
+    const TimingParams f4 = TimingParams::forConfig(
+        cfgFor(Density::k32Gb, 32, "FGR4x"));
 
     EXPECT_EQ(f2.tRefiAb, base.tRefiAb / 2);
     EXPECT_EQ(f4.tRefiAb, base.tRefiAb / 4);
@@ -134,14 +136,15 @@ TEST(Timing, TfawOverride)
     MemConfig cfg = cfgFor(Density::k32Gb);
     cfg.tFawOverride = 5;
     cfg.tRrdOverride = 1;
-    const TimingParams t = TimingParams::ddr3_1333(cfg);
+    const TimingParams t = TimingParams::forConfig(cfg);
     EXPECT_EQ(t.tFaw, 5);
     EXPECT_EQ(t.tRrd, 1);
 }
 
 TEST(Timing, FgrDivisors)
 {
-    EXPECT_DOUBLE_EQ(TimingParams::fgrRfcDivisor(1), 1.0);
-    EXPECT_DOUBLE_EQ(TimingParams::fgrRfcDivisor(2), 1.35);
-    EXPECT_DOUBLE_EQ(TimingParams::fgrRfcDivisor(4), 1.63);
+    // The paper's Section 6.5 DDR3 projections, carried by the spec.
+    const DramSpec &ddr3 = DramSpecRegistry::instance().at("DDR3-1333");
+    EXPECT_DOUBLE_EQ(ddr3.fgrDivisor2x, 1.35);
+    EXPECT_DOUBLE_EQ(ddr3.fgrDivisor4x, 1.63);
 }

@@ -331,7 +331,7 @@ class TrafficRun : public ::testing::Test
     static RunConfig
     trafficPoint(const std::string &mode)
     {
-        RunConfig cfg = mechDsarp(Density::k8Gb);
+        RunConfig cfg = mechNamed("DSARP", Density::k8Gb);
         cfg.traffic.mode = mode;
         cfg.traffic.ratePerKilocycle = 60.0;
         cfg.traffic.hotRowPct = 30.0;
@@ -466,7 +466,7 @@ TEST_F(TrafficRun, ClosedLoopRunsStillPopulateLatencyHistogram)
     // run path, not just traffic runs.
     const auto workloads = makeIntensiveWorkloads(1, 8, 5);
     const RunResult res =
-        runner_->run(mechRefAb(Density::k8Gb), workloads[0]);
+        runner_->run(mechNamed("REFab", Density::k8Gb), workloads[0]);
     EXPECT_GT(res.readLatency.count(), 0u);
     EXPECT_EQ(res.readLatency.count(), res.readsCompleted);
     EXPECT_GT(res.readLatency.percentile(99), 0.0);
