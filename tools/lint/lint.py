@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint for invariants the compiler cannot see.
 
-Five checks, each born from a real bug class in this codebase:
+Six checks, each born from a real bug class in this codebase:
 
 1. unit-honest-conversion -- no raw arithmetic against the clock
    period (``/ tCkNs`` or ``* tCkNs``) outside the two blessed
@@ -42,6 +42,13 @@ Five checks, each born from a real bug class in this codebase:
    DSARP_REGISTER_*`` registrar family under src/ is matched by this
    linter's REGISTRAR_RE (check 3).  A checker without a seed rots
    silently: the gate keeps passing after the check stops firing.
+
+6. tags-by-name-only -- no assignment to a config's ``.refresh``,
+   ``.sarp`` or ``.hira`` tag outside the policies' own translation
+   units, src/refresh/*.cc.  RefreshPolicyRegistry::resolve() resets
+   all three from MemConfig::policy, so a stray
+   ``cfg.mem.refresh = RefreshMode::kDarp`` would silently run REFab;
+   select the mechanism by setting ``policy`` instead.
 
 Exit status 0 when clean, 1 with findings (one ``file:line: message``
 per line), 2 on usage errors.  ``--self-test`` seeds one violation of
@@ -88,6 +95,11 @@ THREAD_SPAWN_TUS = {
 # or any std::async launch.
 THREAD_SPAWN_RE = re.compile(
     r"std::j?thread\b(?!\s*::)|std::async\b")
+
+# A write to a resolve()-owned tag (`=` but not `==`), and the
+# translation units allowed one: the policies' config bundles.
+TAG_WRITE_RE = re.compile(r"[.>]\s*(refresh|sarp|hira)\s*=[^=]")
+TAG_WRITE_DIR = Path("src/refresh")
 
 SOURCE_GLOBS = ("src/**/*.cc", "src/**/*.hh", "tests/*.cc",
                 "bench/*.cc", "bench/*.hh", "tools/*.cc",
@@ -199,6 +211,22 @@ def check_thread_spawns(root, findings):
                     "SweepRunner (the audited spawn point)")
 
 
+def check_tag_writes(root, findings):
+    for path in source_files(root):
+        rel = path.relative_to(root)
+        if rel.parent == TAG_WRITE_DIR and rel.suffix == ".cc":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if COMMENT_RE.match(line):
+                continue
+            m = TAG_WRITE_RE.search(line)
+            if m:
+                findings.append(
+                    f"{rel}:{lineno}: assignment to the '{m.group(1)}' "
+                    "tag outside src/refresh/*.cc; resolve() resets it "
+                    "from MemConfig::policy, so set policy instead")
+
+
 ANALYZER_REL = Path("tools/analyze/dsarp_analyze.py")
 RULES_NAME_RE = re.compile(r'^\s*"([a-z][a-z-]*)"')
 REGISTRAR_DEFINE_RE = re.compile(r"#define\s+DSARP_REGISTER_(\w+)\s*\(")
@@ -266,6 +294,7 @@ def run_checks(root):
     check_registrars(root, findings)
     check_thread_spawns(root, findings)
     check_selftest_coverage(root, findings)
+    check_tag_writes(root, findings)
     return findings
 
 
@@ -311,12 +340,17 @@ def self_test():
         # 5c. A registrar family REGISTRAR_RE does not know about.
         (root / "src/sim/new_registry.hh").write_text(
             "#define DSARP_REGISTER_FROBNICATOR(ident, ...) x\n")
+        # 6. A tag written outside a policy's translation unit.
+        (root / "tests/test_tag.cc").write_text(
+            "void f(SystemConfig &cfg)\n"
+            "{ cfg.mem.refresh = RefreshMode::kDarp; }\n")
 
         findings = run_checks(root)
         for needle in ("raw tCK arithmetic", "respelled",
                        "exactly one TU", "raw thread spawn",
                        "no SELF_TEST_SEEDS entry", "no seed corpus",
-                       "not covered by lint.py REGISTRAR_RE"):
+                       "not covered by lint.py REGISTRAR_RE",
+                       "assignment to the 'refresh' tag"):
             if not any(needle in f for f in findings):
                 failures.append(f"self-test: no finding matching "
                                 f"'{needle}' in {findings}")
@@ -356,6 +390,18 @@ def self_test():
         for f in run_checks(root):
             if "thread spawn" in f:
                 failures.append(f"self-test: exempt spawn flagged: {f}")
+
+        # A policy's config bundle may set the tags, and comparisons
+        # are not assignments (counterexamples for 6).
+        (root / "tests/test_tag.cc").unlink()
+        (root / "src/refresh").mkdir()
+        (root / "src/refresh/my_policy.cc").write_text(
+            "void bundle(MemConfig &m) { m.sarp = true; }\n")
+        (root / "src/sim/query_tag.cc").write_text(
+            "bool f(const MemConfig *c) { return c->hira == true; }\n")
+        for f in run_checks(root):
+            if "tag outside src/refresh" in f:
+                failures.append(f"self-test: exempt tag use flagged: {f}")
 
     # The real tree must currently be clean, or the lint gate is dead
     # on arrival.
