@@ -13,6 +13,10 @@
  * fast path's certificate, or the energy model trips these literals
  * loudly.
  *
+ * Two more goldens assemble the same run from key=value overrides
+ * through the Simulation builder, so the path from a config key to
+ * the SystemConfig the System runs is pinned too.
+ *
  * Each golden also pins the run's command-stream digest (every
  * command's tick, type and target, in issue order), which moves on a
  * reordered command that leaves every counter and speedup unchanged.
@@ -27,7 +31,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/runner.hh"
+#include "sim/simulation.hh"
 #include "workload/workload.hh"
 
 using namespace dsarp;
@@ -49,6 +57,25 @@ goldenRun(const std::string &spec, const std::string &policy,
     sys.mem.org.banksPerRank = banksPerRank;
     const Workload w = makeWorkloads(1, 8, 1)[2];  // The 50% category.
     return runner.run(sys, w);
+}
+
+/**
+ * The same fixed-scale run (8 cores, 32 Gb, the 50% mix, 2000 + 20000
+ * cycles) assembled the way dsarp_sim assembles it: key=value
+ * overrides through the Simulation builder. Pins the path from a key
+ * to the SystemConfig the System runs.
+ */
+RunResult
+keyPathRun(const std::vector<std::string> &overrides)
+{
+    Simulation::Builder builder = Simulation::builder();
+    for (const std::string &assignment : overrides)
+        builder.apply(assignment);
+    return builder.apply("intensityPct=50")
+        .apply("warmupCycles=2000")
+        .apply("measureCycles=20000")
+        .build()
+        .run();
 }
 
 } // namespace
@@ -124,4 +151,29 @@ TEST(GoldenBaselines, Ddr5SelfRefreshDsarpPinned)
     EXPECT_EQ(res.srEnters, 23u);
     EXPECT_EQ(res.srExits, 22u);
     EXPECT_EQ(res.cmdDigest, 0xaa766736ef0b734eULL);
+}
+
+TEST(GoldenBaselines, KeyPathHiraKnobsPinned)
+{
+    // HiRA's delay, overlapped per-bank refresh, both write watermarks
+    // and the even cross-channel stagger, each set by its key.
+    const RunResult res = keyPathRun(
+        {"policy=HiRA", "refresh.hiraDelay=8", "maxOverlappedRefPb=2",
+         "writeHighWatermark=40", "writeLowWatermark=16",
+         "refresh.channelStagger=-1"});
+    EXPECT_NEAR(res.ws, 4.2207915563313581, 1e-9);
+    EXPECT_EQ(res.refPbHidden, 657u);
+    EXPECT_EQ(res.cmdDigest, 0xe16f6062bb5b5e84ULL);
+}
+
+TEST(GoldenBaselines, KeyPathRefabKnobsPinned)
+{
+    // REFab's rank stagger, an explicit zero low watermark and an
+    // explicit cross-channel stagger, each set by its key.
+    const RunResult res = keyPathRun(
+        {"policy=REFab", "refabStaggerDivisor=2", "writeLowWatermark=0",
+         "writeHighWatermark=48", "refresh.channelStagger=700"});
+    EXPECT_NEAR(res.ws, 2.5578814924087001, 1e-9);
+    EXPECT_EQ(res.refAb, 31u);
+    EXPECT_EQ(res.cmdDigest, 0xc908612be810cd45ULL);
 }
