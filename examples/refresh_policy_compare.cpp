@@ -40,8 +40,8 @@ main()
         // (same-bank refresh has no DDR3 command, for instance); a
         // probe validation skips those instead of dying mid-walk.
         ExperimentConfig probe;
-        probe.policy = mech;
-        probe.densityGb = 32;
+        probe.sys.mem.policy = mech;
+        probe.sys.mem.density = Density::k32Gb;
         if (!probe.validate().empty()) {
             std::printf("%-9s %s\n", mech.c_str(),
                         "(unsupported by this DRAM spec; skipped)");

@@ -8,6 +8,7 @@
 #include "common/log.hh"
 #include "dram/address.hh"
 #include "dram/spec.hh"
+#include "refresh/registry.hh"
 #include "sim/config_keys.hh"
 
 namespace dsarp {
@@ -67,13 +68,15 @@ MemConfig::validate() const
     atLeastOne(keys::kBanksPerRank, org.banksPerRank);
     atLeastOne(keys::kSubarraysPerBank, org.subarraysPerBank);
     if (org.ranksPerChannel > MemOrg::kMaxRanksPerChannel) {
-        fail("config key 'ranksPerChannel' must be <= " +
+        fail(std::string("config key '") + keys::kRanksPerChannel +
+             "' must be <= " +
              std::to_string(MemOrg::kMaxRanksPerChannel) + " (got " +
              std::to_string(org.ranksPerChannel) + ")");
     } else if (org.ranksPerChannel >= 1 && org.banksPerRank >= 1 &&
                org.banksPerRank > MemOrg::kMaxBanksPerChannel /
                                       org.ranksPerChannel) {
-        fail("config keys 'ranksPerChannel' x 'banksPerRank' (" +
+        fail(std::string("config keys '") + keys::kRanksPerChannel +
+             "' x '" + keys::kBanksPerRank + "' (" +
              std::to_string(org.ranksPerChannel) + " x " +
              std::to_string(org.banksPerRank) + ") must be <= " +
              std::to_string(MemOrg::kMaxBanksPerChannel) +
@@ -84,18 +87,19 @@ MemConfig::validate() const
     // power-of-two subarray count that tiles the bank's rows evenly.
     if (org.subarraysPerBank >= 1 &&
         (org.subarraysPerBank & (org.subarraysPerBank - 1)) != 0) {
-        fail("config key 'subarraysPerBank' must be a power of two "
-             "(got " + std::to_string(org.subarraysPerBank) + ")");
+        fail(std::string("config key '") + keys::kSubarraysPerBank +
+             "' must be a power of two (got " +
+             std::to_string(org.subarraysPerBank) + ")");
     } else if (org.subarraysPerBank >= 1 &&
                org.rowsPerBank % org.subarraysPerBank != 0) {
-        fail("config key 'subarraysPerBank' (" +
-             std::to_string(org.subarraysPerBank) + ") must divide "
+        fail(std::string("config key '") + keys::kSubarraysPerBank +
+             "' (" + std::to_string(org.subarraysPerBank) + ") must divide "
              "rowsPerBank (" + std::to_string(org.rowsPerBank) + ")");
     }
     if (org.lineBytes < 1 || org.rowBytes < 1 ||
         org.rowBytes % org.lineBytes != 0) {
-        fail("config key 'lineBytes' (" +
-             std::to_string(org.lineBytes) + ") must divide rowBytes (" +
+        fail("MemOrg::lineBytes (" + std::to_string(org.lineBytes) +
+             ") must divide MemOrg::rowBytes (" +
              std::to_string(org.rowBytes) + ")");
     } else if (const DramSpec *spec =
                    DramSpecRegistry::instance().find(dramSpec)) {
@@ -104,13 +108,13 @@ MemConfig::validate() const
         // tile the row evenly.
         const int burst = spec->burstBytes();
         if (org.lineBytes > burst || burst % org.lineBytes != 0) {
-            fail("config key 'lineBytes' (" +
+            fail("MemOrg::lineBytes (" +
                  std::to_string(org.lineBytes) + ") is inconsistent "
                  "with DRAM spec '" + spec->name + "': one burst "
                  "transfers " + std::to_string(burst) + " bytes (2 x "
                  "tBl x bus width); lines must evenly divide a burst");
         } else if (org.rowBytes % burst != 0) {
-            fail("config key 'rowBytes' (" +
+            fail("MemOrg::rowBytes (" +
                  std::to_string(org.rowBytes) + ") must be a multiple "
                  "of DRAM spec '" + spec->name + "' burst size (" +
                  std::to_string(burst) + " bytes)");
@@ -128,48 +132,50 @@ MemConfig::validate() const
     };
     queueBound(keys::kReadQueueSize, readQueueSize);
     queueBound(keys::kWriteQueueSize, writeQueueSize);
-    if (writeLowWatermark >= writeHighWatermark) {
-        fail("config key 'writeLowWatermark' (" +
-             std::to_string(writeLowWatermark) + "): low watermark must "
-             "be below writeHighWatermark (" +
+    atLeastOne(keys::kWriteHighWatermark, writeHighWatermark);
+    if (writeHighWatermark >= 1 && writeLowWatermark >= writeHighWatermark) {
+        fail(std::string("config key '") + keys::kWriteLowWatermark +
+             "' (" + std::to_string(writeLowWatermark) +
+             "): low watermark must be below writeHighWatermark (" +
              std::to_string(writeHighWatermark) + ")");
     }
     if (writeHighWatermark > writeQueueSize) {
-        fail("config key 'writeHighWatermark' (" +
-             std::to_string(writeHighWatermark) + "): high watermark "
-             "exceeds writeQueueSize (" + std::to_string(writeQueueSize) +
-             ")");
+        fail(std::string("config key '") + keys::kWriteHighWatermark +
+             "' (" + std::to_string(writeHighWatermark) +
+             "): high watermark exceeds writeQueueSize (" +
+             std::to_string(writeQueueSize) + ")");
     }
     if (writeLowWatermark < 0) {
-        fail("config key 'writeLowWatermark' must be >= 0 (got " +
-             std::to_string(writeLowWatermark) + ")");
+        fail(std::string("config key '") + keys::kWriteLowWatermark +
+             "' must be >= 0 (got " + std::to_string(writeLowWatermark) +
+             ")");
     }
 
     if (retentionMs != 32 && retentionMs != 64) {
-        fail("config key 'retentionMs' must be 32 or 64 (got " +
-             std::to_string(retentionMs) + "); retention is modeled "
-             "only at the paper's two settings");
+        fail(std::string("config key '") + keys::kRetentionMs +
+             "' must be 32 or 64 (got " + std::to_string(retentionMs) +
+             "); retention is modeled only at the paper's two settings");
     }
     atLeastOne(keys::kRefabStaggerDivisor, refabStaggerDivisor);
     atLeastOne(keys::kMaxOverlappedRefPb, maxOverlappedRefPb);
     if (tFawOverride < 0 || tRrdOverride < 0) {
-        fail("config keys 'tFawOverride'/'tRrdOverride' must be >= 0 "
-             "(got " + std::to_string(tFawOverride) + "/" +
+        fail(std::string("config keys '") + keys::kTFawOverride + "'/'" +
+             keys::kTRrdOverride + "' must be >= 0 (got " +
+             std::to_string(tFawOverride) + "/" +
              std::to_string(tRrdOverride) + ")");
     }
     if (sarpInflationAb < 1.0 || sarpInflationPb < 1.0) {
-        fail("config keys 'sarpInflationAb'/'sarpInflationPb' must be "
-             ">= 1.0: SARP inflates tFAW/tRRD during refresh, never "
-             "shrinks them");
+        fail("MemConfig::sarpInflationAb/sarpInflationPb must be >= 1.0: "
+             "SARP inflates tFAW/tRRD during refresh, never shrinks them");
     }
     if (sameBankGroupSize < 0) {
-        fail("config key 'refresh.samebank.groupSize' must be >= 0, 0 "
-             "for the spec's bank-group geometry (got " +
+        fail(std::string("config key '") + keys::kSameBankGroupSize +
+             "' must be >= 0, 0 for the spec's bank-group geometry (got " +
              std::to_string(sameBankGroupSize) + ")");
     } else if (sameBankGroupSize > 0 &&
                org.banksPerRank % sameBankGroupSize != 0) {
-        fail("config key 'refresh.samebank.groupSize' (" +
-             std::to_string(sameBankGroupSize) + ") must divide "
+        fail(std::string("config key '") + keys::kSameBankGroupSize +
+             "' (" + std::to_string(sameBankGroupSize) + ") must divide "
              "banksPerRank (" + std::to_string(org.banksPerRank) + ")");
     }
     if (const DramSpec *spec =
@@ -179,13 +185,13 @@ MemConfig::validate() const
             // the REFsb policy nor a slice-size override can conjure
             // it.
             if (refresh == RefreshMode::kSameBank) {
-                fail("config key 'policy': same-bank refresh (REFsb) "
-                     "requires a DRAM spec with bank-group refresh "
-                     "support; '" + spec->name + "' declares none "
-                     "(try DDR5-4800)");
+                fail(std::string("config key '") + keys::kPolicy +
+                     "': same-bank refresh (REFsb) requires a DRAM spec "
+                     "with bank-group refresh support; '" + spec->name +
+                     "' declares none (try DDR5-4800)");
             } else if (sameBankGroupSize > 0) {
-                fail("config key 'refresh.samebank.groupSize': DRAM "
-                     "spec '" + spec->name + "' has no same-bank "
+                fail(std::string("config key '") + keys::kSameBankGroupSize +
+                     "': DRAM spec '" + spec->name + "' has no same-bank "
                      "refresh support to re-slice");
             }
         } else if (sameBankGroupSize > spec->banksPerGroup) {
@@ -193,36 +199,38 @@ MemConfig::validate() const
             // slices at or below the device's bank group; a larger
             // slice would refresh more banks in the same window than
             // the device can, which is physically impossible.
-            fail("config key 'refresh.samebank.groupSize' (" +
-                 std::to_string(sameBankGroupSize) + ") exceeds DRAM "
+            fail(std::string("config key '") + keys::kSameBankGroupSize +
+                 "' (" + std::to_string(sameBankGroupSize) + ") exceeds DRAM "
                  "spec '" + spec->name + "' bank-group size (" +
                  std::to_string(spec->banksPerGroup) + "); slices can "
                  "only be narrowed");
         }
     }
     if (srIdleEntryCycles < 0) {
-        fail("config key 'refresh.selfRefresh.idleEntry' must be >= 0 "
-             "cycles, 0 to disable command-level self-refresh (got " +
-             std::to_string(srIdleEntryCycles) + ")");
+        fail(std::string("config key '") + keys::kSrIdleEntry +
+             "' must be >= 0 cycles, 0 to disable command-level "
+             "self-refresh (got " + std::to_string(srIdleEntryCycles) +
+             ")");
     }
     if (fgrRate != 0 && fgrRate != 1 && fgrRate != 2 && fgrRate != 4) {
-        fail("config key 'refresh.fgrRate' must be 0 (profile default), "
-             "1, 2 or 4 (got " + std::to_string(fgrRate) + ")");
+        fail(std::string("config key '") + keys::kFgrRate +
+             "' must be 0 (profile default), 1, 2 or 4 (got " +
+             std::to_string(fgrRate) + ")");
     }
     if (hiraCoverage > 1.0 || (hiraCoverage < 0.0 && hiraCoverage != -1.0)) {
-        fail("config key 'refresh.hiraCoverage' must be within [0, 1], "
-             "or -1 for the spec default (got " +
+        fail(std::string("config key '") + keys::kHiraCoverage +
+             "' must be within [0, 1], or -1 for the spec default (got " +
              std::to_string(hiraCoverage) + ")");
     }
     if (hiraDelayCycles < 0) {
-        fail("config key 'refresh.hiraDelay' must be >= 0 cycles, 0 for "
-             "the spec default (got " + std::to_string(hiraDelayCycles) +
-             ")");
+        fail(std::string("config key '") + keys::kHiraDelay +
+             "' must be >= 0 cycles, 0 for the spec default (got " +
+             std::to_string(hiraDelayCycles) + ")");
     }
     if (channelStaggerCycles < -1) {
-        fail("config key 'refresh.channelStagger' must be >= 0 cycles, "
-             "0 to disable staggering or -1 for the even spread "
-             "tREFIab / channels (got " +
+        fail(std::string("config key '") + keys::kChannelStagger +
+             "' must be >= 0 cycles, 0 to disable staggering or -1 for "
+             "the even spread tREFIab / channels (got " +
              std::to_string(channelStaggerCycles) + ")");
     }
     const AddressMapRegistry &maps = AddressMapRegistry::instance();
@@ -405,28 +413,63 @@ TrafficConfig::priorityList() const
     return out;
 }
 
-void
-SystemConfig::finalize()
+std::string
+SystemConfig::validate() const
 {
-    if (numCores < 1)
-        DSARP_FATALF("config key 'numCores' must be >= 1 (got %d)",
-                     numCores);
+    std::ostringstream bad;
+    const char *sep = "";
+    auto fail = [&](const std::string &msg) {
+        if (msg.empty())
+            return;
+        bad << sep << msg;
+        sep = "; ";
+    };
+
+    const RefreshPolicyRegistry &policies = RefreshPolicyRegistry::instance();
+    const bool knownPolicy = policies.has(mem.policy);
+    if (!knownPolicy)
+        fail(policies.unknownPolicyMessage(mem.policy));
+    const DramSpecRegistry &specs = DramSpecRegistry::instance();
+    if (!specs.has(mem.dramSpec))
+        fail(specs.unknownSpecMessage(mem.dramSpec));
+    if (numCores < 1) {
+        fail(std::string("config key '") + keys::kNumCores +
+             "' must be >= 1 (got " + std::to_string(numCores) + ")");
+    }
     if (engine != "cycle" && engine != "event") {
-        DSARP_FATALF("config key 'sim.engine' must be \"cycle\" or "
-                     "\"event\" (got \"%s\")",
-                     engine.c_str());
+        fail(std::string("config key '") + keys::kSimEngine +
+             "' must be \"cycle\" or \"event\" (got \"" + engine + "\")");
     }
     if (core.cpuCyclesPerTick < 1 || core.windowSize < 1 ||
         core.retireWidth < 1 || core.mshrs < 1) {
-        DSARP_FATALF("config keys 'core.cpuCyclesPerTick'/'core."
-                     "windowSize'/'core.retireWidth'/'core.mshrs' must "
-                     "all be >= 1 (got %d/%d/%d/%d)",
-                     core.cpuCyclesPerTick, core.windowSize,
-                     core.retireWidth, core.mshrs);
+        fail("CoreConfig::cpuCyclesPerTick/windowSize/retireWidth/mshrs "
+             "must all be >= 1 (got " +
+             std::to_string(core.cpuCyclesPerTick) + "/" +
+             std::to_string(core.windowSize) + "/" +
+             std::to_string(core.retireWidth) + "/" +
+             std::to_string(core.mshrs) + ")");
     }
-    const std::string trafficErrors = traffic.validate();
-    if (!trafficErrors.empty())
-        DSARP_FATALF("invalid TrafficConfig: %s", trafficErrors.c_str());
+    fail(traffic.validate());
+
+    // The memory config as finalize() resolves it: rows derived from
+    // the density and the policy's bundle applied, so checks that
+    // depend on the mechanism (REFsb needs a spec with bank-group
+    // refresh) fire here.
+    MemConfig resolved = mem;
+    resolved.org.rowsPerBank = rowsPerBankFor(resolved.density);
+    if (knownPolicy)
+        policies.resolve(resolved);
+    fail(resolved.validate());
+    return bad.str();
+}
+
+void
+SystemConfig::finalize()
+{
+    const std::string errors = validate();
+    if (!errors.empty())
+        DSARP_FATALF("invalid SystemConfig: %s", errors.c_str());
+    RefreshPolicyRegistry::instance().resolve(mem);
     mem.finalize();
 }
 

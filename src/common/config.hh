@@ -397,8 +397,22 @@ struct SystemConfig
      */
     std::string engine = "cycle";
 
-    /** Validate core/system keys, then the memory config; a fatal
-     *  named-key error on inconsistent values. */
+    /**
+     * The one validation of a system: the policy and spec names, the
+     * core count, the engine, the core model, the traffic front end,
+     * and the memory config as finalize() resolves it (the policy's
+     * config bundle applied, rows derived from the density). Returns
+     * "" when valid, otherwise a ';'-separated list of errors, each
+     * naming the offending config key.
+     */
+    std::string validate() const;
+
+    /**
+     * validate(), then resolve the refresh policy (the named
+     * mechanism's config bundle may rewrite the timing profile
+     * TimingParams depends on) and finalize the memory config; a
+     * fatal named-key error on inconsistent values.
+     */
     void finalize();
 };
 

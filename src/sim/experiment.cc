@@ -25,7 +25,7 @@ struct KeyDesc
 };
 
 std::string
-parseInt(const std::string &value, int &out)
+parse(const std::string &value, int &out)
 {
     try {
         std::size_t pos = 0;
@@ -40,7 +40,7 @@ parseInt(const std::string &value, int &out)
 }
 
 std::string
-parseU64(const std::string &value, std::uint64_t &out)
+parse(const std::string &value, std::uint64_t &out)
 {
     try {
         std::size_t pos = 0;
@@ -55,7 +55,7 @@ parseU64(const std::string &value, std::uint64_t &out)
 }
 
 std::string
-parseDouble(const std::string &value, double &out)
+parse(const std::string &value, double &out)
 {
     try {
         std::size_t pos = 0;
@@ -70,7 +70,7 @@ parseDouble(const std::string &value, double &out)
 }
 
 std::string
-parseBool(const std::string &value, bool &out)
+parse(const std::string &value, bool &out)
 {
     const std::string v = lowered(value);
     if (v == "1" || v == "true" || v == "yes" || v == "on") {
@@ -84,51 +84,55 @@ parseBool(const std::string &value, bool &out)
     return "expected a boolean (true/false/1/0), got '" + value + "'";
 }
 
-KeyDesc
-intKey(const char *key, int ExperimentConfig::*field)
+std::string
+parse(const std::string &value, Density &out)
 {
-    return {key, [field](ExperimentConfig &cfg, const std::string &v) {
-                return parseInt(v, cfg.*field);
-            }};
+    int gb = 0;
+    const std::string err = parse(value, gb);
+    if (!err.empty())
+        return err;
+    if (gb != 8 && gb != 16 && gb != 32)
+        return "must be 8, 16 or 32 (got " + std::to_string(gb) + ")";
+    out = gb == 8 ? Density::k8Gb : gb == 16 ? Density::k16Gb
+                                             : Density::k32Gb;
+    return "";
 }
 
-KeyDesc
-u64Key(const char *key, std::uint64_t ExperimentConfig::*field)
+std::string
+parse(const std::string &value, std::string &out)
 {
-    return {key, [field](ExperimentConfig &cfg, const std::string &v) {
-                return parseU64(v, cfg.*field);
-            }};
+    out = value;
+    return "";
 }
 
-KeyDesc
-doubleKey(const char *key, double ExperimentConfig::*field)
+/** A name or a path: any non-empty string (validate() checks names
+ *  against their registries). */
+std::string
+parseName(const std::string &value, std::string &out, const char *what)
 {
-    return {key, [field](ExperimentConfig &cfg, const std::string &v) {
-                return parseDouble(v, cfg.*field);
-            }};
+    if (value.empty())
+        return std::string("expected ") + what;
+    out = value;
+    return "";
 }
 
-KeyDesc
-boolKey(const char *key, bool ExperimentConfig::*field)
-{
-    return {key, [field](ExperimentConfig &cfg, const std::string &v) {
-                return parseBool(v, cfg.*field);
-            }};
-}
+/** @name The struct a key lands in, reached from the config. */
+/// @{
+ExperimentConfig &runOf(ExperimentConfig &cfg) { return cfg; }
+SystemConfig &sysOf(ExperimentConfig &cfg) { return cfg.sys; }
+MemConfig &memOf(ExperimentConfig &cfg) { return cfg.sys.mem; }
+MemOrg &orgOf(ExperimentConfig &cfg) { return cfg.sys.mem.org; }
+TrafficConfig &trafficOf(ExperimentConfig &cfg) { return cfg.sys.traffic; }
+/// @}
 
+/** A key whose value parses straight into @p field of the struct
+ *  @p owner reaches. */
+template <typename S, typename T>
 KeyDesc
-trafficIntKey(const char *key, int TrafficConfig::*field)
+row(const char *key, S &(*owner)(ExperimentConfig &), T S::*field)
 {
-    return {key, [field](ExperimentConfig &cfg, const std::string &v) {
-                return parseInt(v, cfg.traffic.*field);
-            }};
-}
-
-KeyDesc
-trafficDoubleKey(const char *key, double TrafficConfig::*field)
-{
-    return {key, [field](ExperimentConfig &cfg, const std::string &v) {
-                return parseDouble(v, cfg.traffic.*field);
+    return {key, [owner, field](ExperimentConfig &cfg, const std::string &v) {
+                return parse(v, owner(cfg).*field);
             }};
 }
 
@@ -137,101 +141,77 @@ keyTable()
 {
     static const std::vector<KeyDesc> table = {
         {keys::kPolicy,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             if (v.empty())
-                 return "expected a refresh mechanism name";
-             cfg.policy = v;
-             return "";
+         [](ExperimentConfig &cfg, const std::string &v) {
+             return parseName(v, cfg.sys.mem.policy,
+                              "a refresh mechanism name");
          }},
         {keys::kDramSpec,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             if (v.empty())
-                 return "expected a DRAM spec name";
-             cfg.dramSpec = v;
-             return "";
+         [](ExperimentConfig &cfg, const std::string &v) {
+             return parseName(v, cfg.sys.mem.dramSpec, "a DRAM spec name");
          }},
         {keys::kAddressMap,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             if (v.empty())
-                 return "expected an address map name";
-             cfg.addressMap = v;
-             return "";
+         [](ExperimentConfig &cfg, const std::string &v) {
+             return parseName(v, cfg.sys.mem.addressMap,
+                              "an address map name");
          }},
-        intKey(keys::kDensityGb, &ExperimentConfig::densityGb),
-        intKey(keys::kRetentionMs, &ExperimentConfig::retentionMs),
-        intKey(keys::kSubarraysPerBank, &ExperimentConfig::subarraysPerBank),
-        intKey(keys::kChannels, &ExperimentConfig::channels),
-        intKey(keys::kRanksPerChannel, &ExperimentConfig::ranksPerChannel),
-        intKey(keys::kBanksPerRank, &ExperimentConfig::banksPerRank),
-        intKey(keys::kReadQueueSize, &ExperimentConfig::readQueueSize),
-        intKey(keys::kWriteQueueSize, &ExperimentConfig::writeQueueSize),
-        intKey(keys::kWriteHighWatermark, &ExperimentConfig::writeHighWatermark),
-        intKey(keys::kWriteLowWatermark, &ExperimentConfig::writeLowWatermark),
-        intKey(keys::kRefabStaggerDivisor,
-               &ExperimentConfig::refabStaggerDivisor),
-        intKey(keys::kMaxOverlappedRefPb, &ExperimentConfig::maxOverlappedRefPb),
-        intKey(keys::kTFawOverride, &ExperimentConfig::tFawOverride),
-        intKey(keys::kTRrdOverride, &ExperimentConfig::tRrdOverride),
-        boolKey(keys::kDarpWriteRefresh, &ExperimentConfig::darpWriteRefresh),
-        doubleKey(keys::kHiraCoverage, &ExperimentConfig::hiraCoverage),
-        intKey(keys::kHiraDelay, &ExperimentConfig::hiraDelay),
-        intKey(keys::kSameBankGroupSize,
-               &ExperimentConfig::sameBankGroupSize),
-        boolKey(keys::kSameBankPullIn,
-                &ExperimentConfig::sameBankPullIn),
-        intKey(keys::kSrIdleEntry,
-               &ExperimentConfig::srIdleEntry),
-        intKey(keys::kFgrRate, &ExperimentConfig::fgrRate),
-        intKey(keys::kChannelStagger, &ExperimentConfig::channelStagger),
-        intKey(keys::kNumCores, &ExperimentConfig::numCores),
-        u64Key(keys::kSeed, &ExperimentConfig::seed),
-        boolKey(keys::kEnableChecker, &ExperimentConfig::enableChecker),
-        u64Key(keys::kWarmupCycles, &ExperimentConfig::warmupCycles),
-        u64Key(keys::kMeasureCycles, &ExperimentConfig::measureCycles),
-        u64Key(keys::kWorkloadSeed, &ExperimentConfig::workloadSeed),
-        intKey(keys::kIntensityPct, &ExperimentConfig::intensityPct),
+        row(keys::kDensityGb, memOf, &MemConfig::density),
+        row(keys::kRetentionMs, memOf, &MemConfig::retentionMs),
+        row(keys::kSubarraysPerBank, orgOf, &MemOrg::subarraysPerBank),
+        row(keys::kChannels, orgOf, &MemOrg::channels),
+        row(keys::kRanksPerChannel, orgOf, &MemOrg::ranksPerChannel),
+        row(keys::kBanksPerRank, orgOf, &MemOrg::banksPerRank),
+        row(keys::kReadQueueSize, memOf, &MemConfig::readQueueSize),
+        row(keys::kWriteQueueSize, memOf, &MemConfig::writeQueueSize),
+        row(keys::kWriteHighWatermark, memOf, &MemConfig::writeHighWatermark),
+        row(keys::kWriteLowWatermark, memOf, &MemConfig::writeLowWatermark),
+        row(keys::kRefabStaggerDivisor, memOf,
+            &MemConfig::refabStaggerDivisor),
+        row(keys::kMaxOverlappedRefPb, memOf, &MemConfig::maxOverlappedRefPb),
+        row(keys::kTFawOverride, memOf, &MemConfig::tFawOverride),
+        row(keys::kTRrdOverride, memOf, &MemConfig::tRrdOverride),
+        row(keys::kDarpWriteRefresh, memOf, &MemConfig::darpWriteRefresh),
+        row(keys::kHiraCoverage, memOf, &MemConfig::hiraCoverage),
+        row(keys::kHiraDelay, memOf, &MemConfig::hiraDelayCycles),
+        row(keys::kSameBankGroupSize, memOf, &MemConfig::sameBankGroupSize),
+        row(keys::kSameBankPullIn, memOf, &MemConfig::sameBankPullIn),
+        row(keys::kSrIdleEntry, memOf, &MemConfig::srIdleEntryCycles),
+        row(keys::kFgrRate, memOf, &MemConfig::fgrRate),
+        row(keys::kChannelStagger, memOf, &MemConfig::channelStaggerCycles),
+        row(keys::kNumCores, sysOf, &SystemConfig::numCores),
+        row(keys::kSeed, sysOf, &SystemConfig::seed),
+        row(keys::kEnableChecker, sysOf, &SystemConfig::enableChecker),
+        row(keys::kWarmupCycles, runOf, &ExperimentConfig::warmupCycles),
+        row(keys::kMeasureCycles, runOf, &ExperimentConfig::measureCycles),
+        row(keys::kWorkloadSeed, runOf, &ExperimentConfig::workloadSeed),
+        row(keys::kIntensityPct, runOf, &ExperimentConfig::intensityPct),
         {keys::kSimEngine,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             if (v.empty())
-                 return "expected a simulation engine name";
-             cfg.engine = v;
-             return "";
+         [](ExperimentConfig &cfg, const std::string &v) {
+             return parseName(v, cfg.sys.engine,
+                              "a simulation engine name");
          }},
         {keys::kTrafficMode,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             if (v.empty())
-                 return "expected an arrival-process name "
-                        "(off/poisson/bursty/diurnal/trace)";
-             cfg.traffic.mode = lowered(v);
-             return "";
+         [](ExperimentConfig &cfg, const std::string &v) {
+             return parseName(lowered(v), cfg.sys.traffic.mode,
+                              "an arrival-process name "
+                              "(off/poisson/bursty/diurnal/trace)");
          }},
-        trafficDoubleKey(keys::kTrafficRate,
-                         &TrafficConfig::ratePerKilocycle),
-        trafficIntKey(keys::kTrafficReadPct, &TrafficConfig::readPct),
-        trafficDoubleKey(keys::kTrafficHotRowPct,
-                         &TrafficConfig::hotRowPct),
-        trafficIntKey(keys::kTrafficHotRows, &TrafficConfig::hotRows),
-        trafficDoubleKey(keys::kTrafficBurstFactor,
-                         &TrafficConfig::burstFactor),
-        trafficIntKey(keys::kTrafficBurstLen,
-                      &TrafficConfig::burstLenCycles),
-        trafficIntKey(keys::kTrafficDiurnalPeriod,
-                      &TrafficConfig::diurnalPeriod),
-        trafficDoubleKey(keys::kTrafficDiurnalAmp,
-                         &TrafficConfig::diurnalAmp),
+        row(keys::kTrafficRate, trafficOf, &TrafficConfig::ratePerKilocycle),
+        row(keys::kTrafficReadPct, trafficOf, &TrafficConfig::readPct),
+        row(keys::kTrafficHotRowPct, trafficOf, &TrafficConfig::hotRowPct),
+        row(keys::kTrafficHotRows, trafficOf, &TrafficConfig::hotRows),
+        row(keys::kTrafficBurstFactor, trafficOf, &TrafficConfig::burstFactor),
+        row(keys::kTrafficBurstLen, trafficOf, &TrafficConfig::burstLenCycles),
+        row(keys::kTrafficDiurnalPeriod, trafficOf,
+            &TrafficConfig::diurnalPeriod),
+        row(keys::kTrafficDiurnalAmp, trafficOf, &TrafficConfig::diurnalAmp),
         {keys::kTrafficTrace,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             if (v.empty())
-                 return "expected a DRAMSim-style trace file path";
-             cfg.traffic.tracePath = v;
-             return "";
+         [](ExperimentConfig &cfg, const std::string &v) {
+             return parseName(v, cfg.sys.traffic.tracePath,
+                              "a DRAMSim-style trace file path");
          }},
-        trafficIntKey(keys::kTenantCount, &TrafficConfig::tenants),
-        {keys::kTenantPriorities,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             cfg.traffic.tenantPriorities = v;
-             return "";
-         }},
+        row(keys::kTenantCount, trafficOf, &TrafficConfig::tenants),
+        row(keys::kTenantPriorities, trafficOf,
+            &TrafficConfig::tenantPriorities),
     };
     return table;
 }
@@ -350,127 +330,27 @@ ExperimentConfig::knownKeys()
 std::string
 ExperimentConfig::validate() const
 {
-    std::ostringstream bad;
-    const char *sep = "";
-    auto fail = [&](const std::string &msg) {
-        bad << sep << msg;
-        sep = "; ";
-    };
-
-    const auto &registry = RefreshPolicyRegistry::instance();
-    if (!registry.has(policy))
-        fail(registry.unknownPolicyMessage(policy));
-    const auto &specs = DramSpecRegistry::instance();
-    if (!specs.has(dramSpec))
-        fail(specs.unknownSpecMessage(dramSpec));
-    if (densityGb != 8 && densityGb != 16 && densityGb != 32) {
-        fail(std::string("config key '") + keys::kDensityGb +
-             "' must be 8, 16 or 32 (got " +
-             std::to_string(densityGb) + ")");
-    }
+    std::string errors = sys.validate();
     if (intensityPct != 0 && intensityPct != 25 && intensityPct != 50 &&
         intensityPct != 75 && intensityPct != 100) {
-        fail(std::string("config key '") + keys::kIntensityPct +
-             "' must be one of 0/25/50/75/100 (got " +
-             std::to_string(intensityPct) + ")");
+        errors += std::string(errors.empty() ? "" : "; ") +
+                  "config key '" + keys::kIntensityPct +
+                  "' must be one of 0/25/50/75/100 (got " +
+                  std::to_string(intensityPct) + ")";
     }
-    if (numCores < 1) {
-        fail(std::string("config key '") + keys::kNumCores +
-             "' must be >= 1 (got " + std::to_string(numCores) + ")");
-    }
-    if (engine != "cycle" && engine != "event") {
-        fail(std::string("config key '") + keys::kSimEngine +
-             "' must be \"cycle\" or \"event\" (got \"" + engine + "\")");
-    }
-    // -1 means "keep the MemConfig default"; anything else must be an
-    // explicit (non-negative) value so a bad override never silently
-    // falls back to the default.
-    auto explicitOrDefault = [&](const char *key, int v) {
-        if (v < -1) {
-            fail(std::string("config key '") + key + "' must be >= 0, "
-                 "or -1 for the default (got " + std::to_string(v) + ")");
-        }
-    };
-    explicitOrDefault(keys::kWriteHighWatermark, writeHighWatermark);
-    explicitOrDefault(keys::kWriteLowWatermark, writeLowWatermark);
-    explicitOrDefault(keys::kRefabStaggerDivisor, refabStaggerDivisor);
-    explicitOrDefault(keys::kMaxOverlappedRefPb, maxOverlappedRefPb);
-    const std::string trafficErrors = traffic.validate();
-    if (!trafficErrors.empty())
-        fail(trafficErrors);
-    // refresh.hiraCoverage / refresh.hiraDelay are checked by the
-    // delegated MemConfig::validate() below, like the other mem keys.
-
-    // Delegate the memory-system cross-checks; their messages already
-    // name keys. rowsPerBank must be applied first, as finalize()
-    // would, and the policy's config bundle resolved so checks that
-    // depend on the selected mechanism (e.g. REFsb needing a spec
-    // with bank-group support) fire here, not at System construction.
-    if (densityGb == 8 || densityGb == 16 || densityGb == 32) {
-        SystemConfig sys = toSystemConfig();
-        sys.mem.org.rowsPerBank = rowsPerBankFor(sys.mem.density);
-        if (registry.has(sys.mem.policy))
-            registry.resolve(sys.mem);
-        const std::string memErrors = sys.mem.validate();
-        if (!memErrors.empty())
-            fail(memErrors);
-    }
-    return bad.str();
+    return errors;
 }
 
 std::string
 ExperimentConfig::mechanismName() const
 {
-    return RefreshPolicyRegistry::instance().at(policy).name;
+    return RefreshPolicyRegistry::instance().at(sys.mem.policy).name;
 }
 
 std::string
 ExperimentConfig::dramSpecName() const
 {
-    return DramSpecRegistry::instance().at(dramSpec).name;
-}
-
-SystemConfig
-ExperimentConfig::toSystemConfig() const
-{
-    SystemConfig sys;
-    sys.mem.policy = policy;
-    sys.mem.dramSpec = dramSpec;
-    sys.mem.addressMap = addressMap;
-    sys.mem.channelStaggerCycles = channelStagger;
-    sys.mem.density = densityGb == 8 ? Density::k8Gb
-        : densityGb == 16            ? Density::k16Gb
-                                     : Density::k32Gb;
-    sys.mem.retentionMs = retentionMs;
-    sys.mem.org.subarraysPerBank = subarraysPerBank;
-    sys.mem.org.channels = channels;
-    sys.mem.org.ranksPerChannel = ranksPerChannel;
-    sys.mem.org.banksPerRank = banksPerRank;
-    sys.mem.readQueueSize = readQueueSize;
-    sys.mem.writeQueueSize = writeQueueSize;
-    if (writeHighWatermark >= 0)
-        sys.mem.writeHighWatermark = writeHighWatermark;
-    if (writeLowWatermark >= 0)
-        sys.mem.writeLowWatermark = writeLowWatermark;
-    if (refabStaggerDivisor >= 0)
-        sys.mem.refabStaggerDivisor = refabStaggerDivisor;
-    if (maxOverlappedRefPb >= 0)
-        sys.mem.maxOverlappedRefPb = maxOverlappedRefPb;
-    sys.mem.tFawOverride = tFawOverride;
-    sys.mem.tRrdOverride = tRrdOverride;
-    sys.mem.darpWriteRefresh = darpWriteRefresh;
-    sys.mem.hiraCoverage = hiraCoverage;
-    sys.mem.hiraDelayCycles = hiraDelay;
-    sys.mem.sameBankGroupSize = sameBankGroupSize;
-    sys.mem.sameBankPullIn = sameBankPullIn;
-    sys.mem.srIdleEntryCycles = srIdleEntry;
-    sys.mem.fgrRate = fgrRate;
-    sys.traffic = traffic;
-    sys.numCores = numCores;
-    sys.seed = seed;
-    sys.enableChecker = enableChecker;
-    sys.engine = engine;
-    return sys;
+    return DramSpecRegistry::instance().at(sys.mem.dramSpec).name;
 }
 
 } // namespace dsarp

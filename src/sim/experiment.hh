@@ -3,15 +3,13 @@
  * ExperimentConfig: the single, layered configuration surface for one
  * simulated experiment.
  *
- * It subsumes what used to be spread over three structs (SystemConfig,
- * the runner's RunConfig, and the CLI tool's private Options): the
- * refresh mechanism by registry name, DRAM geometry and density, core
- * count, queue/watermark knobs, run lengths, and the workload mix.
- *
- * Every field is settable as a "key=value" string override, so the
- * same config can be assembled from (in order of increasing
- * precedence) defaults, a config file, the DSARP_SET environment
- * variable, and CLI arguments:
+ * It holds the SystemConfig that System runs (`sys`) and the four
+ * run-level fields a SystemConfig has no place for: the warmup and
+ * measurement lengths, and the seed and intensity of the workload mix.
+ * Every field is settable as a "key=value" string override, and each
+ * key writes its field directly, so the same config can be assembled
+ * from (in order of increasing precedence) defaults, a config file,
+ * the DSARP_SET environment variable, and CLI arguments:
  *
  *   ExperimentConfig cfg;
  *   cfg.applyFile("experiment.cfg");   // lines of key=value
@@ -37,87 +35,17 @@ namespace dsarp {
 
 struct ExperimentConfig
 {
-    // --- Refresh mechanism (registry name, case-insensitive) ---------
-    std::string policy = "DSARP";
-
-    // --- Memory system ----------------------------------------------
-    /** DRAM device spec by registry name (key "dram.spec"; see
-     *  dram/spec.hh). Unknown names fail validation with a named-key
-     *  error listing the registered specs. */
-    std::string dramSpec = "DDR3-1333";
-
-    /** Physical-address interleave by registry name (key "address.map";
-     *  see dram/address.hh). Unknown names fail validation with a
-     *  named-key error listing the registered maps. */
-    std::string addressMap = "burst-ch";
-
-    int densityGb = 32;          ///< 8 | 16 | 32.
-    int retentionMs = 32;        ///< 32 | 64.
-    int subarraysPerBank = 8;
-    int channels = 2;
-    int ranksPerChannel = 2;
-    int banksPerRank = 8;
-    int readQueueSize = 64;
-    int writeQueueSize = 64;
-    int writeHighWatermark = -1; ///< -1 = MemConfig default (54).
-    int writeLowWatermark = -1;  ///< -1 = MemConfig default (32).
-    int refabStaggerDivisor = -1;///< -1 = MemConfig default (8).
-    int maxOverlappedRefPb = -1; ///< -1 = MemConfig default (1).
-    int tFawOverride = 0;        ///< Cycles; 0 = datasheet value.
-    int tRrdOverride = 0;        ///< Cycles; 0 = datasheet value.
-    bool darpWriteRefresh = true;
-
-    /** HiRA hidden-refresh coverage fraction (key
-     *  "refresh.hiraCoverage"); -1 = the spec's characterized ~32%. */
-    double hiraCoverage = -1.0;
-
-    /** Demand-ACT to hidden-refresh delay in cycles (key
-     *  "refresh.hiraDelay"); 0 = the spec's tHiRA. */
-    int hiraDelay = 0;
-
-    /** Same-bank refresh slice size in banks (key
-     *  "refresh.samebank.groupSize"); 0 = the spec's bank-group
-     *  geometry. Must divide banksPerRank. */
-    int sameBankGroupSize = 0;
-
-    /** Allow opportunistic pull-in of same-bank slices on idle
-     *  channels (key "refresh.samebank.pullIn"). */
-    bool sameBankPullIn = true;
-
-    /** Command-level self-refresh idle-entry threshold in demand-idle
-     *  cycles (key "refresh.selfRefresh.idleEntry"); 0 disables the
-     *  SRE/SRX protocol. */
-    int srIdleEntry = 0;
-
-    /** Explicit FGR rate for any mechanism (key "refresh.fgrRate");
-     *  0 keeps the profile default, else 1/2/4. */
-    int fgrRate = 0;
-
-    /** Cross-channel refresh-schedule phase in cycles (key
-     *  "refresh.channelStagger"): 0 = off (bit-identical default),
-     *  -1 = the even spread tREFIab / channels, > 0 = explicit. */
-    int channelStagger = 0;
-
-    // --- Open-loop traffic front end ---------------------------------
     /**
-     * The traffic.* / tenant.* key family (see TrafficConfig):
-     * traffic.mode selects the arrival process ("off" keeps the
-     * closed-loop cores), traffic.rate/readPct/hotRowPct/hotRows shape
-     * it, tenant.count/tenant.priorities split the address space into
-     * prioritized partitions, and traffic.trace replays an external
-     * DRAMSim-style trace.
+     * The system to simulate; every key but the four run-level ones
+     * below lands in it. Two defaults differ from SystemConfig's: the
+     * paper's headline mechanism, DSARP, at 32 Gb.
      */
-    TrafficConfig traffic;
-
-    // --- System ------------------------------------------------------
-    int numCores = 8;
-    std::uint64_t seed = 1;
-    bool enableChecker = false;
-
-    /** Simulation engine (key "sim.engine"): "cycle" steps every tick,
-     *  "event" skips to the next component deadline. Commands, stats,
-     *  and RNG streams are bit-identical between the two. */
-    std::string engine = "cycle";
+    SystemConfig sys = [] {
+        SystemConfig s;
+        s.mem.policy = "DSARP";
+        s.mem.density = Density::k32Gb;
+        return s;
+    }();
 
     // --- Run lengths (0 = DSARP_BENCH_* env knob, then default) ------
     std::uint64_t warmupCycles = 0;
@@ -171,10 +99,9 @@ struct ExperimentConfig
     static std::vector<std::string> knownKeys();
 
     /**
-     * Cross-field validation. Returns "" when consistent, otherwise a
-     * ';'-separated list of errors, each naming the bad key. Includes
-     * the refresh-policy name check against the registry and the full
-     * MemConfig/SystemConfig validation.
+     * SystemConfig::validate() of `sys`, plus the intensityPct check.
+     * Returns "" when consistent, otherwise a ';'-separated list of
+     * errors, each naming the bad key.
      */
     std::string validate() const;
 
@@ -185,10 +112,6 @@ struct ExperimentConfig
     /** Canonical DRAM spec name from the registry ("ddr4" →
      *  "DDR4-2400"); a fatal named-key error when unknown. */
     std::string dramSpecName() const;
-
-    /** Project onto the SystemConfig consumed by System (not yet
-     *  finalized; System resolves + validates on construction). */
-    SystemConfig toSystemConfig() const;
 };
 
 } // namespace dsarp

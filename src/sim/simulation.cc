@@ -3,7 +3,6 @@
 #include "common/log.hh"
 #include "dram/address.hh"
 #include "sim/config_keys.hh"
-#include "refresh/registry.hh"
 #include "sim/parallel.hh"
 
 namespace dsarp {
@@ -18,113 +17,61 @@ Simulation::Builder::config(const ExperimentConfig &cfg)
 Simulation::Builder &
 Simulation::Builder::policy(const std::string &name)
 {
-    cfg_.policy = name;
-    return *this;
+    return set(keys::kPolicy, name);
 }
 
 Simulation::Builder &
 Simulation::Builder::dramSpec(const std::string &name)
 {
-    cfg_.dramSpec = name;
-    return *this;
+    return set(keys::kDramSpec, name);
 }
 
 Simulation::Builder &
 Simulation::Builder::addressMap(const std::string &name)
 {
-    cfg_.addressMap = name;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::channels(int n)
-{
-    cfg_.channels = n;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::channelStagger(int cycles)
-{
-    cfg_.channelStagger = cycles;
-    return *this;
+    return set(keys::kAddressMap, name);
 }
 
 Simulation::Builder &
 Simulation::Builder::densityGb(int gb)
 {
-    cfg_.densityGb = gb;
-    return *this;
+    return set(keys::kDensityGb, std::to_string(gb));
 }
 
 Simulation::Builder &
 Simulation::Builder::cores(int n)
 {
-    cfg_.numCores = n;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::retentionMs(int ms)
-{
-    cfg_.retentionMs = ms;
-    return *this;
+    return set(keys::kNumCores, std::to_string(n));
 }
 
 Simulation::Builder &
 Simulation::Builder::subarraysPerBank(int n)
 {
-    cfg_.subarraysPerBank = n;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::seed(std::uint64_t s)
-{
-    cfg_.seed = s;
-    return *this;
+    return set(keys::kSubarraysPerBank, std::to_string(n));
 }
 
 Simulation::Builder &
 Simulation::Builder::workloadSeed(std::uint64_t s)
 {
-    cfg_.workloadSeed = s;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::hiraCoverage(double fraction)
-{
-    cfg_.hiraCoverage = fraction;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::hiraDelay(int cycles)
-{
-    cfg_.hiraDelay = cycles;
-    return *this;
+    return set(keys::kWorkloadSeed, std::to_string(s));
 }
 
 Simulation::Builder &
 Simulation::Builder::intensityPct(int pct)
 {
-    cfg_.intensityPct = pct;
-    return *this;
+    return set(keys::kIntensityPct, std::to_string(pct));
 }
 
 Simulation::Builder &
 Simulation::Builder::warmupCycles(std::uint64_t ticks)
 {
-    cfg_.warmupCycles = ticks;
-    return *this;
+    return set(keys::kWarmupCycles, std::to_string(ticks));
 }
 
 Simulation::Builder &
 Simulation::Builder::measureCycles(std::uint64_t ticks)
 {
-    cfg_.measureCycles = ticks;
-    return *this;
+    return set(keys::kMeasureCycles, std::to_string(ticks));
 }
 
 Simulation::Builder &
@@ -177,11 +124,12 @@ Simulation::Builder::build()
     if (!errors.empty())
         DSARP_FATALF("invalid experiment: %s", errors.c_str());
 
-    if (cfg_.traffic.enabled()) {
+    const SystemConfig &sys = cfg_.sys;
+    if (sys.traffic.enabled()) {
         if (haveWorkload_ || !traces_.empty()) {
             DSARP_FATALF("Simulation: workload()/traces() are mutually "
                          "exclusive with config key '%s'=%s",
-                         keys::kTrafficMode, cfg_.traffic.mode.c_str());
+                         keys::kTrafficMode, sys.traffic.mode.c_str());
         }
         return Simulation(cfg_, Workload{}, {});
     }
@@ -190,25 +138,26 @@ Simulation::Builder::build()
         if (haveWorkload_)
             DSARP_FATAL("Simulation: workload() and traces() are "
                         "mutually exclusive");
-        if (static_cast<int>(traces_.size()) != cfg_.numCores) {
+        if (static_cast<int>(traces_.size()) != sys.numCores) {
             DSARP_FATALF("Simulation: %zu trace sources for config key "
-                         "'numCores'=%d; need exactly one per core",
-                         traces_.size(), cfg_.numCores);
+                         "'%s'=%d; need exactly one per core",
+                         traces_.size(), keys::kNumCores, sys.numCores);
         }
         return Simulation(cfg_, Workload{}, traces_);
     }
 
     Workload workload = workload_;
     if (haveWorkload_) {
-        if (static_cast<int>(workload.benchIdx.size()) != cfg_.numCores) {
+        if (static_cast<int>(workload.benchIdx.size()) != sys.numCores) {
             DSARP_FATALF("Simulation: workload has %zu benchmarks for "
-                         "config key 'numCores'=%d",
-                         workload.benchIdx.size(), cfg_.numCores);
+                         "config key '%s'=%d",
+                         workload.benchIdx.size(), keys::kNumCores,
+                         sys.numCores);
         }
     } else {
         // One mix per category; pick the requested intensity.
         for (const Workload &w :
-             makeWorkloads(1, cfg_.numCores, cfg_.workloadSeed)) {
+             makeWorkloads(1, sys.numCores, cfg_.workloadSeed)) {
             if (w.categoryPct == cfg_.intensityPct)
                 workload = w;
         }
@@ -225,7 +174,7 @@ Simulation::dramSpecName() const
 Simulation::Simulation(ExperimentConfig cfg, Workload workload,
                        std::vector<TraceSource *> traces)
     : cfg_(std::move(cfg)),
-      spec_(&DramSpecRegistry::instance().at(cfg_.dramSpec)),
+      spec_(&DramSpecRegistry::instance().at(cfg_.sys.mem.dramSpec)),
       workload_(std::move(workload)), traces_(std::move(traces)),
       runner_(cfg_.warmupCycles > 0
                   ? cfg_.warmupCycles
@@ -234,42 +183,39 @@ Simulation::Simulation(ExperimentConfig cfg, Workload workload,
                   ? cfg_.measureCycles
                   : envKnob("DSARP_BENCH_CYCLES", 250000))
 {
-    // Canonicalise so config() and every SystemConfig projected from
-    // it carry the registry spelling, not the user's alias/case.
-    cfg_.dramSpec = spec_->name;
-    cfg_.addressMap =
-        AddressMapRegistry::instance().at(cfg_.addressMap).name;
+    // Canonicalise so config() and the SystemConfig every run builds
+    // from carry the registry spelling, not the user's alias/case.
+    MemConfig &mem = cfg_.sys.mem;
+    mem.dramSpec = spec_->name;
+    mem.addressMap = AddressMapRegistry::instance().at(mem.addressMap).name;
 }
 
 MemOrg
 Simulation::resolvedOrg() const
 {
-    SystemConfig sys = cfg_.toSystemConfig();
-    RefreshPolicyRegistry::instance().resolve(sys.mem);
-    sys.mem.finalize();
+    SystemConfig sys = cfg_.sys;
+    sys.finalize();
     return sys.mem.org;
 }
 
 RunResult
 Simulation::run()
 {
-    const SystemConfig sys = cfg_.toSystemConfig();
-    if (cfg_.traffic.enabled())
-        return runner_.runTraffic(sys);
+    if (cfg_.sys.traffic.enabled())
+        return runner_.runTraffic(cfg_.sys);
     if (!traces_.empty())
-        return runner_.run(sys, traces_);
-    return runner_.run(sys, workload_);
+        return runner_.run(cfg_.sys, traces_);
+    return runner_.run(cfg_.sys, workload_);
 }
 
 void
 Simulation::prewarmBaselines(int jobs)
 {
     // Traffic runs have no cores, so no alone-IPC baseline to warm.
-    if (cfg_.traffic.enabled() || !traces_.empty())
+    if (cfg_.sys.traffic.enabled() || !traces_.empty())
         return;
-    const SystemConfig sys = cfg_.toSystemConfig();
     parallelFor(jobs, workload_.benchIdx.size(), [&](std::size_t i) {
-        runner_.aloneIpc(workload_.benchIdx[i], sys);
+        runner_.aloneIpc(workload_.benchIdx[i], cfg_.sys);
     });
 }
 

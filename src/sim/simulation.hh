@@ -50,26 +50,20 @@ class Simulation
         /** Replace the whole config (then refine with the calls below). */
         Builder &config(const ExperimentConfig &cfg);
 
+        /** @name Shorthands for set() on the keys of the same name
+         *  (cores: numCores). */
+        /// @{
         Builder &policy(const std::string &name);
         Builder &dramSpec(const std::string &name);
         Builder &addressMap(const std::string &name);
-        Builder &channels(int n);
-        Builder &channelStagger(int cycles);
         Builder &densityGb(int gb);
         Builder &cores(int n);
-        Builder &retentionMs(int ms);
         Builder &subarraysPerBank(int n);
-        Builder &seed(std::uint64_t s);
         Builder &workloadSeed(std::uint64_t s);
-
-        /** HiRA knobs (= "refresh.hiraCoverage" / "refresh.hiraDelay"):
-         *  hidden-refresh coverage fraction (-1 = spec default) and the
-         *  demand-ACT to hidden-refresh delay (0 = spec tHiRA). */
-        Builder &hiraCoverage(double fraction);
-        Builder &hiraDelay(int cycles);
         Builder &intensityPct(int pct);
         Builder &warmupCycles(std::uint64_t ticks);
         Builder &measureCycles(std::uint64_t ticks);
+        /// @}
 
         /** One key=value override; a fatal named-key error if bad. */
         Builder &set(const std::string &key, const std::string &value);
@@ -109,9 +103,9 @@ class Simulation
     std::string mechanismName() const { return cfg_.mechanismName(); }
 
     /**
-     * The resolved DRAM device spec (cached at build(); cfg_.dramSpec
-     * is already canonicalised, so aliases/case never leak into
-     * output). The reference stays valid for the process lifetime --
+     * The resolved DRAM device spec (cached at build(); the config's
+     * spec name is already canonicalised, so aliases/case never leak
+     * into output). The reference stays valid for the process lifetime --
      * registry entries are never removed.
      */
     const DramSpec &dramSpec() const { return *spec_; }
@@ -121,7 +115,10 @@ class Simulation
 
     /** Canonical address map name, e.g. "burst-ch" (cached at
      *  build(), like the spec). */
-    const std::string &addressMapName() const { return cfg_.addressMap; }
+    const std::string &addressMapName() const
+    {
+        return cfg_.sys.mem.addressMap;
+    }
 
     /**
      * The fully-resolved DRAM geometry this simulation will run on:

@@ -31,11 +31,11 @@ TEST(Cli, FlagSugarSetsConfigKeys)
         parse({"--mech", "REFpb", "--channels", "4", "--engine", "event",
                "--cores", "2", "--seed", "42", "--jobs", "3"});
     ASSERT_EQ(res.action, CliAction::Run);
-    EXPECT_EQ(res.config.policy, "REFpb");
-    EXPECT_EQ(res.config.channels, 4);
-    EXPECT_EQ(res.config.engine, "event");
-    EXPECT_EQ(res.config.numCores, 2);
-    EXPECT_EQ(res.config.seed, 42u);
+    EXPECT_EQ(res.config.sys.mem.policy, "REFpb");
+    EXPECT_EQ(res.config.sys.mem.org.channels, 4);
+    EXPECT_EQ(res.config.sys.engine, "event");
+    EXPECT_EQ(res.config.sys.numCores, 2);
+    EXPECT_EQ(res.config.sys.seed, 42u);
     EXPECT_EQ(res.jobs, 3);
 }
 
@@ -43,8 +43,8 @@ TEST(Cli, TraceImpliesTraceMode)
 {
     const CliResult res = parse({"--trace", "mixed.trc"});
     ASSERT_EQ(res.action, CliAction::Run);
-    EXPECT_EQ(res.config.traffic.tracePath, "mixed.trc");
-    EXPECT_EQ(res.config.traffic.mode, "trace");
+    EXPECT_EQ(res.config.sys.traffic.tracePath, "mixed.trc");
+    EXPECT_EQ(res.config.sys.traffic.mode, "trace");
 }
 
 TEST(Cli, ListAndHelpShortCircuit)
@@ -117,8 +117,8 @@ TEST(Cli, LayeringConfigFileThenEnvThenFlags)
         parse({"--seed", "9", "--config", path});
     unsetenv("DSARP_SET");
     ASSERT_EQ(res.action, CliAction::Run);
-    EXPECT_EQ(res.config.channels, 8);      // File (nothing overrides).
-    EXPECT_EQ(res.config.numCores, 6);      // Env beats file.
-    EXPECT_EQ(res.config.intensityPct, 50); // Env (nothing overrides).
-    EXPECT_EQ(res.config.seed, 9u);         // Flag beats file.
+    EXPECT_EQ(res.config.sys.mem.org.channels, 8); // File only.
+    EXPECT_EQ(res.config.sys.numCores, 6);         // Env beats file.
+    EXPECT_EQ(res.config.intensityPct, 50);        // Env only.
+    EXPECT_EQ(res.config.sys.seed, 9u);            // Flag beats file.
 }

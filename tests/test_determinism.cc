@@ -82,10 +82,10 @@ ExperimentConfig
 smallConfig(std::uint64_t seed)
 {
     ExperimentConfig cfg;
-    cfg.policy = "DSARP";
-    cfg.numCores = 4;
-    cfg.channels = 2;
-    cfg.seed = seed;
+    cfg.sys.mem.policy = "DSARP";
+    cfg.sys.numCores = 4;
+    cfg.sys.mem.org.channels = 2;
+    cfg.sys.seed = seed;
     cfg.workloadSeed = seed + 1;
     // Explicit run lengths: the DSARP_BENCH_* env knobs must not be
     // able to change what this test pins.
@@ -98,7 +98,7 @@ RunResult
 runOne(const ExperimentConfig &cfg, const std::string &engine, int jobs)
 {
     ExperimentConfig c = cfg;
-    c.engine = engine;
+    c.sys.engine = engine;
     Simulation sim = Simulation::builder().config(c).build();
     sim.prewarmBaselines(jobs);
     return sim.run();
@@ -131,9 +131,9 @@ TEST(Determinism, BitIdenticalOpenLoopTraffic)
     // tenant) and its own latency accounting; pin those the same way.
     for (const std::uint64_t seed : {3ull, 11ull}) {
         ExperimentConfig cfg = smallConfig(seed);
-        cfg.traffic.mode = "poisson";
-        cfg.traffic.ratePerKilocycle = 60.0;
-        cfg.traffic.tenants = 2;
+        cfg.sys.traffic.mode = "poisson";
+        cfg.sys.traffic.ratePerKilocycle = 60.0;
+        cfg.sys.traffic.tenants = 2;
         const std::string reference =
             signature(runOne(cfg, "cycle", 1));
         for (const char *engine : {"cycle", "event"}) {

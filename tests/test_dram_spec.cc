@@ -369,7 +369,7 @@ TEST(DramSpec, DefaultSpecSmokeRunIsBitIdentical)
 TEST(DramSpecConfig, KeyRoundTripsThroughSetFileAndEnv)
 {
     ExperimentConfig cfg;
-    EXPECT_EQ(cfg.dramSpec, "DDR3-1333");
+    EXPECT_EQ(cfg.sys.mem.dramSpec, "DDR3-1333");
 
     // Programmatic / CLI layer.
     cfg.set("dram.spec", "ddr4");
@@ -383,7 +383,7 @@ TEST(DramSpecConfig, KeyRoundTripsThroughSetFileAndEnv)
             << "dram.spec = DDR3-1600\n";
     }
     cfg.applyFile(path);
-    EXPECT_EQ(cfg.dramSpec, "DDR3-1600");
+    EXPECT_EQ(cfg.sys.mem.dramSpec, "DDR3-1600");
     std::remove(path.c_str());
 
     // Environment layer (highest of the three applied here).
@@ -396,7 +396,7 @@ TEST(DramSpecConfig, KeyRoundTripsThroughSetFileAndEnv)
 TEST(DramSpecConfig, UnknownSpecFailsValidationWithNamedKey)
 {
     ExperimentConfig cfg;
-    cfg.dramSpec = "HBM3-9999";
+    cfg.sys.mem.dramSpec = "HBM3-9999";
     const std::string errors = cfg.validate();
     EXPECT_NE(errors.find("config key 'dram.spec'"), std::string::npos);
     EXPECT_NE(errors.find("HBM3-9999"), std::string::npos);
@@ -408,7 +408,7 @@ TEST(DramSpecConfig, EmptySpecValueIsRejected)
     ExperimentConfig cfg;
     const std::string err = cfg.trySet("dram.spec", "");
     EXPECT_NE(err.find("dram.spec"), std::string::npos);
-    EXPECT_EQ(cfg.dramSpec, "DDR3-1333");
+    EXPECT_EQ(cfg.sys.mem.dramSpec, "DDR3-1333");
 }
 
 TEST(DramSpecConfig, SimulationResolvesAndCachesSpec)
@@ -421,7 +421,7 @@ TEST(DramSpecConfig, SimulationResolvesAndCachesSpec)
                          .measureCycles(2000)
                          .build();
     EXPECT_EQ(sim.dramSpecName(), "LPDDR4-3200");
-    EXPECT_EQ(sim.config().dramSpec, "LPDDR4-3200");
+    EXPECT_EQ(sim.config().sys.mem.dramSpec, "LPDDR4-3200");
     EXPECT_TRUE(sim.dramSpec().nativePerBankRefresh);
 }
 

@@ -366,11 +366,10 @@ TEST(Hira, LayeredKeysRoundTrip)
     cfg.set("refresh.hiraCoverage", "0.5");
     cfg.set("refresh.hiraDelay", "8");
     EXPECT_EQ(cfg.validate(), "");
-    const SystemConfig sys = cfg.toSystemConfig();
-    EXPECT_DOUBLE_EQ(sys.mem.hiraCoverage, 0.5);
-    EXPECT_EQ(sys.mem.hiraDelayCycles, 8);
+    EXPECT_DOUBLE_EQ(cfg.sys.mem.hiraCoverage, 0.5);
+    EXPECT_EQ(cfg.sys.mem.hiraDelayCycles, 8);
 
-    MemConfig mem = sys.mem;
+    MemConfig mem = cfg.sys.mem;
     RefreshPolicyRegistry::instance().resolve(mem);
     mem.finalize();
     const TimingParams t = TimingParams::forConfig(mem);

@@ -519,15 +519,15 @@ TEST(SelfRefreshEndToEnd, NoFreeLunch)
 TEST(SelfRefreshConfig, NamedKeyValidation)
 {
     ExperimentConfig cfg;
-    cfg.srIdleEntry = -1;
+    cfg.sys.mem.srIdleEntryCycles = -1;
     EXPECT_NE(cfg.validate().find("refresh.selfRefresh.idleEntry"),
               std::string::npos);
-    cfg.srIdleEntry = 1000;
+    cfg.sys.mem.srIdleEntryCycles = 1000;
     EXPECT_EQ(cfg.validate(), "") << cfg.validate();
 
     // refresh.fgrRate accepts only 0/1/2/4.
     cfg = ExperimentConfig{};
-    cfg.fgrRate = 3;
+    cfg.sys.mem.fgrRate = 3;
     EXPECT_NE(cfg.validate().find("refresh.fgrRate"), std::string::npos);
 }
 
@@ -535,10 +535,7 @@ TEST(SelfRefreshConfig, KeysRoundTripThroughTheLayeredSurface)
 {
     ExperimentConfig cfg;
     EXPECT_EQ(cfg.trySet("refresh.selfRefresh.idleEntry", "4000"), "");
-    EXPECT_EQ(cfg.srIdleEntry, 4000);
+    EXPECT_EQ(cfg.sys.mem.srIdleEntryCycles, 4000);
     EXPECT_EQ(cfg.trySet("refresh.fgrRate", "2"), "");
-    EXPECT_EQ(cfg.fgrRate, 2);
-    const SystemConfig sys = cfg.toSystemConfig();
-    EXPECT_EQ(sys.mem.srIdleEntryCycles, 4000);
-    EXPECT_EQ(sys.mem.fgrRate, 2);
+    EXPECT_EQ(cfg.sys.mem.fgrRate, 2);
 }

@@ -179,35 +179,36 @@ main(int argc, char **argv)
       case CliAction::Run:
         break;
     }
-    const ExperimentConfig &cfg = cli.config;
+    const SystemConfig &sys = cli.config.sys;
     const int jobs = cli.jobs;
 
-    Simulation sim = Simulation::builder().config(cfg).build();
+    Simulation sim = Simulation::builder().config(cli.config).build();
 
     std::printf("mechanism  : %s\n", sim.mechanismName().c_str());
     std::printf("dram spec  : %s (tCK %.3f ns)\n",
                 sim.dramSpecName().c_str(), sim.dramSpec().tCkNs.ns());
-    std::printf("density    : %dGb, retention %d ms, %d subarrays/bank\n",
-                cfg.densityGb, cfg.retentionMs, cfg.subarraysPerBank);
+    std::printf("density    : %s, retention %d ms, %d subarrays/bank\n",
+                densityName(sys.mem.density), sys.mem.retentionMs,
+                sys.mem.org.subarraysPerBank);
     const MemOrg org = sim.resolvedOrg();
     std::printf("topology   : %d channels x %d ranks x %d banks, "
                 "map: %s\n",
                 org.channels, org.ranksPerChannel, org.banksPerRank,
                 sim.addressMapName().c_str());
-    std::printf("system     : %d cores, %llu+%llu cycles\n", cfg.numCores,
+    std::printf("system     : %d cores, %llu+%llu cycles\n", sys.numCores,
                 static_cast<unsigned long long>(sim.warmupTicks()),
                 static_cast<unsigned long long>(sim.measureTicks()));
-    if (cfg.traffic.enabled()) {
-        if (cfg.traffic.mode == "trace") {
+    const TrafficConfig &traffic = sys.traffic;
+    if (traffic.enabled()) {
+        if (traffic.mode == "trace") {
             std::printf("traffic    : trace replay of %s\n",
-                        cfg.traffic.tracePath.c_str());
+                        traffic.tracePath.c_str());
         } else {
             std::printf("traffic    : %s, %.1f req/kcycle, %d%% reads, "
                         "%d tenant%s\n",
-                        cfg.traffic.mode.c_str(),
-                        cfg.traffic.ratePerKilocycle, cfg.traffic.readPct,
-                        cfg.traffic.tenants,
-                        cfg.traffic.tenants == 1 ? "" : "s");
+                        traffic.mode.c_str(), traffic.ratePerKilocycle,
+                        traffic.readPct, traffic.tenants,
+                        traffic.tenants == 1 ? "" : "s");
         }
     }
 
@@ -224,7 +225,7 @@ main(int argc, char **argv)
                              static_cast<double>(sim.measureTicks());
     std::printf("engine     : %s, %d jobs, %.2fs wall "
                 "(%.3g sim-cycles/sec)\n",
-                sim.config().engine.c_str(), jobs, wall,
+                sys.engine.c_str(), jobs, wall,
                 wall > 0 ? simCycles / wall : 0.0);
 
     if (!res.ipc.empty()) {
@@ -292,7 +293,7 @@ main(int argc, char **argv)
     }
     // Shown whenever staggering is configured (even a clean zero is
     // the result the knob exists to produce), or when overlap occurred.
-    if (res.refOverlapTicks > 0 || cfg.channelStagger != 0) {
+    if (res.refOverlapTicks > 0 || sys.mem.channelStaggerCycles != 0) {
         std::printf("refresh overlap    : %llu channel-ticks\n",
                     static_cast<unsigned long long>(res.refOverlapTicks));
     }
