@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "refresh/registry.hh"
 
 namespace dsarp {
 
@@ -12,20 +11,21 @@ namespace {
 SystemConfig
 finalized(SystemConfig cfg)
 {
-    // Canonicalise the refresh mechanism first: a named policy's config
-    // bundle may rewrite the timing profile the rest of finalize() and
-    // TimingParams depend on.
-    RefreshPolicyRegistry::instance().resolve(cfg.mem);
     cfg.finalize();
     return cfg;
 }
 
 } // namespace
 
-System::System(const SystemConfig &cfg, const std::vector<int> &bench_idx)
+System::System(const SystemConfig &cfg, Init)
     : cfg_(finalized(cfg)), timing_(TimingParams::forConfig(cfg_.mem)),
       map_(AddressMapRegistry::instance().make(cfg_.mem.addressMap,
                                                cfg_.mem.org))
+{
+}
+
+System::System(const SystemConfig &cfg, const std::vector<int> &bench_idx)
+    : System(cfg, Init{})
 {
     DSARP_ASSERT(static_cast<int>(bench_idx.size()) == cfg_.numCores,
                  "one benchmark per core required");
@@ -51,11 +51,9 @@ System::System(const SystemConfig &cfg, const std::vector<int> &bench_idx)
 
 System::System(const SystemConfig &cfg,
                const std::vector<TraceSource *> &traces)
-    : cfg_(finalized(cfg)), timing_(TimingParams::forConfig(cfg_.mem)),
-      map_(AddressMapRegistry::instance().make(cfg_.mem.addressMap,
-                                               cfg_.mem.org)),
-      traces_(traces)
+    : System(cfg, Init{})
 {
+    traces_ = traces;
     DSARP_ASSERT(static_cast<int>(traces_.size()) == cfg_.numCores,
                  "one trace per core required");
     DSARP_ASSERT(!cfg_.traffic.enabled(),
@@ -64,14 +62,30 @@ System::System(const SystemConfig &cfg,
     build();
 }
 
-System::System(const SystemConfig &cfg)
-    : cfg_(finalized(cfg)), timing_(TimingParams::forConfig(cfg_.mem)),
-      map_(AddressMapRegistry::instance().make(cfg_.mem.addressMap,
-                                               cfg_.mem.org))
+System::System(const SystemConfig &cfg) : System(cfg, Init{})
 {
     DSARP_ASSERT(cfg_.traffic.enabled(),
                  "open-loop ctor needs traffic.mode != off");
     build();
+}
+
+bool
+System::enqueue(Request req, bool isWrite)
+{
+    req.loc = map_->decode(req.addr);
+    const std::size_t ch = static_cast<std::size_t>(req.loc.channel);
+    // Front ends tick after the controllers, so a dormant target's tick
+    // at now_ sampled the pre-enqueue queues: account it through now_
+    // before mutating, then wake it for the tick that can first see
+    // the request.
+    if (eventRun_)
+        ctlCatchUp(ch, now_ + 1);
+    ChannelController &ctl = *controllers_[ch];
+    const bool ok =
+        isWrite ? ctl.enqueueWrite(req, now_) : ctl.enqueueRead(req, now_);
+    if (ok && eventRun_)
+        ctlWake_[ch] = std::min(ctlWake_[ch], now_ + 1);
+    return ok;
 }
 
 void
@@ -125,63 +139,23 @@ System::build()
         injector_ = std::make_unique<TrafficInjector>(cfg_.traffic,
                                                       *map_, cfg_.seed);
         injector_->bind(
-            [this](const Request &reqIn) {
-                Request req = reqIn;
-                req.loc = map_->decode(req.addr);
-                const std::size_t ch =
-                    static_cast<std::size_t>(req.loc.channel);
-                // Same dance as the core bind hooks: the injector runs
-                // in the core phase, so the dormant target controller
-                // must account through now_ + 1 before mutating, then
-                // wake for the first tick that can see the request.
-                if (eventRun_)
-                    ctlCatchUp(ch, now_ + 1);
-                const bool ok = controllers_[ch]->enqueueRead(req, now_);
-                if (ok && eventRun_)
-                    ctlWake_[ch] = std::min(ctlWake_[ch], now_ + 1);
-                return ok;
-            },
-            [this](const Request &reqIn) {
-                Request req = reqIn;
-                req.loc = map_->decode(req.addr);
-                const std::size_t ch =
-                    static_cast<std::size_t>(req.loc.channel);
-                if (eventRun_)
-                    ctlCatchUp(ch, now_ + 1);
-                const bool ok = controllers_[ch]->enqueueWrite(req, now_);
-                if (ok && eventRun_)
-                    ctlWake_[ch] = std::min(ctlWake_[ch], now_ + 1);
-                return ok;
-            });
+            [this](const Request &req) { return enqueue(req, false); },
+            [this](const Request &req) { return enqueue(req, true); });
         return;
     }
 
     for (int c = 0; c < cfg_.numCores; ++c) {
         cores_.push_back(
             std::make_unique<Core>(c, &cfg_.core, traces_[c]));
-        Core *core = cores_.back().get();
-        core->bind(
+        cores_.back()->bind(
             [this, c](std::uint64_t id, Addr addr) {
                 Request req;
                 req.id = id;
                 req.core = c;
                 req.isWrite = false;
                 req.addr = addr;
-                req.loc = map_->decode(addr);
                 req.arrival = now_;
-                const std::size_t ch =
-                    static_cast<std::size_t>(req.loc.channel);
-                // Controllers tick before cores, so a dormant target's
-                // tick at now_ sampled the pre-enqueue queues: account
-                // it through now_ before mutating, then wake it for the
-                // tick that can first see the request.
-                if (eventRun_)
-                    ctlCatchUp(ch, now_ + 1);
-                const bool ok =
-                    controllers_[ch]->enqueueRead(req, now_);
-                if (ok && eventRun_)
-                    ctlWake_[ch] = std::min(ctlWake_[ch], now_ + 1);
-                return ok;
+                return enqueue(req, false);
             },
             [this, c](Addr addr) {
                 Request req;
@@ -189,17 +163,8 @@ System::build()
                 req.core = c;
                 req.isWrite = true;
                 req.addr = addr;
-                req.loc = map_->decode(addr);
                 req.arrival = now_;
-                const std::size_t ch =
-                    static_cast<std::size_t>(req.loc.channel);
-                if (eventRun_)
-                    ctlCatchUp(ch, now_ + 1);
-                const bool ok =
-                    controllers_[ch]->enqueueWrite(req, now_);
-                if (ok && eventRun_)
-                    ctlWake_[ch] = std::min(ctlWake_[ch], now_ + 1);
-                return ok;
+                return enqueue(req, true);
             });
     }
 }

@@ -99,7 +99,23 @@ class System
     }
 
   private:
+    /** Tag of the shared initialiser the public constructors
+     *  delegate to. */
+    struct Init {};
+
+    /** Finalize @p cfg, then derive the timing and the address map
+     *  from it. */
+    System(const SystemConfig &cfg, Init);
+
     void build();
+
+    /**
+     * The one enqueue path of every front end (cores and the traffic
+     * injector): decode @p req, then hand it to its channel's read or
+     * write queue. False when the queue is full.
+     */
+    bool enqueue(Request req, bool isWrite);
+
     void runCycle(Tick end);
     void runEvent(Tick end);
     /** Bulk-account a component's inert span [itsNext, t) (event engine). */
