@@ -7,6 +7,7 @@
 
 #include "common/log.hh"
 #include "common/strings.hh"
+#include "sim/config_keys.hh"
 
 namespace dsarp {
 
@@ -134,8 +135,8 @@ std::string
 AddressMapRegistry::unknownMapMessageLocked(const std::string &name) const
 {
     std::ostringstream msg;
-    msg << "config key 'address.map': unknown address map '" << name
-        << "'; known:";
+    msg << "config key '" << keys::kAddressMap
+        << "': unknown address map '" << name << "'; known:";
     for (const std::string &known : namesLocked())
         msg << ' ' << known;
     return msg.str();

@@ -22,6 +22,7 @@
 
 #include "dram/address.hh"
 #include "dram/spec.hh"
+#include "sim/config_keys.hh"
 
 namespace dsarp {
 
@@ -41,10 +42,10 @@ std::string
 subChCheck(const MemOrg &, const DramSpec &spec)
 {
     if (spec.subChannels < 2) {
-        return "config key 'address.map': map 'ddr5-subch' needs a DRAM "
-               "spec with independent sub-channels; '" + spec.name +
-               "' declares " + std::to_string(spec.subChannels) +
-               " (try DDR5-4800)";
+        return std::string("config key '") + keys::kAddressMap +
+               "': map 'ddr5-subch' needs a DRAM spec with independent "
+               "sub-channels; '" + spec.name + "' declares " +
+               std::to_string(spec.subChannels) + " (try DDR5-4800)";
     }
     return "";
 }

@@ -17,6 +17,7 @@
 
 #include "dram/address.hh"
 #include "dram/spec.hh"
+#include "sim/config_keys.hh"
 
 namespace dsarp {
 
@@ -55,9 +56,10 @@ std::string
 permBankCheck(const MemOrg &org, const DramSpec &)
 {
     if ((org.banksPerRank & (org.banksPerRank - 1)) != 0) {
-        return "config key 'address.map': map 'perm-bank' needs a "
-               "power-of-two banksPerRank for its XOR permutation "
-               "(got " + std::to_string(org.banksPerRank) + ")";
+        return std::string("config key '") + keys::kAddressMap +
+               "': map 'perm-bank' needs a power-of-two banksPerRank for "
+               "its XOR permutation (got " +
+               std::to_string(org.banksPerRank) + ")";
     }
     return "";
 }

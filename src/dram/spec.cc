@@ -8,6 +8,7 @@
 
 #include "common/log.hh"
 #include "common/strings.hh"
+#include "sim/config_keys.hh"
 
 namespace dsarp {
 
@@ -164,11 +165,11 @@ DramSpec::timingFor(const MemConfig &cfg) const
         cfg.refresh == RefreshMode::kDarp) {
         if (t.tRefiPb <= t.tRfcPb) {
             DSARP_FATALF(
-                "config key 'refresh.fgrRate'/'densityGb': per-bank "
-                "refresh does not fit its command interval on spec "
-                "'%s' (tREFIpb %lld <= tRFCpb %lld cycles at %s, FGR "
-                "rate %dx); lower the rate or the density",
-                name.c_str(),
+                "config key '%s'/'%s': per-bank refresh does not fit its "
+                "command interval on spec '%s' (tREFIpb %lld <= tRFCpb "
+                "%lld cycles at %s, FGR rate %dx); lower the rate or the "
+                "density",
+                keys::kFgrRate, keys::kDensityGb, name.c_str(),
                 static_cast<long long>(t.tRefiPb.count()),
                 static_cast<long long>(t.tRfcPb.count()),
                 densityName(cfg.density), rate);
@@ -251,8 +252,8 @@ std::string
 DramSpecRegistry::unknownSpecMessageLocked(const std::string &name) const
 {
     std::ostringstream msg;
-    msg << "config key 'dram.spec': unknown DRAM spec '" << name
-        << "'; known:";
+    msg << "config key '" << keys::kDramSpec << "': unknown DRAM spec '"
+        << name << "'; known:";
     for (const std::string &known : namesLocked())
         msg << ' ' << known;
     return msg.str();

@@ -5,6 +5,7 @@
 
 #include "common/log.hh"
 #include "common/strings.hh"
+#include "sim/config_keys.hh"
 
 namespace dsarp {
 
@@ -79,8 +80,8 @@ RefreshPolicyRegistry::unknownPolicyMessageLocked(
     const std::string &name) const
 {
     std::ostringstream msg;
-    msg << "config key 'policy': unknown refresh policy '" << name
-        << "'; known:";
+    msg << "config key '" << keys::kPolicy << "': unknown refresh policy '"
+        << name << "'; known:";
     for (const std::string &known : namesLocked())
         msg << ' ' << known;
     return msg.str();

@@ -11,12 +11,13 @@ Six checks, each born from a real bug class in this codebase:
    LPDDR4 refresh energy 2x).
 
 2. config-key-once -- every ExperimentConfig key string is declared
-   exactly once, in src/sim/config_keys.hh.  A bare string literal
-   under src/ that respells a known key (e.g. "refresh.fgrRate")
-   forks the user-facing vocabulary; library code must reference the
-   keys::k* constant instead.  Comments, and tests/tools that
-   exercise the public string API the way a user would, are exempt;
-   only exact standalone literals in src/ code are flagged.
+   exactly once, in src/sim/config_keys.hh.  A string literal under
+   src/ that respells a known key (e.g. "refresh.fgrRate"), or quotes
+   one inside a message (e.g. "config key 'refresh.fgrRate' must
+   ..."), forks the user-facing vocabulary; library code must build
+   the text from the keys::k* constant instead.  Comments, and
+   tests/tools that exercise the public string API the way a user
+   would, are exempt.
 
 3. registrar-once -- every DSARP_REGISTER_REFRESH_POLICY /
    DSARP_REGISTER_DRAM_SPEC / DSARP_REGISTER_ADDRESS_MAP identifier
@@ -163,6 +164,12 @@ def check_config_keys(root, findings):
                         f"{rel}:{lineno}: config key "
                         f"\"{m.group(1)}\" respelled; use the keys::k* "
                         "constant from sim/config_keys.hh")
+                for key in sorted(keys):
+                    if f"'{key}'" in m.group(1):
+                        findings.append(
+                            f"{rel}:{lineno}: config key '{key}' quoted "
+                            "in a message literal; build it from the "
+                            "keys::k* constant in sim/config_keys.hh")
     seen = {}
     for lineno, line in enumerate(
             (root / header).read_text().splitlines(), 1):
@@ -315,9 +322,12 @@ def self_test():
             "int cycles(double ns, double tCkNs)\n"
             "{ return static_cast<int>(ns / tCkNs); }\n")
         # 2. A respelled config key in library code (tests/tools may
-        # spell keys out; src/ must not).
+        # spell keys out; src/ must not), and one quoted inside a
+        # diagnostic.
         (root / "src/sim/bad_key.cc").write_text(
             'const char *k = "refresh.fgrRate";\n')
+        (root / "src/sim/bad_msg.cc").write_text(
+            'std::string e = "config key \'refresh.fgrRate\' must be 0";\n')
         # 3. A registrar duplicated across two TUs.
         (root / "src/dram/reg_a.cc").write_text(
             "DSARP_REGISTER_DRAM_SPEC(ddr9, spec());\n")
@@ -347,6 +357,7 @@ def self_test():
 
         findings = run_checks(root)
         for needle in ("raw tCK arithmetic", "respelled",
+                       "quoted in a message literal",
                        "exactly one TU", "raw thread spawn",
                        "no SELF_TEST_SEEDS entry", "no seed corpus",
                        "not covered by lint.py REGISTRAR_RE",
@@ -362,6 +373,19 @@ def self_test():
             if "DSARP_REGISTER_REFRESH_POLICY" in f:
                 failures.append(
                     f"self-test: known registrar family flagged: {f}")
+
+        # A message built from the constant, a quoted key in a
+        # comment, and a longer name that merely starts with a key
+        # are clean (counterexamples for 2).
+        (root / "src/sim/bad_msg.cc").unlink()
+        (root / "src/sim/good_msg.cc").write_text(
+            "// Rejects 'refresh.fgrRate' values other than 0/1/2/4.\n"
+            'std::string e = std::string("config key \'") + '
+            'keys::kFgrRate + "\' must be 0";\n'
+            'std::string n = "field \'refresh.fgrRateMax\'";\n')
+        for f in run_checks(root):
+            if "good_msg.cc" in f:
+                failures.append(f"self-test: clean message flagged: {f}")
 
         # A harness with a seeded corpus is clean (counterexample 5b).
         (root / "tests/fuzz/corpus/orphan").mkdir(parents=True)
