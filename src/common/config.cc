@@ -50,11 +50,10 @@ tRfcAbNsFor(Density d)
 std::string
 MemConfig::validate() const
 {
-    std::ostringstream bad;
-    const char *sep = "";
+    const DramSpec *spec = DramSpecRegistry::instance().find(dramSpec);
+    std::string bad;
     auto fail = [&](const std::string &msg) {
-        bad << sep << msg;
-        sep = "; ";
+        bad += (bad.empty() ? "" : "; ") + msg;
     };
     auto atLeastOne = [&](const char *key, int v) {
         if (v < 1) {
@@ -101,8 +100,7 @@ MemConfig::validate() const
         fail("MemOrg::lineBytes (" + std::to_string(org.lineBytes) +
              ") must divide MemOrg::rowBytes (" +
              std::to_string(org.rowBytes) + ")");
-    } else if (const DramSpec *spec =
-                   DramSpecRegistry::instance().find(dramSpec)) {
+    } else if (spec) {
         // Address mapping is burst-granular: a line must fit inside one
         // spec burst (2 x tBl transfers x bus width), and bursts must
         // tile the row evenly.
@@ -178,8 +176,7 @@ MemConfig::validate() const
              "' (" + std::to_string(sameBankGroupSize) + ") must divide "
              "banksPerRank (" + std::to_string(org.banksPerRank) + ")");
     }
-    if (const DramSpec *spec =
-            DramSpecRegistry::instance().find(dramSpec)) {
+    if (spec) {
         if (spec->banksPerGroup <= 0) {
             // Same-bank refresh needs the spec's tRFCsb data; neither
             // the REFsb policy nor a slice-size override can conjure
@@ -238,7 +235,6 @@ MemConfig::validate() const
         // Map x spec cross-checks are the map's own business (e.g.
         // "ddr5-subch" demands a spec that declares sub-channels,
         // "perm-bank" a power-of-two bank count).
-        const DramSpec *spec = DramSpecRegistry::instance().find(dramSpec);
         if (map->check && spec) {
             const std::string err = map->check(org, *spec);
             if (!err.empty())
@@ -247,7 +243,7 @@ MemConfig::validate() const
     } else {
         fail(maps.unknownMapMessage(addressMap));
     }
-    return bad.str();
+    return bad;
 }
 
 void
@@ -285,11 +281,9 @@ MemConfig::finalize()
 std::string
 TrafficConfig::validate() const
 {
-    std::ostringstream bad;
-    const char *sep = "";
+    std::string bad;
     auto fail = [&](const std::string &msg) {
-        bad << sep << msg;
-        sep = "; ";
+        bad += (bad.empty() ? "" : "; ") + msg;
     };
 
     const bool knownMode = mode == "off" || mode == "poisson" ||
@@ -309,7 +303,7 @@ TrafficConfig::validate() const
              "'; trace replay needs " + keys::kTrafficMode + "=trace");
     }
     if (!enabled())
-        return bad.str();
+        return bad;
 
     if (mode != "trace" &&
         !(ratePerKilocycle > 0.0 && ratePerKilocycle <= 1e6)) {
@@ -395,7 +389,7 @@ TrafficConfig::validate() const
                  std::to_string(tenants) + ")");
         }
     }
-    return bad.str();
+    return bad;
 }
 
 std::vector<int>
@@ -416,13 +410,10 @@ TrafficConfig::priorityList() const
 std::string
 SystemConfig::validate() const
 {
-    std::ostringstream bad;
-    const char *sep = "";
+    std::string bad;
     auto fail = [&](const std::string &msg) {
-        if (msg.empty())
-            return;
-        bad << sep << msg;
-        sep = "; ";
+        if (!msg.empty())
+            bad += (bad.empty() ? "" : "; ") + msg;
     };
 
     const RefreshPolicyRegistry &policies = RefreshPolicyRegistry::instance();
@@ -460,7 +451,7 @@ SystemConfig::validate() const
     if (knownPolicy)
         policies.resolve(resolved);
     fail(resolved.validate());
-    return bad.str();
+    return bad;
 }
 
 void
