@@ -105,17 +105,6 @@ parse(const std::string &value, std::string &out)
     return "";
 }
 
-/** A name or a path: any non-empty string (validate() checks names
- *  against their registries). */
-std::string
-parseName(const std::string &value, std::string &out, const char *what)
-{
-    if (value.empty())
-        return std::string("expected ") + what;
-    out = value;
-    return "";
-}
-
 /** @name The struct a key lands in, reached from the config. */
 /// @{
 ExperimentConfig &runOf(ExperimentConfig &cfg) { return cfg; }
@@ -125,13 +114,20 @@ MemOrg &orgOf(ExperimentConfig &cfg) { return cfg.sys.mem.org; }
 TrafficConfig &trafficOf(ExperimentConfig &cfg) { return cfg.sys.traffic; }
 /// @}
 
-/** A key whose value parses straight into @p field of the struct
- *  @p owner reaches. */
+/**
+ * A key whose value parses straight into @p field of the struct
+ * @p owner reaches. With @p expected (names and paths), an empty value
+ * is an error saying what was expected; validate() checks names
+ * against their registries.
+ */
 template <typename S, typename T>
 KeyDesc
-row(const char *key, S &(*owner)(ExperimentConfig &), T S::*field)
+row(const char *key, S &(*owner)(ExperimentConfig &), T S::*field,
+    const char *expected = nullptr)
 {
-    return {key, [owner, field](ExperimentConfig &cfg, const std::string &v) {
+    return {key, [=](ExperimentConfig &cfg, const std::string &v) {
+                if (expected && v.empty())
+                    return std::string("expected ") + expected;
                 return parse(v, owner(cfg).*field);
             }};
 }
@@ -140,20 +136,11 @@ const std::vector<KeyDesc> &
 keyTable()
 {
     static const std::vector<KeyDesc> table = {
-        {keys::kPolicy,
-         [](ExperimentConfig &cfg, const std::string &v) {
-             return parseName(v, cfg.sys.mem.policy,
-                              "a refresh mechanism name");
-         }},
-        {keys::kDramSpec,
-         [](ExperimentConfig &cfg, const std::string &v) {
-             return parseName(v, cfg.sys.mem.dramSpec, "a DRAM spec name");
-         }},
-        {keys::kAddressMap,
-         [](ExperimentConfig &cfg, const std::string &v) {
-             return parseName(v, cfg.sys.mem.addressMap,
-                              "an address map name");
-         }},
+        row(keys::kPolicy, memOf, &MemConfig::policy,
+            "a refresh mechanism name"),
+        row(keys::kDramSpec, memOf, &MemConfig::dramSpec, "a DRAM spec name"),
+        row(keys::kAddressMap, memOf, &MemConfig::addressMap,
+            "an address map name"),
         row(keys::kDensityGb, memOf, &MemConfig::density),
         row(keys::kRetentionMs, memOf, &MemConfig::retentionMs),
         row(keys::kSubarraysPerBank, orgOf, &MemOrg::subarraysPerBank),
@@ -184,16 +171,15 @@ keyTable()
         row(keys::kMeasureCycles, runOf, &ExperimentConfig::measureCycles),
         row(keys::kWorkloadSeed, runOf, &ExperimentConfig::workloadSeed),
         row(keys::kIntensityPct, runOf, &ExperimentConfig::intensityPct),
-        {keys::kSimEngine,
-         [](ExperimentConfig &cfg, const std::string &v) {
-             return parseName(v, cfg.sys.engine,
-                              "a simulation engine name");
-         }},
+        row(keys::kSimEngine, sysOf, &SystemConfig::engine,
+            "a simulation engine name"),
         {keys::kTrafficMode,
-         [](ExperimentConfig &cfg, const std::string &v) {
-             return parseName(lowered(v), cfg.sys.traffic.mode,
-                              "an arrival-process name "
-                              "(off/poisson/bursty/diurnal/trace)");
+         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
+             if (v.empty())
+                 return "expected an arrival-process name "
+                        "(off/poisson/bursty/diurnal/trace)";
+             cfg.sys.traffic.mode = lowered(v);
+             return "";
          }},
         row(keys::kTrafficRate, trafficOf, &TrafficConfig::ratePerKilocycle),
         row(keys::kTrafficReadPct, trafficOf, &TrafficConfig::readPct),
@@ -204,11 +190,8 @@ keyTable()
         row(keys::kTrafficDiurnalPeriod, trafficOf,
             &TrafficConfig::diurnalPeriod),
         row(keys::kTrafficDiurnalAmp, trafficOf, &TrafficConfig::diurnalAmp),
-        {keys::kTrafficTrace,
-         [](ExperimentConfig &cfg, const std::string &v) {
-             return parseName(v, cfg.sys.traffic.tracePath,
-                              "a DRAMSim-style trace file path");
-         }},
+        row(keys::kTrafficTrace, trafficOf, &TrafficConfig::tracePath,
+            "a DRAMSim-style trace file path"),
         row(keys::kTenantCount, trafficOf, &TrafficConfig::tenants),
         row(keys::kTenantPriorities, trafficOf,
             &TrafficConfig::tenantPriorities),
