@@ -241,7 +241,7 @@ MemConfig::validate() const
                 fail(err);
         }
     } else {
-        fail(maps.unknownMapMessage(addressMap));
+        fail(maps.unknownMessage(addressMap));
     }
     return bad;
 }
@@ -419,10 +419,10 @@ SystemConfig::validate() const
     const RefreshPolicyRegistry &policies = RefreshPolicyRegistry::instance();
     const bool knownPolicy = policies.has(mem.policy);
     if (!knownPolicy)
-        fail(policies.unknownPolicyMessage(mem.policy));
+        fail(policies.unknownMessage(mem.policy));
     const DramSpecRegistry &specs = DramSpecRegistry::instance();
     if (!specs.has(mem.dramSpec))
-        fail(specs.unknownSpecMessage(mem.dramSpec));
+        fail(specs.unknownMessage(mem.dramSpec));
     if (numCores < 1) {
         fail(std::string("config key '") + keys::kNumCores +
              "' must be >= 1 (got " + std::to_string(numCores) + ")");

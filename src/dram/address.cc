@@ -1,13 +1,6 @@
 #include "dram/address.hh"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
-
 #include "common/log.hh"
-#include "common/strings.hh"
-#include "sim/config_keys.hh"
 
 namespace dsarp {
 
@@ -64,107 +57,6 @@ AddressMap::encode(const DecodedAddr &d) const
     x = x * org_.columns() + d.column;
     x = x * org_.channels + d.channel;
     return x * org_.columnBytes();
-}
-
-AddressMapRegistry &
-AddressMapRegistry::instance()
-{
-    static AddressMapRegistry registry;
-    return registry;
-}
-
-bool
-AddressMapRegistry::add(AddressMapInfo info,
-                        std::vector<std::string> aliases)
-{
-    DSARP_ASSERT(!info.name.empty(), "address map needs a name");
-    DSARP_ASSERT(info.make != nullptr, "address map needs a factory");
-
-    const std::lock_guard<std::mutex> lock(mutex_);
-    aliases.push_back(info.name);
-    const std::size_t slot = entries_.size();
-    entries_.push_back(std::move(info));
-    for (const std::string &alias : aliases) {
-        const auto [it, inserted] = index_.emplace(lowered(alias), slot);
-        (void)it;
-        if (!inserted) {
-            std::fprintf(stderr,
-                         "address map name '%s' registered twice\n",
-                         alias.c_str());
-            std::abort();
-        }
-    }
-    return true;
-}
-
-const AddressMapInfo *
-AddressMapRegistry::findLocked(const std::string &name) const
-{
-    const auto it = index_.find(lowered(name));
-    return it == index_.end() ? nullptr : &entries_[it->second];
-}
-
-bool
-AddressMapRegistry::has(const std::string &name) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return findLocked(name) != nullptr;
-}
-
-const AddressMapInfo *
-AddressMapRegistry::find(const std::string &name) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return findLocked(name);
-}
-
-const AddressMapInfo &
-AddressMapRegistry::at(const std::string &name) const
-{
-    std::string unknown;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (const AddressMapInfo *info = findLocked(name))
-            return *info;
-        unknown = unknownMapMessageLocked(name);
-    }
-    DSARP_FATAL(unknown.c_str());
-}
-
-std::string
-AddressMapRegistry::unknownMapMessageLocked(const std::string &name) const
-{
-    std::ostringstream msg;
-    msg << "config key '" << keys::kAddressMap
-        << "': unknown address map '" << name << "'; known:";
-    for (const std::string &known : namesLocked())
-        msg << ' ' << known;
-    return msg.str();
-}
-
-std::string
-AddressMapRegistry::unknownMapMessage(const std::string &name) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return unknownMapMessageLocked(name);
-}
-
-std::vector<std::string>
-AddressMapRegistry::namesLocked() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const AddressMapInfo &info : entries_)
-        out.push_back(info.name);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-std::vector<std::string>
-AddressMapRegistry::names() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return namesLocked();
 }
 
 std::unique_ptr<AddressMap>

@@ -12,11 +12,11 @@
  * Alternative interleaves (per-channel streaming regions, XOR bank
  * permutation, DDR5 sub-channel expansion) subclass it and register
  * themselves from static initializers in their own translation units
- * under src/dram/address_maps/ (see DSARP_REGISTER_ADDRESS_MAP),
- * exactly like DRAM specs and refresh policies: adding a mapping
- * strategy is one new .cc file. Selection is MemConfig::addressMap
- * (config key "address.map"); unknown names are a fatal named-key
- * error listing the registered maps.
+ * under src/dram/address_maps/ (see DSARP_REGISTER_ADDRESS_MAP) into
+ * the registry of common/registry.hh, like DRAM specs and refresh
+ * policies: adding a mapping strategy is one new .cc file. Selection
+ * is MemConfig::addressMap (config key "address.map"); unknown names
+ * are a fatal named-key error listing the registered maps.
  *
  * The mapping unit is one DRAM column = one spec burst
  * (MemOrg::columnBytes()): a 64 B cache line on DDR3/DDR4, but 128 B
@@ -27,17 +27,14 @@
 #ifndef DSARP_DRAM_ADDRESS_HH
 #define DSARP_DRAM_ADDRESS_HH
 
-#include <cstddef>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
+#include "common/registry.hh"
 #include "common/types.hh"
+#include "sim/config_keys.hh"
 
 namespace dsarp {
 
@@ -121,56 +118,22 @@ struct AddressMapInfo
 };
 
 class AddressMapRegistry
+    : public Registry<AddressMapRegistry, AddressMapInfo>
 {
   public:
-    /**
-     * The process-wide registry; a function-local static with
-     * mutex-guarded members, same thread-safety contract as
-     * DramSpecRegistry (safe against concurrent registration and the
-     * parallel sweep harness).
-     */
-    static AddressMapRegistry &instance();
+    static constexpr const char *kKey = keys::kAddressMap;
+    static constexpr const char *kNoun = "address map";
 
-    /**
-     * Register @p info under its canonical name and every alias.
-     * Returns true so static registrars can capture the result; a
-     * duplicate name is a fatal error at startup.
-     */
-    bool add(AddressMapInfo info, std::vector<std::string> aliases = {});
-
-    bool has(const std::string &name) const;
-
-    /** Case-insensitive lookup; nullptr when unknown. */
-    const AddressMapInfo *find(const std::string &name) const;
-
-    /** find(), but a fatal named-key error listing known maps. */
-    const AddressMapInfo &at(const std::string &name) const;
-
-    /** The named-key error text at() dies with (for callers that
-     *  collect errors instead of exiting). */
-    std::string unknownMapMessage(const std::string &name) const;
-
-    /** Canonical names, sorted; aliases are not repeated. */
-    std::vector<std::string> names() const;
+    static void
+    checkEntry(const AddressMapInfo &info)
+    {
+        DSARP_ASSERT(info.make != nullptr, "address map needs a factory");
+    }
 
     /** Build the named map for @p org (fatal named-key error when
      *  unknown). */
     std::unique_ptr<AddressMap> make(const std::string &name,
                                      const MemOrg &org) const;
-
-  private:
-    const AddressMapInfo *findLocked(const std::string &name) const;
-    std::string unknownMapMessageLocked(const std::string &name) const;
-    std::vector<std::string> namesLocked() const;
-
-    /** Guards index_/entries_; never held while calling out. */
-    mutable std::mutex mutex_;
-
-    std::map<std::string, std::size_t> index_;  ///< lowercase name -> slot.
-
-    /** A deque so references returned by find()/at() stay valid when
-     *  later registrations grow the registry. */
-    std::deque<AddressMapInfo> entries_;
 };
 
 /**

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
 
 #include "common/log.hh"
-#include "common/strings.hh"
 #include "sim/config_keys.hh"
 
 namespace dsarp {
@@ -182,106 +178,6 @@ DramSpec::timingFor(const MemConfig &cfg) const
         DSARP_ASSERT(t.tRefiSb > t.tRfcSb, "tREFIsb must exceed tRFCsb");
     }
     return t;
-}
-
-DramSpecRegistry &
-DramSpecRegistry::instance()
-{
-    static DramSpecRegistry registry;
-    return registry;
-}
-
-bool
-DramSpecRegistry::add(DramSpec spec, std::vector<std::string> aliases)
-{
-    DSARP_ASSERT(!spec.name.empty(), "DRAM spec needs a name");
-    DSARP_ASSERT(spec.tCkNs > Nanoseconds(0.0),
-                 "DRAM spec needs a positive tCK");
-
-    const std::lock_guard<std::mutex> lock(mutex_);
-    aliases.push_back(spec.name);
-    const std::size_t slot = entries_.size();
-    entries_.push_back(std::move(spec));
-    for (const std::string &alias : aliases) {
-        const auto [it, inserted] = index_.emplace(lowered(alias), slot);
-        (void)it;
-        if (!inserted) {
-            std::fprintf(stderr, "DRAM spec name '%s' registered twice\n",
-                         alias.c_str());
-            std::abort();
-        }
-    }
-    return true;
-}
-
-const DramSpec *
-DramSpecRegistry::findLocked(const std::string &name) const
-{
-    const auto it = index_.find(lowered(name));
-    return it == index_.end() ? nullptr : &entries_[it->second];
-}
-
-bool
-DramSpecRegistry::has(const std::string &name) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return findLocked(name) != nullptr;
-}
-
-const DramSpec *
-DramSpecRegistry::find(const std::string &name) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return findLocked(name);
-}
-
-const DramSpec &
-DramSpecRegistry::at(const std::string &name) const
-{
-    std::string unknown;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (const DramSpec *spec = findLocked(name))
-            return *spec;
-        unknown = unknownSpecMessageLocked(name);
-    }
-    DSARP_FATAL(unknown.c_str());
-}
-
-std::string
-DramSpecRegistry::unknownSpecMessageLocked(const std::string &name) const
-{
-    std::ostringstream msg;
-    msg << "config key '" << keys::kDramSpec << "': unknown DRAM spec '"
-        << name << "'; known:";
-    for (const std::string &known : namesLocked())
-        msg << ' ' << known;
-    return msg.str();
-}
-
-std::string
-DramSpecRegistry::unknownSpecMessage(const std::string &name) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return unknownSpecMessageLocked(name);
-}
-
-std::vector<std::string>
-DramSpecRegistry::namesLocked() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const DramSpec &spec : entries_)
-        out.push_back(spec.name);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-std::vector<std::string>
-DramSpecRegistry::names() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return namesLocked();
 }
 
 } // namespace dsarp

@@ -11,12 +11,9 @@
  * rows-per-refresh coverage -- is computed centrally by timingFor(),
  * never copy-pasted per spec.
  *
- * Specs register themselves from static initializers in their own
- * translation units under src/dram/specs/ (see the
- * DSARP_REGISTER_DRAM_SPEC macro), exactly like the refresh-policy
- * registry: adding a DRAM generation is one new .cc file -- no enum,
- * no switch, no name table to edit. The core is linked as a CMake
- * OBJECT library so the registrars are never dead-stripped.
+ * Specs register themselves from their own translation units under
+ * src/dram/specs/ with the DSARP_REGISTER_DRAM_SPEC macro;
+ * common/registry.hh holds the registry itself.
  *
  * Selection: set MemConfig::dramSpec (config key "dram.spec") to a
  * registered name; lookups are case-insensitive and aliases are
@@ -28,15 +25,12 @@
 #define DSARP_DRAM_SPEC_HH
 
 #include <array>
-#include <cstddef>
-#include <deque>
-#include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
+#include "common/registry.hh"
 #include "dram/timing.hh"
+#include "sim/config_keys.hh"
 
 namespace dsarp {
 
@@ -214,57 +208,18 @@ struct DramSpec
     TimingParams timingFor(const MemConfig &cfg) const;
 };
 
-class DramSpecRegistry
+class DramSpecRegistry : public Registry<DramSpecRegistry, DramSpec>
 {
   public:
-    /**
-     * The process-wide registry. A function-local static, so the
-     * first registrar to run -- in whatever translation-unit order
-     * the linker chose -- constructs it before using it (no
-     * static-init-order hazard), and C++11 magic-static semantics
-     * make that construction race-free. All member functions are
-     * additionally mutex-guarded, so runtime registration (tests,
-     * plugins) is safe against concurrent lookups from the parallel
-     * sweep harness.
-     */
-    static DramSpecRegistry &instance();
+    static constexpr const char *kKey = keys::kDramSpec;
+    static constexpr const char *kNoun = "DRAM spec";
 
-    /**
-     * Register @p spec under its canonical name and every alias.
-     * Returns true so static registrars can capture the result; a
-     * duplicate name is a fatal error at startup.
-     */
-    bool add(DramSpec spec, std::vector<std::string> aliases = {});
-
-    bool has(const std::string &name) const;
-
-    /** Case-insensitive lookup; nullptr when unknown. */
-    const DramSpec *find(const std::string &name) const;
-
-    /** find(), but a fatal named-key error listing known specs. */
-    const DramSpec &at(const std::string &name) const;
-
-    /** The named-key error text at() dies with (for callers that
-     *  collect errors instead of exiting). */
-    std::string unknownSpecMessage(const std::string &name) const;
-
-    /** Canonical names, sorted; aliases are not repeated. */
-    std::vector<std::string> names() const;
-
-  private:
-    const DramSpec *findLocked(const std::string &name) const;
-    std::string unknownSpecMessageLocked(const std::string &name) const;
-    std::vector<std::string> namesLocked() const;
-
-    /** Guards index_/entries_; never held while calling out. */
-    mutable std::mutex mutex_;
-
-    std::map<std::string, std::size_t> index_;  ///< lowercase name -> slot.
-
-    /** A deque so references returned by find()/at() stay valid when
-     *  later registrations grow the registry (Simulation caches one
-     *  for its whole lifetime). */
-    std::deque<DramSpec> entries_;
+    static void
+    checkEntry(const DramSpec &spec)
+    {
+        DSARP_ASSERT(spec.tCkNs > Nanoseconds(0.0),
+                     "DRAM spec needs a positive tCK");
+    }
 };
 
 /**

@@ -4,7 +4,8 @@
  *
  * Every mechanism the simulator knows -- the paper's eleven (NoREF,
  * REFab, REFpb, Elastic, DARP, SARPab, SARPpb, DSARP, FGR2x, FGR4x,
- * AR) and any user-defined policy -- is one registry entry carrying:
+ * AR), the HiRA extension, DDR5's REFsb and HiRAsb, and any
+ * user-defined policy -- is one registry entry carrying:
  *
  *   - the canonical name (plus aliases; lookups are case-insensitive),
  *   - a config bundle applied before the system is built: the refresh
@@ -12,11 +13,9 @@
  *     REFab's (e.g. "DSARP" = DARP timing + SARP),
  *   - a factory building the per-channel scheduler.
  *
- * Policies register themselves from static initializers in their own
- * translation units (see the DSARP_REGISTER_REFRESH_POLICY macro), so
- * adding a mechanism is one new .cc file -- no enum, no switch, no
- * name table to edit. The core is linked as a CMake OBJECT library so
- * the registrars are never dead-stripped.
+ * Policies register themselves from their own translation units with
+ * the DSARP_REGISTER_REFRESH_POLICY macro; common/registry.hh holds
+ * the registry itself.
  *
  * Selection: set MemConfig::policy to a registered name; it is the
  * only selector. resolve() derives the refresh/sarp/hira tags from the
@@ -26,74 +25,52 @@
 #ifndef DSARP_REFRESH_REGISTRY_HH
 #define DSARP_REFRESH_REGISTRY_HH
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
+#include "common/registry.hh"
 #include "refresh/scheduler.hh"
+#include "sim/config_keys.hh"
 
 namespace dsarp {
 
-class RefreshPolicyRegistry
+/** One registered mechanism: RefreshPolicyRegistry::Entry. */
+struct RefreshPolicyInfo
 {
-  public:
     using Factory = std::function<std::unique_ptr<RefreshScheduler>(
         const MemConfig &, const TimingParams &, ControllerView &)>;
 
-    struct Entry
+    std::string name;     ///< Canonical spelling, e.g. "DSARP".
+    std::string summary;  ///< One-liner for --list-mechs and docs.
+
+    /**
+     * Apply the mechanism's config bundle: the timing-profile tag
+     * (which TimingParams and the checker consume) and flags such
+     * as MemConfig::sarp, where they differ from REFab's. Run by
+     * resolve() after it reset the tags; may be empty.
+     */
+    std::function<void(MemConfig &)> configure;
+
+    /** Build the scheduler for one channel. */
+    Factory make;
+};
+
+class RefreshPolicyRegistry
+    : public Registry<RefreshPolicyRegistry, RefreshPolicyInfo>
+{
+  public:
+    using Factory = RefreshPolicyInfo::Factory;
+
+    static constexpr const char *kKey = keys::kPolicy;
+    static constexpr const char *kNoun = "refresh policy";
+
+    static void
+    checkEntry(const Entry &entry)
     {
-        std::string name;     ///< Canonical spelling, e.g. "DSARP".
-        std::string summary;  ///< One-liner for --list-mechs and docs.
-
-        /**
-         * Apply the mechanism's config bundle: the timing-profile tag
-         * (which TimingParams and the checker consume) and flags such
-         * as MemConfig::sarp, where they differ from REFab's. Run by
-         * resolve() after it reset the tags; may be empty.
-         */
-        std::function<void(MemConfig &)> configure;
-
-        /** Build the scheduler for one channel. */
-        Factory make;
-    };
-
-    /**
-     * The process-wide registry. A function-local static, so the
-     * first registrar to run -- in whatever translation-unit order
-     * the linker chose -- constructs it before using it (no
-     * static-init-order hazard), and C++11 magic-static semantics
-     * make that construction race-free. All member functions are
-     * additionally mutex-guarded, so runtime registration (tests,
-     * custom policies) is safe against concurrent lookups from the
-     * parallel sweep harness.
-     */
-    static RefreshPolicyRegistry &instance();
-
-    /**
-     * Register @p entry under its canonical name and every alias.
-     * Returns true so static registrars can capture the result; a
-     * duplicate name is a fatal error at startup.
-     */
-    bool add(Entry entry, std::vector<std::string> aliases = {});
-
-    bool has(const std::string &name) const;
-
-    /** Case-insensitive lookup; nullptr when unknown. */
-    const Entry *find(const std::string &name) const;
-
-    /** find(), but a fatal named-key error listing known mechanisms. */
-    const Entry &at(const std::string &name) const;
-
-    /** The named-key error text at() dies with (for callers that
-     *  collect errors instead of exiting). */
-    std::string unknownPolicyMessage(const std::string &name) const;
-
-    /** Canonical names, sorted; aliases are not repeated. */
-    std::vector<std::string> names() const;
+        DSARP_ASSERT(static_cast<bool>(entry.make),
+                     "refresh policy needs a factory");
+    }
 
     /**
      * Resolve @p cfg to its registry entry and canonicalise it:
@@ -108,22 +85,6 @@ class RefreshPolicyRegistry
     std::unique_ptr<RefreshScheduler> make(const MemConfig &cfg,
                                            const TimingParams &timing,
                                            ControllerView &view) const;
-
-  private:
-    const Entry *findLocked(const std::string &name) const;
-    const Entry &atLocked(const std::string &name) const;
-    std::string unknownPolicyMessageLocked(const std::string &name) const;
-    std::vector<std::string> namesLocked() const;
-
-    /** Guards index_/entries_; never held while running a factory or
-     *  config bundle (those may re-enter the registry). */
-    mutable std::mutex mutex_;
-
-    std::map<std::string, std::size_t> index_;  ///< lowercase name → slot.
-
-    /** A deque so Entry pointers returned by find()/at() stay valid
-     *  when later (runtime) registrations grow the registry. */
-    std::deque<Entry> entries_;
 };
 
 /**

@@ -96,7 +96,7 @@ TEST(AddressMapRegistryDeathTest, UnknownNameDiesWithNamedKeyError)
 TEST(AddressMapRegistry, UnknownMapMessageListsKnownMaps)
 {
     const std::string msg =
-        AddressMapRegistry::instance().unknownMapMessage("bogus");
+        AddressMapRegistry::instance().unknownMessage("bogus");
     EXPECT_NE(msg.find("config key 'address.map'"), std::string::npos);
     EXPECT_NE(msg.find("'bogus'"), std::string::npos);
     EXPECT_NE(msg.find("burst-ch"), std::string::npos);

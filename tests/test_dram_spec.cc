@@ -65,7 +65,7 @@ TEST(DramSpecRegistry, LookupIsCaseInsensitiveAndAliased)
 TEST(DramSpecRegistry, UnknownSpecIsNamedKeyError)
 {
     const auto &registry = DramSpecRegistry::instance();
-    const std::string msg = registry.unknownSpecMessage("DDR9-9999");
+    const std::string msg = registry.unknownMessage("DDR9-9999");
     EXPECT_NE(msg.find("config key 'dram.spec'"), std::string::npos);
     EXPECT_NE(msg.find("DDR9-9999"), std::string::npos);
     // The error must list every registered spec by canonical name.

@@ -4,7 +4,9 @@
  * mechanism round-trips by name (and alias), a resolved config depends
  * on its name alone, unknown names fail with a helpful error, and --
  * the acceptance bar for the open API -- a custom policy registered at
- * runtime drives a full System with no factory/enum edits.
+ * runtime drives a full System with no factory/enum edits. The
+ * registration errors of the registry template (common/registry.hh)
+ * are checked on all three registries: policies, specs and maps.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "dram/address.hh"
+#include "dram/spec.hh"
 #include "mock_view.hh"
 #include "refresh/darp.hh"
 #include "refresh/elastic.hh"
@@ -246,4 +250,144 @@ TEST(Registry, RuntimeRegisteredPolicyDrivesASystem)
     for (int ch = 0; ch < sys.numChannels(); ++ch)
         reads += sys.controller(ch).stats().readsCompleted;
     EXPECT_GT(reads, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Registration errors, owned by the registry template and so checked on
+// every registry. Each registration runs in the death test's child, so
+// the registries of this process stay as they are.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Per registry: a built-in name and its case-only twin, a well-formed
+ * entry under any name, and a malformed entry with its panic text.
+ */
+template <class R>
+struct Entries;
+
+template <>
+struct Entries<RefreshPolicyRegistry>
+{
+    static constexpr const char *kBuiltin = "REFab";
+    static constexpr const char *kCaseTwin = "refab";
+    static constexpr const char *kMalformed =
+        "refresh policy needs a factory";
+
+    static RefreshPolicyInfo
+    valid(const std::string &name)
+    {
+        return {name, "", nullptr,
+                [](const MemConfig &, const TimingParams &,
+                   ControllerView &) {
+                    return std::unique_ptr<RefreshScheduler>();
+                }};
+    }
+
+    static RefreshPolicyInfo
+    malformed()
+    {
+        return {"NoFactory", "", nullptr, nullptr};
+    }
+};
+
+template <>
+struct Entries<DramSpecRegistry>
+{
+    static constexpr const char *kBuiltin = "DDR3-1333";
+    static constexpr const char *kCaseTwin = "ddr3-1333";
+    static constexpr const char *kMalformed =
+        "DRAM spec needs a positive tCK";
+
+    static DramSpec
+    valid(const std::string &name)
+    {
+        DramSpec spec;
+        spec.name = name;
+        return spec;
+    }
+
+    static DramSpec
+    malformed()
+    {
+        DramSpec spec = valid("ZeroTck");
+        spec.tCkNs = Nanoseconds(0.0);
+        return spec;
+    }
+};
+
+template <>
+struct Entries<AddressMapRegistry>
+{
+    static constexpr const char *kBuiltin = "burst-ch";
+    static constexpr const char *kCaseTwin = "BURST-CH";
+    static constexpr const char *kMalformed = "address map needs a factory";
+
+    static AddressMapInfo
+    valid(const std::string &name)
+    {
+        return {name, "",
+                [](const MemOrg &org) {
+                    return std::make_unique<AddressMap>(org);
+                },
+                nullptr, nullptr};
+    }
+
+    static AddressMapInfo
+    malformed()
+    {
+        return {"no-factory", "", nullptr, nullptr, nullptr};
+    }
+};
+
+/** The abort message of a taken name: "<noun> name '<name>' ...". */
+template <class R>
+std::string
+registeredTwice(const std::string &name)
+{
+    return std::string(R::kNoun) + " name '" + name + "' registered twice";
+}
+
+template <class R>
+class RegistrationDeathTest : public testing::Test
+{
+};
+
+using AllRegistries = testing::Types<RefreshPolicyRegistry,
+                                     DramSpecRegistry, AddressMapRegistry>;
+TYPED_TEST_SUITE(RegistrationDeathTest, AllRegistries);
+
+} // namespace
+
+TYPED_TEST(RegistrationDeathTest, DuplicateNameAborts)
+{
+    using E = Entries<TypeParam>;
+    EXPECT_DEATH(TypeParam::instance().add(E::valid(E::kBuiltin)),
+                 registeredTwice<TypeParam>(E::kBuiltin));
+}
+
+TYPED_TEST(RegistrationDeathTest, CaseOnlyCollisionAborts)
+{
+    using E = Entries<TypeParam>;
+    EXPECT_DEATH(TypeParam::instance().add(E::valid(E::kCaseTwin)),
+                 registeredTwice<TypeParam>(E::kCaseTwin));
+}
+
+TYPED_TEST(RegistrationDeathTest, AliasCollisionAborts)
+{
+    using E = Entries<TypeParam>;
+    auto &registry = TypeParam::instance();
+    EXPECT_DEATH(
+        {
+            registry.add(E::valid("first-entry"), {"shared-alias"});
+            registry.add(E::valid("second-entry"), {"shared-alias"});
+        },
+        registeredTwice<TypeParam>("shared-alias"));
+}
+
+TYPED_TEST(RegistrationDeathTest, MalformedEntryAborts)
+{
+    using E = Entries<TypeParam>;
+    EXPECT_DEATH(TypeParam::instance().add(E::malformed()), E::kMalformed);
 }

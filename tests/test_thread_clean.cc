@@ -64,8 +64,7 @@ TEST(ThreadClean, ConcurrentRegistryLookups)
             EXPECT_FALSE(specs.names().empty());
             // Misses exercise the error-message path's lock too.
             EXPECT_EQ(specs.find("no-such-spec"), nullptr);
-            EXPECT_FALSE(
-                policies.unknownPolicyMessage("no-such-policy").empty());
+            EXPECT_FALSE(policies.unknownMessage("no-such-policy").empty());
         }
         (void)i;
     });
