@@ -35,18 +35,6 @@ rowsPerBankFor(Density d)
     return 65536;
 }
 
-double
-tRfcAbNsFor(Density d)
-{
-    // Paper Table 1: tRFCab = 350/530/890 ns for 8/16/32 Gb chips.
-    switch (d) {
-      case Density::k8Gb: return 350.0;
-      case Density::k16Gb: return 530.0;
-      case Density::k32Gb: return 890.0;
-    }
-    return 350.0;
-}
-
 std::string
 MemConfig::validate() const
 {

@@ -46,9 +46,6 @@ const char *densityName(Density d);
 /** Rows per bank for a density (64K at 8 Gb, doubling per step). */
 int rowsPerBankFor(Density d);
 
-/** All-bank refresh latency in nanoseconds (350/530/890 ns, Table 1). */
-double tRfcAbNsFor(Density d);
-
 /** DRAM geometry. */
 struct MemOrg
 {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/config.hh"
+#include "dram/spec.hh"
 
 using namespace dsarp;
 
@@ -18,10 +19,11 @@ TEST(Config, DensityRows)
 
 TEST(Config, DensityRefreshLatency)
 {
-    // Paper Table 1.
-    EXPECT_DOUBLE_EQ(tRfcAbNsFor(Density::k8Gb), 350.0);
-    EXPECT_DOUBLE_EQ(tRfcAbNsFor(Density::k16Gb), 530.0);
-    EXPECT_DOUBLE_EQ(tRfcAbNsFor(Density::k32Gb), 890.0);
+    // Paper Table 1, as the DDR3-1333 spec the simulator runs holds it.
+    const DramSpec &spec = DramSpecRegistry::instance().at("DDR3-1333");
+    EXPECT_DOUBLE_EQ(spec.tRfcAbNsFor(Density::k8Gb).ns(), 350.0);
+    EXPECT_DOUBLE_EQ(spec.tRfcAbNsFor(Density::k16Gb).ns(), 530.0);
+    EXPECT_DOUBLE_EQ(spec.tRfcAbNsFor(Density::k32Gb).ns(), 890.0);
 }
 
 TEST(Config, Names)
