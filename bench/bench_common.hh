@@ -11,6 +11,8 @@
 #ifndef DSARP_BENCH_BENCH_COMMON_HH
 #define DSARP_BENCH_BENCH_COMMON_HH
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -83,30 +85,43 @@ specSupportsSameBank(const std::string &spec)
 }
 
 /**
- * The channel-count axis from the command line: "--channels N"
- * (fatal on a non-positive count), 0 when absent = keep the library
- * default topology. Benches pass argc/argv straight through, exactly
- * like specFromArgs().
+ * The value of "FLAG N" on the command line, an int of at least
+ * @p min; @p absent when the flag is not given. A missing, malformed
+ * or out-of-range value is a fatal error naming the flag; @p what
+ * describes a valid value ("a positive channel count"). Benches pass
+ * argc/argv straight through, exactly like specFromArgs().
+ */
+inline int
+intFlag(int argc, char **argv, const char *flag, int min, int absent,
+        const char *what)
+{
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], flag) != 0)
+            continue;
+        if (i + 1 >= argc)
+            DSARP_FATALF("%s needs a value (%s)", flag, what);
+        const char *text = argv[i + 1];
+        char *end = nullptr;
+        errno = 0;
+        const long n = std::strtol(text, &end, 10);
+        if (end == text || *end != '\0' || errno == ERANGE || n < min ||
+            n > INT_MAX) {
+            DSARP_FATALF("%s: '%s' is not %s (%d to %d)", flag, text, what,
+                         min, INT_MAX);
+        }
+        return static_cast<int>(n);
+    }
+    return absent;
+}
+
+/**
+ * The channel-count axis from the command line: "--channels N", 0
+ * when absent = keep the library default topology.
  */
 inline int
 channelsFromArgs(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--channels") != 0)
-            continue;
-        if (i + 1 >= argc)
-            DSARP_FATAL("--channels needs a value (a positive channel "
-                        "count)");
-        char *end = nullptr;
-        const long n = std::strtol(argv[i + 1], &end, 10);
-        if (end == argv[i + 1] || *end != '\0' || n < 1) {
-            DSARP_FATALF("--channels: '%s' is not a positive channel "
-                         "count",
-                         argv[i + 1]);
-        }
-        return static_cast<int>(n);
-    }
-    return 0;
+    return intFlag(argc, argv, "--channels", 1, 0, "a positive channel count");
 }
 
 /**
@@ -123,28 +138,12 @@ sweepJobs()
     return jobs;
 }
 
-/**
- * Parse "--jobs N" (fatal named-key error on a missing or non-positive
- * value) into the bench-wide worker count. Benches pass argc/argv
- * straight through, exactly like specFromArgs().
- */
+/** Parse "--jobs N", when given, into the bench-wide worker count. */
 inline void
 applyJobsFromArgs(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") != 0)
-            continue;
-        if (i + 1 >= argc)
-            DSARP_FATAL("--jobs needs a value (a positive worker count)");
-        char *end = nullptr;
-        const long n = std::strtol(argv[i + 1], &end, 10);
-        if (end == argv[i + 1] || *end != '\0' || n < 1) {
-            DSARP_FATALF("--jobs: '%s' is not a positive worker count",
-                         argv[i + 1]);
-        }
-        sweepJobs() = static_cast<int>(n);
-        return;
-    }
+    sweepJobs() = intFlag(argc, argv, "--jobs", 1, sweepJobs(),
+                          "a positive worker count");
 }
 
 /** Print a figure/table banner. */

@@ -19,8 +19,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench_common.hh"
 
@@ -39,11 +37,8 @@ main(int argc, char **argv)
         std::printf("[dram spec: %s]\n", spec.c_str());
 
     // Self-refresh axis: --sr-idle N (0 = the protocol stays off).
-    int srIdle = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--sr-idle") == 0 && i + 1 < argc)
-            srIdle = std::atoi(argv[i + 1]);
-    }
+    const int srIdle =
+        intFlag(argc, argv, "--sr-idle", 0, 0, "a non-negative cycle count");
     if (srIdle > 0) {
         std::printf("[self-refresh idle entry: %d cycles]\n", srIdle);
     }
