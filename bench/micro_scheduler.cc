@@ -18,7 +18,6 @@
 #include "dram/address.hh"
 #include "refresh/darp.hh"
 #include "refresh/registry.hh"
-#include "refresh/same_bank.hh"
 #include "sim/system.hh"
 #include "workload/benchmark.hh"
 
@@ -200,16 +199,6 @@ class FrozenView : public ControllerView
         return reads_.busyBanks() | writes_.busyBanks();
     }
     int
-    pendingReads(RankId r, BankId b) const override
-    {
-        return reads_.bankCount(r, b);
-    }
-    int
-    pendingWrites(RankId r, BankId b) const override
-    {
-        return writes_.bankCount(r, b);
-    }
-    int
     pendingDemandsRank(RankId r) const override
     {
         return reads_.rankCount(r) + writes_.rankCount(r);
@@ -314,7 +303,7 @@ BM_RefreshDecision_SameBank(benchmark::State &state)
     cfg.finalize();
     const TimingParams timing = TimingParams::forConfig(cfg);
     FrozenView view(&cfg, &timing);
-    SameBankScheduler refsb(&cfg, &timing, &view);
+    DarpScheduler refsb(&cfg, &timing, &view);
     for (int i = 0; i < 32; ++i) {
         Request req;
         req.id = i;

@@ -150,10 +150,6 @@ MemConfig::validate() const
              std::to_string(tFawOverride) + "/" +
              std::to_string(tRrdOverride) + ")");
     }
-    if (sarpInflationAb < 1.0 || sarpInflationPb < 1.0) {
-        fail("MemConfig::sarpInflationAb/sarpInflationPb must be >= 1.0: "
-             "SARP inflates tFAW/tRRD during refresh, never shrinks them");
-    }
     if (sameBankGroupSize < 0) {
         fail(std::string("config key '") + keys::kSameBankGroupSize +
              "' must be >= 0, 0 for the spec's bank-group geometry (got " +

@@ -256,8 +256,8 @@ struct MemConfig
      * flight (Eq. 1-3): 2.1x during REFab, 1.138x during REFpb, derived
      * from Micron 8 Gb IDD values.
      */
-    double sarpInflationAb = 2.1;
-    double sarpInflationPb = 1.138;
+    static constexpr double sarpInflationAb = 2.1;
+    static constexpr double sarpInflationPb = 1.138;
 
     /**
      * Check every field for consistency. Returns "" when the config is

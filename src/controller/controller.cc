@@ -84,18 +84,6 @@ ChannelController::pendingDemands(RankId r, BankId b) const
 }
 
 int
-ChannelController::pendingReads(RankId r, BankId b) const
-{
-    return readQ_.bankCount(r, b);
-}
-
-int
-ChannelController::pendingWrites(RankId r, BankId b) const
-{
-    return writeQ_.bankCount(r, b);
-}
-
-int
 ChannelController::pendingDemandsRank(RankId r) const
 {
     return readQ_.rankCount(r) + writeQ_.rankCount(r);

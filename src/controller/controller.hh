@@ -129,8 +129,6 @@ class ChannelController : public ControllerView
     {
         return readQ_.busyBanks() | writeQ_.busyBanks();
     }
-    int pendingReads(RankId r, BankId b) const override;
-    int pendingWrites(RankId r, BankId b) const override;
     int pendingDemandsRank(RankId r) const override;
     bool inWritebackMode() const override { return writeDrain_.active(); }
     Tick lastDemandActivity(RankId r) const override;

@@ -37,11 +37,11 @@ Rank::refreshInflationMult(const MemConfig &cfg, bool ab_in_flight,
     if (!extended)
         return 1.0;
     if (ab_in_flight)
-        return cfg.sarpInflationAb;
+        return MemConfig::sarpInflationAb;
     if (pb_in_flight > 0) {
         // Each in-flight per-bank refresh adds one refresh current's
         // worth of overhead on top of the four-activate budget.
-        return 1.0 + pb_in_flight * (cfg.sarpInflationPb - 1.0);
+        return 1.0 + pb_in_flight * (MemConfig::sarpInflationPb - 1.0);
     }
     return 1.0;
 }

@@ -21,23 +21,16 @@ DSARP_REGISTER_REFRESH_POLICY(sarpab, {
 AllBankScheduler::AllBankScheduler(const MemConfig *cfg,
                                    const TimingParams *timing,
                                    ControllerView *view)
-    : RefreshScheduler(cfg, timing, view),
-      // One unit per rank, with a small phase offset between ranks: just
-      // enough that the commands do not collide on the command bus.
-      // Wide staggering is strictly worse for throughput -- it doubles
-      // the fraction of time the channel runs at half capacity -- so the
-      // near-aligned schedule is the strongest (fairest) baseline.
-      ledger_(cfg->org.ranksPerChannel, 1, timing->tRefiAb,
-              timing->tRefiAb /
-                  (cfg->refabStaggerDivisor * cfg->org.ranksPerChannel),
-              Cycles(), 8, channelPhase())
+    // One unit per rank, with a small phase offset between ranks: just
+    // enough that the commands do not collide on the command bus. Wide
+    // staggering is strictly worse for throughput -- it doubles the
+    // fraction of time the channel runs at half capacity -- so the
+    // near-aligned schedule is the strongest (fairest) baseline.
+    : LedgerScheduler(cfg, timing, view, 1, timing->tRefiAb,
+                      timing->tRefiAb / (cfg->refabStaggerDivisor *
+                                         cfg->org.ranksPerChannel),
+                      Cycles())
 {
-}
-
-void
-AllBankScheduler::tick(Tick now)
-{
-    ledger_.advanceTo(now);
 }
 
 void
@@ -63,18 +56,6 @@ AllBankScheduler::onIssued(const RefreshRequest &req, Tick)
 {
     ledger_.onRefresh(req.rank);
     ++stats_.issued;
-}
-
-void
-AllBankScheduler::onSrEnter(RankId rank, Tick now)
-{
-    ledger_.pauseRank(rank, now);
-}
-
-void
-AllBankScheduler::onSrExit(RankId rank, Tick now)
-{
-    ledger_.resumeRank(rank, now);
 }
 
 } // namespace dsarp

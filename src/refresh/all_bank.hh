@@ -11,31 +11,18 @@
 #ifndef DSARP_REFRESH_ALL_BANK_HH
 #define DSARP_REFRESH_ALL_BANK_HH
 
-#include "refresh/ledger.hh"
 #include "refresh/scheduler.hh"
 
 namespace dsarp {
 
-class AllBankScheduler : public RefreshScheduler
+class AllBankScheduler : public LedgerScheduler
 {
   public:
     AllBankScheduler(const MemConfig *cfg, const TimingParams *timing,
                      ControllerView *view);
 
-    void tick(Tick now) override;
     void urgent(Tick now, std::vector<RefreshRequest> &out) override;
-    bool opportunistic(Tick, RefreshRequest &) override { return false; }
     void onIssued(const RefreshRequest &req, Tick now) override;
-    void onSrEnter(RankId rank, Tick now) override;
-    void onSrExit(RankId rank, Tick now) override;
-
-    /** Nothing changes between ledger accrual instants. */
-    Tick nextWake(Tick) override { return ledger_.nextAccrualTick(); }
-
-    const RefreshLedger &ledger() const { return ledger_; }
-
-  private:
-    RefreshLedger ledger_;
 };
 
 } // namespace dsarp

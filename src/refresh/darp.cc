@@ -1,7 +1,9 @@
 #include "refresh/darp.hh"
 
+#include <algorithm>
 #include <bit>
 
+#include "common/log.hh"
 #include "refresh/registry.hh"
 
 namespace dsarp {
@@ -24,16 +26,103 @@ DSARP_REGISTER_REFRESH_POLICY(dsarp, {
         return std::make_unique<DarpScheduler>(&c, &t, &v);
     }})
 
+DSARP_REGISTER_REFRESH_POLICY(refsb, {
+    "REFsb", "DDR5 same-bank refresh: one command refreshes a "
+             "bank-group slice while other groups keep serving",
+    [](MemConfig &m) { m.refresh = RefreshMode::kSameBank; },
+    [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
+        return std::make_unique<DarpScheduler>(&c, &t, &v);
+    }}, {"same_bank", "samebank"})
+
+DSARP_REGISTER_REFRESH_POLICY(hirasb, {
+    "HiRAsb", "REFsb + HiRA refresh-refresh pairing: doubled same-bank "
+              "slices when a bank group falls two slots behind",
+    [](MemConfig &m) {
+        m.refresh = RefreshMode::kSameBank;
+        m.hira = true;
+    },
+    [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
+        return std::make_unique<DarpScheduler>(&c, &t, &v);
+    }}, {"refsb+hira"})
+
+namespace {
+
+bool
+sameBank(const MemConfig &cfg)
+{
+    return cfg.refresh == RefreshMode::kSameBank;
+}
+
+/** Banks per unit: a bank-group slice under REFsb, else one bank. */
+int
+unitWidth(const MemConfig &cfg, const TimingParams &t)
+{
+    return sameBank(cfg) ? std::max(1, t.banksPerGroup) : 1;
+}
+
+/** Nominal interval between consecutive units' refreshes in a rank. */
+Cycles
+unitInterval(const MemConfig &cfg, const TimingParams &t)
+{
+    return sameBank(cfg) ? t.tRefiSb : t.tRefiPb;
+}
+
+} // namespace
+
 DarpScheduler::DarpScheduler(const MemConfig *cfg,
                              const TimingParams *timing,
                              ControllerView *view)
-    : RefreshScheduler(cfg, timing, view),
-      ledger_(cfg->org.ranksPerChannel, cfg->org.banksPerRank,
-              timing->tRefiAb, timing->tRefiPb / 2, timing->tRefiPb, 8,
-              channelPhase()),
-      banks_(cfg->org.banksPerRank),
-      writeRefreshEnabled_(cfg->darpWriteRefresh)
+    // One unit per bank or slice, accruing every tREFIab, staggered by
+    // one unit interval within the rank (the round-robin origin); ranks
+    // are phase-shifted by half an interval.
+    : LedgerScheduler(cfg, timing, view,
+                      cfg->org.banksPerRank / unitWidth(*cfg, *timing),
+                      timing->tRefiAb, unitInterval(*cfg, *timing) / 2,
+                      unitInterval(*cfg, *timing)),
+      sameBank_(sameBank(*cfg)),
+      width_(unitWidth(*cfg, *timing)),
+      units_(ledger_.banksPerRank()),
+      // A slice refresh must drain a whole bank group before it becomes
+      // legal, so slices stop postponing two slots ahead of the hard
+      // JEDEC limit -- the drain headroom keeps the bound (never > 9
+      // intervals unrefreshed) safe under load.
+      headroom_(sameBank_ ? 2 : 0),
+      pullIn_(!sameBank_ || cfg->sameBankPullIn),
+      writeRefresh_(!sameBank_ && cfg->darpWriteRefresh),
+      pairing_(cfg->hira && cfg->org.subarraysPerBank >= 2),
+      pairDraw_(cfg->org.ranksPerChannel * units_, -1)
 {
+    DSARP_ASSERT(!sameBank_ || (timing->banksPerGroup > 0 &&
+                                units_ * width_ == cfg->org.banksPerRank),
+                 "REFsb scheduler needs same-bank slices that tile the "
+                 "rank");
+}
+
+RefreshRequest
+DarpScheduler::request(RankId r, int u, bool blocking) const
+{
+    RefreshRequest req;
+    req.sameBank = sameBank_;
+    req.rank = r;
+    req.bank = u;
+    req.blocking = blocking;
+    return req;
+}
+
+std::uint64_t
+DarpScheduler::unitsOf(std::uint64_t banks) const
+{
+    if (width_ == 1)
+        return banks;
+    // Slices tile each rank's banks, so bank bit i lies in unit bit
+    // i / width_.
+    std::uint64_t units = 0;
+    while (banks) {
+        const int u = std::countr_zero(banks) / width_;
+        units |= std::uint64_t(1) << u;
+        banks &= ~(lowBits(width_) << (u * width_));
+    }
+    return units;
 }
 
 BankId
@@ -44,14 +133,14 @@ DarpScheduler::leastLoaded(RankId r, std::uint64_t banks,
     // A bank without demand has the fewest (none), and the lowest one
     // wins ties, so idle banks are tried first.
     for (std::uint64_t idle = banks & ~demand; idle; idle &= idle - 1) {
-        const BankId b = std::countr_zero(idle) % banks_;
+        const BankId b = std::countr_zero(idle) % units_;
         if (rk.bank(b).canRefresh(now))
             return b;
     }
     BankId best = kNone;
     int best_count = 0;
     for (std::uint64_t busy = banks & demand; busy; busy &= busy - 1) {
-        const BankId b = std::countr_zero(busy) % banks_;
+        const BankId b = std::countr_zero(busy) % units_;
         if (!rk.bank(b).canRefresh(now))
             continue;
         const int count = view_->pendingDemands(r, b);
@@ -66,30 +155,32 @@ DarpScheduler::leastLoaded(RankId r, std::uint64_t banks,
 void
 DarpScheduler::tick(Tick now)
 {
-    // Nothing accrued means no bank reached a nominal instant in
+    // Nothing accrued means no unit reached a nominal instant in
     // (lastTick_, now]: the scan below would find nothing.
     if (!ledger_.advanceTo(now)) {
         lastTick_ = now;
         return;
     }
 
-    // Figure 8, step 1: at each bank's nominal refresh instant, decide
-    // whether to postpone. A refresh is postponed when the bank has
-    // pending demand requests and the postpone window has room; otherwise
-    // the bank is marked for an on-time refresh.
-    const std::uint64_t demand = view_->demandBanks();
+    // Figure 8, step 1: at each unit's nominal refresh instant, decide
+    // whether to postpone. A refresh is postponed when the unit has
+    // pending demand requests and it owes fewer than the postpone
+    // limit (less the headroom); otherwise the unit is marked for an
+    // on-time refresh.
+    const std::uint64_t demand = unitsOf(view_->demandBanks());
+    const int postpone_below = (ledger_.maxSlack() - headroom_) * slot_;
     for (RankId r = 0; r < ledger_.numRanks(); ++r) {
         if (rankInSelfRefresh(r, now))
             continue;  // Ledger paused; the device refreshes itself.
-        for (BankId b = 0; b < banks_; ++b) {
-            if (!ledger_.accruedBetween(r, b, lastTick_, now))
+        for (int u = 0; u < units_; ++u) {
+            if (!ledger_.accruedBetween(r, u, lastTick_, now))
                 continue;
-            if (ledger_.owed(r, b) <= 0) {
+            if (ledger_.owed(r, u) <= 0) {
                 // Already covered by earlier pull-ins; nothing due.
                 continue;
             }
-            const std::uint64_t bit = std::uint64_t(1) << index(r, b);
-            if ((demand & bit) && !ledger_.mustForce(r, b)) {
+            const std::uint64_t bit = std::uint64_t(1) << index(r, u);
+            if ((demand & bit) && ledger_.owed(r, u) < postpone_below) {
                 ++stats_.postponed;
             } else {
                 dueNow_ |= bit;
@@ -102,20 +193,34 @@ DarpScheduler::tick(Tick now)
 void
 DarpScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
 {
-    // Forced and on-time refreshes first (blocking so the bank drains),
-    // in ascending bank order, skipping ranks locked in self-refresh.
+    // Forced and on-time refreshes first (blocking so the unit drains),
+    // in ascending unit order, skipping ranks locked in self-refresh.
     std::uint64_t pending = ledger_.forceMask() | dueNow_;
     while (pending) {
-        const RankId r = std::countr_zero(pending) / banks_;
+        const RankId r = std::countr_zero(pending) / units_;
         std::uint64_t bits = pending & ledger_.rankMask(r);
         pending &= ~bits;
         if (rankInSelfRefresh(r, now))
             continue;
         for (; bits; bits &= bits - 1) {
-            RefreshRequest req;
-            req.rank = r;
-            req.bank = std::countr_zero(bits) % banks_;
-            req.blocking = true;
+            const int u = std::countr_zero(bits) % units_;
+            RefreshRequest req = request(r, u, true);
+            // HiRA refresh-refresh pairing: a unit two or more slots
+            // behind may retire two slots in one command at unchanged
+            // tRFC, coverage permitting.
+            if (pairing_ && ledger_.owed(r, u) >= 2 * slot_) {
+                int &draw = pairDraw_[index(r, u)];
+                if (draw < 0) {
+                    draw = view_->schedulerRng().chance(
+                               timing_->hiraRefCoverage)
+                        ? 1
+                        : 0;
+                }
+                if (draw == 1) {
+                    req.rowsOverride = 2 * timing_->rowsPerRefresh;
+                    req.ledgerParts = 2 * slot_;
+                }
+            }
             out.push_back(req);
         }
     }
@@ -124,13 +229,13 @@ DarpScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
     // if a rank has no refresh in flight, refresh its bank with the
     // fewest pending demands, credit permitting. Only closed banks with
     // pull-in credit can qualify; ties go to the lowest bank.
-    if (!writeRefreshEnabled_ || !view_->inWritebackMode())
+    if (!writeRefresh_ || !view_->inWritebackMode())
         return;
     const std::uint64_t demand = view_->demandBanks();
     std::uint64_t candidates =
         ledger_.pullMask() & ~view_->dram().openBanks();
     while (candidates) {
-        const RankId r = std::countr_zero(candidates) / banks_;
+        const RankId r = std::countr_zero(candidates) / units_;
         const std::uint64_t banks = candidates & ledger_.rankMask(r);
         candidates &= ~banks;
         // A rank with a refresh in flight (or locked in self-refresh,
@@ -139,47 +244,46 @@ DarpScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
         if (rk.refPbInFlight(now) || !rk.canRefPbRankLevel(now))
             continue;
         const BankId best = leastLoaded(r, banks, demand, now);
-        if (best != kNone) {
-            RefreshRequest req;
-            req.rank = r;
-            req.bank = best;
-            req.blocking = false;  // Issue only if legal this tick.
-            out.push_back(req);
-        }
+        if (best != kNone)
+            out.push_back(request(r, best, false));  // Only if legal now.
     }
 }
 
 bool
 DarpScheduler::opportunistic(Tick now, RefreshRequest &out)
 {
-    // Figure 8, step 3: the channel is idle; pick a random bank with no
+    // Figure 8, step 3: the channel is idle; pick a random unit with no
     // pending demand requests and refresh it (a postponed refresh being
-    // made up, or a new pull-in). The start bank is drawn even when no
-    // bank qualifies, so the RNG stream does not depend on the masks;
-    // the walk visits banks from it upward, then wraps.
-    const int total = ledger_.numRanks() * banks_;
+    // made up, or a new pull-in). A unit with an open bank cannot
+    // refresh. The start unit is drawn even when no unit qualifies, so
+    // the RNG stream does not depend on the masks; the walk visits
+    // units from it upward, then wraps.
+    if (!pullIn_)
+        return false;
+    const int total = ledger_.numRanks() * units_;
     const int start = static_cast<int>(view_->schedulerRng().below(total));
     const std::uint64_t candidates = ledger_.pullMask() &
-        ~view_->demandBanks() & ~view_->dram().openBanks();
-    std::uint64_t blocked = 0;  // Banks of ranks that take no REFpb now.
+        ~unitsOf(view_->demandBanks() | view_->dram().openBanks());
+    std::uint64_t blocked = 0;  // Units of ranks that take no refresh now.
     for (std::uint64_t bits : {candidates & ~lowBits(start),
                                candidates & lowBits(start)}) {
         while ((bits &= ~blocked)) {
             const int idx = std::countr_zero(bits);
-            const RankId r = idx / banks_;
+            const RankId r = idx / units_;
             const Rank &rk = view_->dram().rank(r);
+            // canRefSb() implies canRefPbRankLevel(), so the rank test
+            // skips no slice that could refresh.
             if (!rk.canRefPbRankLevel(now)) {
                 blocked |= ledger_.rankMask(r);
                 continue;
             }
             bits &= bits - 1;
-            const BankId b = idx % banks_;
-            if (!rk.bank(b).canRefresh(now))
+            const int u = idx % units_;
+            if (sameBank_ ? !rk.canRefSb(now, u)
+                          : !rk.bank(u).canRefresh(now)) {
                 continue;
-            out = RefreshRequest{};
-            out.rank = r;
-            out.bank = b;
-            out.blocking = false;
+            }
+            out = request(r, u, false);
             return true;
         }
     }
@@ -193,25 +297,24 @@ DarpScheduler::onIssued(const RefreshRequest &req, Tick)
         ++stats_.forced;
     if (ledger_.owed(req.rank, req.bank) <= 0)
         ++stats_.pulledIn;
-    ledger_.onRefresh(req.rank, req.bank);
+    // One command retires its unit's slot (a slice: every bank of the
+    // group at once); a paired command retires two.
+    ledger_.onPartialRefresh(req.rank, req.bank,
+                             req.ledgerParts ? req.ledgerParts : slot_);
     dueNow_ &= ~(std::uint64_t(1) << index(req.rank, req.bank));
+    pairDraw_[index(req.rank, req.bank)] = -1;
     ++stats_.issued;
 }
 
 void
 DarpScheduler::onSrEnter(RankId rank, Tick now)
 {
-    ledger_.pauseRank(rank, now);
-    // Anything marked due is covered by the device's internal refresh;
-    // the flags would otherwise survive the residency and fire stale
-    // blocking requests at exit.
+    LedgerScheduler::onSrEnter(rank, now);
+    // Due marks and pairing draws are covered by the device's internal
+    // refresh; the marks would otherwise survive the residency and fire
+    // stale blocking requests at exit.
     dueNow_ &= ~ledger_.rankMask(rank);
-}
-
-void
-DarpScheduler::onSrExit(RankId rank, Tick now)
-{
-    ledger_.resumeRank(rank, now);
+    std::fill_n(pairDraw_.begin() + index(rank, 0), units_, -1);
 }
 
 } // namespace dsarp

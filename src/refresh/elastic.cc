@@ -15,12 +15,11 @@ DSARP_REGISTER_REFRESH_POLICY(elastic, {
 ElasticScheduler::ElasticScheduler(const MemConfig *cfg,
                                    const TimingParams *timing,
                                    ControllerView *view)
-    : RefreshScheduler(cfg, timing, view),
-      // Same rank phasing as the REFab baseline.
-      ledger_(cfg->org.ranksPerChannel, 1, timing->tRefiAb,
-              timing->tRefiAb /
-                  (cfg->refabStaggerDivisor * cfg->org.ranksPerChannel),
-              Cycles(), 8, channelPhase())
+    // Same rank phasing as the REFab baseline.
+    : LedgerScheduler(cfg, timing, view, 1, timing->tRefiAb,
+                      timing->tRefiAb / (cfg->refabStaggerDivisor *
+                                         cfg->org.ranksPerChannel),
+                      Cycles())
 {
     // The most patient threshold: wait for an idle gap about as long as
     // the average rank idle period that would hide a refresh.
@@ -40,12 +39,6 @@ ElasticScheduler::idleThreshold(int owed) const
 }
 
 void
-ElasticScheduler::tick(Tick now)
-{
-    ledger_.advanceTo(now);
-}
-
-void
 ElasticScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
 {
     for (RankId r = 0; r < ledger_.numRanks(); ++r) {
@@ -53,27 +46,20 @@ ElasticScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
             continue;  // The device refreshes itself; ledger paused.
         if (!ledger_.due(r))
             continue;
-        if (ledger_.mustForce(r)) {
-            RefreshRequest req;
-            req.allBank = true;
-            req.rank = r;
-            req.blocking = true;
-            out.push_back(req);
-            ++stats_.forced;
+        // Forced at the postpone limit; below it, released early once
+        // the rank has no demand and has been idle long enough for the
+        // current elasticity level.
+        if (!ledger_.mustForce(r) &&
+            (view_->pendingDemandsRank(r) != 0 ||
+             now - view_->lastDemandActivity(r) <
+                 idleThreshold(ledger_.owed(r)))) {
             continue;
         }
-        // Release early if the rank has no demand and has been idle long
-        // enough for the current elasticity level.
-        if (view_->pendingDemandsRank(r) == 0) {
-            const Tick idle_for = now - view_->lastDemandActivity(r);
-            if (idle_for >= idleThreshold(ledger_.owed(r))) {
-                RefreshRequest req;
-                req.allBank = true;
-                req.rank = r;
-                req.blocking = true;
-                out.push_back(req);
-            }
-        }
+        RefreshRequest req;
+        req.allBank = true;
+        req.rank = r;
+        req.blocking = true;
+        out.push_back(req);
     }
 }
 
@@ -97,43 +83,14 @@ ElasticScheduler::nextWake(Tick now)
 }
 
 void
-ElasticScheduler::skipTicks(Tick firstTick, Tick ticks)
-{
-    for (RankId r = 0; r < ledger_.numRanks(); ++r) {
-        if (!rankInSelfRefresh(r, firstTick) && ledger_.due(r) &&
-            ledger_.mustForce(r)) {
-            stats_.forced += ticks;
-        }
-    }
-}
-
-bool
-ElasticScheduler::opportunistic(Tick, RefreshRequest &)
-{
-    // Elastic refresh never pulls in refreshes ahead of schedule
-    // (Section 6.1.1 calls this out as a shortcoming).
-    return false;
-}
-
-void
 ElasticScheduler::onIssued(const RefreshRequest &req, Tick)
 {
+    if (ledger_.mustForce(req.rank))
+        ++stats_.forced;
     if (ledger_.owed(req.rank) > 1)
         ++stats_.postponed;
     ledger_.onRefresh(req.rank);
     ++stats_.issued;
-}
-
-void
-ElasticScheduler::onSrEnter(RankId rank, Tick now)
-{
-    ledger_.pauseRank(rank, now);
-}
-
-void
-ElasticScheduler::onSrExit(RankId rank, Tick now)
-{
-    ledger_.resumeRank(rank, now);
 }
 
 } // namespace dsarp

@@ -15,23 +15,18 @@
 #ifndef DSARP_REFRESH_ELASTIC_HH
 #define DSARP_REFRESH_ELASTIC_HH
 
-#include "refresh/ledger.hh"
 #include "refresh/scheduler.hh"
 
 namespace dsarp {
 
-class ElasticScheduler : public RefreshScheduler
+class ElasticScheduler : public LedgerScheduler
 {
   public:
     ElasticScheduler(const MemConfig *cfg, const TimingParams *timing,
                      ControllerView *view);
 
-    void tick(Tick now) override;
     void urgent(Tick now, std::vector<RefreshRequest> &out) override;
-    bool opportunistic(Tick now, RefreshRequest &out) override;
     void onIssued(const RefreshRequest &req, Tick now) override;
-    void onSrEnter(RankId rank, Tick now) override;
-    void onSrExit(RankId rank, Tick now) override;
 
     /**
      * Ledger accrual instants plus each due rank's elastic release
@@ -39,19 +34,10 @@ class ElasticScheduler : public RefreshScheduler
      */
     Tick nextWake(Tick now) override;
 
-    /**
-     * urgent() bumps the forced counter every tick a rank sits at the
-     * postpone limit; replay those bumps across the skipped span.
-     */
-    void skipTicks(Tick firstTick, Tick ticks) override;
-
-    const RefreshLedger &ledger() const { return ledger_; }
-
     /** Idle delay demanded before releasing a refresh, given owed count. */
     Tick idleThreshold(int owed) const;
 
   private:
-    RefreshLedger ledger_;
     Tick maxIdleDelay_;  ///< Threshold when nothing is postponed.
 };
 

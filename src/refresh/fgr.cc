@@ -37,12 +37,11 @@ DSARP_REGISTER_REFRESH_POLICY(adaptive, {
 AdaptiveScheduler::AdaptiveScheduler(const MemConfig *cfg,
                                      const TimingParams *timing,
                                      ControllerView *view)
-    : RefreshScheduler(cfg, timing, view),
-      // Quarter-slot accrual: one quarter per tREFIab/4, forcing at
-      // 8 full commands' worth (32 quarters) of postponement.
-      ledger_(cfg->org.ranksPerChannel, 1, timing->tRefiAb / 4,
-              timing->tRefiAb / (8 * cfg->org.ranksPerChannel), Cycles(),
-              8 * 4, channelPhase())
+    // Quarter-slot accrual: one quarter per tREFIab/4, forcing at 8
+    // full commands' worth (32 quarters) of postponement.
+    : LedgerScheduler(cfg, timing, view, 1, timing->tRefiAb / 4,
+                      timing->tRefiAb / (8 * cfg->org.ranksPerChannel),
+                      Cycles(), 8 * 4)
 {
     // The spec's own 4x divisor: DDR4 parts use their native tRFC4
     // ratio rather than the Section 6.5 DDR3 projection.
@@ -97,8 +96,6 @@ AdaptiveScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
             // the busy-time budget covers the 2.45x inflation.
             if (ledger_.owed(r) < 4)
                 continue;
-            if (ledger_.mustForce(r))
-                ++stats_.forced;
             use_fast = fastMode_ && !ledger_.mustForce(r) &&
                 budget_[r] >= 4.0 * static_cast<double>(tRfc4x_.count());
             if (use_fast)
@@ -121,19 +118,10 @@ AdaptiveScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
 }
 
 void
-AdaptiveScheduler::skipTicks(Tick firstTick, Tick ticks)
-{
-    for (RankId r = 0; r < ledger_.numRanks(); ++r) {
-        if (!rankInSelfRefresh(r, firstTick) && pending4x_[r] == 0 &&
-            ledger_.owed(r) >= 4 && ledger_.mustForce(r)) {
-            stats_.forced += ticks;
-        }
-    }
-}
-
-void
 AdaptiveScheduler::onIssued(const RefreshRequest &req, Tick)
 {
+    if (ledger_.mustForce(req.rank))
+        ++stats_.forced;
     const int parts = req.ledgerParts ? req.ledgerParts : 4;
     ledger_.onPartialRefresh(req.rank, 0, parts);
     budget_[req.rank] -= static_cast<double>(
@@ -146,16 +134,10 @@ AdaptiveScheduler::onIssued(const RefreshRequest &req, Tick)
 void
 AdaptiveScheduler::onSrEnter(RankId rank, Tick now)
 {
-    ledger_.pauseRank(rank, now);
+    LedgerScheduler::onSrEnter(rank, now);
     // A partially-executed 4x slot is finished by the device's own
     // refresh; restart granularity selection cleanly at exit.
     pending4x_[rank] = 0;
-}
-
-void
-AdaptiveScheduler::onSrExit(RankId rank, Tick now)
-{
-    ledger_.resumeRank(rank, now);
 }
 
 } // namespace dsarp

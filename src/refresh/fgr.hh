@@ -24,49 +24,33 @@
 #ifndef DSARP_REFRESH_FGR_HH
 #define DSARP_REFRESH_FGR_HH
 
-#include "refresh/ledger.hh"
 #include "refresh/scheduler.hh"
 
 namespace dsarp {
 
-class AdaptiveScheduler : public RefreshScheduler
+class AdaptiveScheduler : public LedgerScheduler
 {
   public:
     AdaptiveScheduler(const MemConfig *cfg, const TimingParams *timing,
                       ControllerView *view);
 
-    void tick(Tick now) override;
-    void urgent(Tick now, std::vector<RefreshRequest> &out) override;
-    bool opportunistic(Tick, RefreshRequest &) override { return false; }
-    void onIssued(const RefreshRequest &req, Tick now) override;
-    void onSrEnter(RankId rank, Tick now) override;
-    void onSrExit(RankId rank, Tick now) override;
-
     /**
      * Budget grants and granularity choices only change at ledger
      * accrual instants (fastMode_ tracks writeback mode, which is
-     * frozen while the controller is inert).
+     * frozen while the controller is inert), so the base class's
+     * accrual-instant wake holds.
      */
-    Tick nextWake(Tick) override { return ledger_.nextAccrualTick(); }
-
-    /**
-     * urgent() bumps the forced counter every tick a rank sits at the
-     * postpone limit with a full slot due; replay those bumps.
-     */
-    void skipTicks(Tick firstTick, Tick ticks) override;
-
-    const RefreshLedger &ledger() const { return ledger_; }
+    void tick(Tick now) override;
+    void urgent(Tick now, std::vector<RefreshRequest> &out) override;
+    void onIssued(const RefreshRequest &req, Tick now) override;
+    void onSrEnter(RankId rank, Tick now) override;
 
     /** True when the policy would currently prefer 4x commands. */
     bool inFastMode() const { return fastMode_; }
 
     Cycles tRfc4x() const { return tRfc4x_; }
 
-    /** Remaining busy-time budget for 4x commands on a rank (cycles). */
-    double busyBudget(RankId r) const { return budget_[r]; }
-
   private:
-    RefreshLedger ledger_;  ///< Quarter-slot obligations per rank.
     Cycles tRfc4x_;
     int rows4x_;
     bool fastMode_ = false;

@@ -22,14 +22,13 @@ DSARP_REGISTER_REFRESH_POLICY(hira, {
 HiraScheduler::HiraScheduler(const MemConfig *cfg,
                              const TimingParams *timing,
                              ControllerView *view)
-    : DarpScheduler(cfg, timing, view),
-      rowsPerSlot_(timing->rowsPerRefresh)
+    : DarpScheduler(cfg, timing, view)
 {
     // Fractional ledger accounting: a hidden refresh is one row (one
     // activation), a nominal REFpb slot is rowsPerRefresh rows.
-    ledger_.setDenominator(rowsPerSlot_);
-    windows_.assign(cfg->org.ranksPerChannel * banks_, HiddenWindow{});
-    refRefDraw_.assign(cfg->org.ranksPerChannel * banks_, -1);
+    slot_ = timing->rowsPerRefresh;
+    ledger_.setDenominator(slot_);
+    windows_.assign(cfg->org.ranksPerChannel * units_, HiddenWindow{});
 }
 
 void
@@ -55,38 +54,17 @@ HiraScheduler::onDemandCommand(const Command &cmd, Tick now)
 void
 HiraScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
 {
+    // Refresh-refresh parallelization is DARP's pairing step: a due
+    // blocking REFpb may cover two slots' rows at unchanged tRFCpb when
+    // the bank is two or more slots behind. In HiRA hardware the
+    // refresh controller pairs each row with a victim from a
+    // *different* subarray; the model's sequential refresh counter is a
+    // coverage-accounting simplification (which rows retire in which
+    // command does not affect retention correctness within the
+    // postpone window), so the pairing feasibility is modeled by the
+    // characterized 78% coverage draw plus the requirement that the
+    // bank has a second subarray at all.
     DarpScheduler::urgent(now, out);
-
-    // Refresh-refresh parallelization: a due blocking REFpb may cover
-    // two slots' rows at unchanged tRFCpb when the bank is two or more
-    // slots behind. In HiRA hardware the refresh controller pairs each
-    // row with a victim from a *different* subarray; the model's
-    // sequential refresh counter is a coverage-accounting
-    // simplification (which rows retire in which command does not
-    // affect retention correctness within the postpone window), so the
-    // pairing feasibility is modeled by the characterized 78% coverage
-    // draw plus the requirement that the bank has a second subarray at
-    // all.
-    for (RefreshRequest &req : out) {
-        if (req.allBank || !req.blocking || req.hidden ||
-            req.tRfcOverride || req.rowsOverride) {
-            continue;
-        }
-        if (cfg_->org.subarraysPerBank < 2)
-            continue;  // No partner subarray to parallelize with.
-        if (ledger_.owed(req.rank, req.bank) < 2 * rowsPerSlot_)
-            continue;
-        int &draw = refRefDraw_[index(req.rank, req.bank)];
-        if (draw < 0) {
-            draw = view_->schedulerRng().chance(timing_->hiraRefCoverage)
-                ? 1
-                : 0;
-        }
-        if (draw == 1) {
-            req.rowsOverride = 2 * timing_->rowsPerRefresh;
-            req.ledgerParts = 2 * rowsPerSlot_;
-        }
-    }
 
     // Hidden refresh beneath an ACT: tHiRA cycles after a covered
     // demand activation, refresh one row of a *different* subarray of
@@ -94,7 +72,7 @@ HiraScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
     // issued only when legal this tick.
     for (RankId r = 0; r < ledger_.numRanks(); ++r) {
         const Rank &rk = view_->dram().rank(r);
-        for (BankId b = 0; b < banks_; ++b) {
+        for (BankId b = 0; b < units_; ++b) {
             HiddenWindow &win = windows_[index(r, b)];
             if (!win.armed || now < win.readyAt)
                 continue;
@@ -108,13 +86,10 @@ HiraScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
                 !rk.bank(b).canHiddenRefresh(now)) {
                 continue;
             }
-            RefreshRequest req;
-            req.rank = r;
-            req.bank = b;
-            req.blocking = false;
-            req.hidden = true;
             // An activation-based refresh of a single row: the hidden
             // ACT-PRE cycle, not a full multi-row REFpb.
+            RefreshRequest req = request(r, b, false);
+            req.hidden = true;
             req.tRfcOverride = timing_->tRc;
             req.rowsOverride = 1;
             req.ledgerParts = 1;
@@ -137,23 +112,15 @@ HiraScheduler::nextWake(Tick now)
 void
 HiraScheduler::onIssued(const RefreshRequest &req, Tick now)
 {
-    if (req.hidden) {
-        if (ledger_.owed(req.rank, req.bank) <= 0)
-            ++stats_.pulledIn;
-        ledger_.onPartialRefresh(req.rank, req.bank, req.ledgerParts);
-        windows_[index(req.rank, req.bank)].armed = false;
-        ++hiddenIssued_;
-        ++stats_.issued;
+    if (!req.hidden) {
+        DarpScheduler::onIssued(req, now);
         return;
     }
-    DarpScheduler::onIssued(req, now);
-    // The base slot is retired by DARP; a refresh-refresh doubled
-    // command retires the second slot here.
-    if (req.ledgerParts > rowsPerSlot_) {
-        ledger_.onPartialRefresh(req.rank, req.bank,
-                                 req.ledgerParts - rowsPerSlot_);
-    }
-    refRefDraw_[index(req.rank, req.bank)] = -1;
+    if (ledger_.owed(req.rank, req.bank) <= 0)
+        ++stats_.pulledIn;
+    ledger_.onPartialRefresh(req.rank, req.bank, req.ledgerParts);
+    windows_[index(req.rank, req.bank)].armed = false;
+    ++stats_.issued;
 }
 
 } // namespace dsarp

@@ -28,7 +28,9 @@
  *      two slots' rows in one command when the bank is at least two
  *      slots behind and has a second subarray, modeling the concurrent
  *      refresh of row pairs across subarrays. Gated by
- *      hiraRefCoverage.
+ *      hiraRefCoverage. This is DarpScheduler's pairing step, which
+ *      MemConfig::hira arms; HiRAsb runs the same step on same-bank
+ *      slices.
  *
  * tRRD/tFAW inflate while a *hidden* refresh is in flight (the same
  * Eq. 1-3 power-integrity modeling SARP uses; MemConfig::hira arms
@@ -62,9 +64,6 @@ class HiraScheduler : public DarpScheduler
      */
     Tick nextWake(Tick now) override;
 
-    /** Hidden refreshes issued beneath ACTs (subset of stats().issued). */
-    std::uint64_t hiddenIssued() const { return hiddenIssued_; }
-
   private:
     /** One ACT-opened hidden-refresh opportunity per bank. */
     struct HiddenWindow
@@ -75,17 +74,6 @@ class HiraScheduler : public DarpScheduler
     };
 
     std::vector<HiddenWindow> windows_;
-
-    /**
-     * Per-bank refresh-refresh coverage draw for the *next* due slot:
-     * -1 undecided, else 0/1. Drawn once per slot (redrawing every
-     * tick would inflate the effective probability) and reset when the
-     * bank's refresh issues.
-     */
-    std::vector<int> refRefDraw_;
-
-    int rowsPerSlot_;  ///< Ledger denominator: rows in one REFpb slot.
-    std::uint64_t hiddenIssued_ = 0;
 };
 
 } // namespace dsarp

@@ -24,22 +24,14 @@ DSARP_REGISTER_REFRESH_POLICY(sarppb, {
 PerBankScheduler::PerBankScheduler(const MemConfig *cfg,
                                    const TimingParams *timing,
                                    ControllerView *view)
-    : RefreshScheduler(cfg, timing, view),
-      // One unit per bank, accruing every tREFIab, staggered by tREFIpb
-      // within the rank so each rank sees one obligation per tREFIpb in
-      // round-robin order; ranks are phase-shifted by half a slot.
-      ledger_(cfg->org.ranksPerChannel, cfg->org.banksPerRank,
-              timing->tRefiAb, timing->tRefiPb / 2, timing->tRefiPb, 8,
-              channelPhase()),
+    // One unit per bank, accruing every tREFIab, staggered by tREFIpb
+    // within the rank so each rank sees one obligation per tREFIpb in
+    // round-robin order; ranks are phase-shifted by half a slot.
+    : LedgerScheduler(cfg, timing, view, cfg->org.banksPerRank,
+                      timing->tRefiAb, timing->tRefiPb / 2,
+                      timing->tRefiPb),
       rrIndex_(cfg->org.ranksPerChannel, 0)
 {
-}
-
-void
-PerBankScheduler::tick(Tick now)
-{
-    ledger_.advanceTo(now);
-    lastTick_ = now;
 }
 
 void
@@ -68,18 +60,6 @@ PerBankScheduler::onIssued(const RefreshRequest &req, Tick)
     ledger_.onRefresh(req.rank, req.bank);
     rrIndex_[req.rank] = (req.bank + 1) % ledger_.banksPerRank();
     ++stats_.issued;
-}
-
-void
-PerBankScheduler::onSrEnter(RankId rank, Tick now)
-{
-    ledger_.pauseRank(rank, now);
-}
-
-void
-PerBankScheduler::onSrExit(RankId rank, Tick now)
-{
-    ledger_.resumeRank(rank, now);
 }
 
 } // namespace dsarp

@@ -7,6 +7,10 @@
  * blocking urgent requests also stop new ACTs to their target so the bank
  * or rank drains) and *opportunistic* refreshes (issued only when the
  * channel had nothing better to do this tick).
+ *
+ * Every policy but NoREF derives from LedgerScheduler, which owns the
+ * RefreshLedger of obligations and its plumbing: accrual on tick(),
+ * the self-refresh pause, and the accrual-instant wake.
  */
 
 #ifndef DSARP_REFRESH_SCHEDULER_HH
@@ -20,6 +24,7 @@
 #include "common/types.hh"
 #include "dram/channel.hh"
 #include "dram/timing.hh"
+#include "refresh/ledger.hh"
 
 namespace dsarp {
 
@@ -42,8 +47,6 @@ class ControllerView
     /** Banks with pendingDemands() > 0: bit rank x banksPerRank +
      *  bank. */
     virtual std::uint64_t demandBanks() const = 0;
-    virtual int pendingReads(RankId r, BankId b) const = 0;
-    virtual int pendingWrites(RankId r, BankId b) const = 0;
     virtual int pendingDemandsRank(RankId r) const = 0;
 
     /** True while the channel drains a write batch (writeback mode). */
@@ -212,6 +215,55 @@ class RefreshScheduler
     const TimingParams *timing_;
     ControllerView *view_;
     RefreshSchedStats stats_;
+};
+
+/**
+ * A policy whose obligations live in one RefreshLedger: tick() accrues
+ * them, self-refresh pauses the rank's units for the residency, and
+ * nothing changes between accrual instants. Subclasses supply the
+ * ledger's shape and the urgent()/onIssued() decisions.
+ */
+class LedgerScheduler : public RefreshScheduler
+{
+  public:
+    /**
+     * @param units       ledger units per rank
+     * @param period      nominal interval between accruals of one unit
+     * @param rankStagger phase offset between consecutive ranks
+     * @param unitStagger phase offset between units within a rank
+     * @param maxSlack    postpone/pull-in window, in ledger slots
+     */
+    LedgerScheduler(const MemConfig *cfg, const TimingParams *timing,
+                    ControllerView *view, int units, Cycles period,
+                    Cycles rankStagger, Cycles unitStagger,
+                    int maxSlack = 8)
+        : RefreshScheduler(cfg, timing, view),
+          ledger_(cfg->org.ranksPerChannel, units, period, rankStagger,
+                  unitStagger, maxSlack, channelPhase())
+    {}
+
+    void tick(Tick now) override { ledger_.advanceTo(now); }
+    bool opportunistic(Tick, RefreshRequest &) override { return false; }
+
+    void
+    onSrEnter(RankId rank, Tick now) override
+    {
+        ledger_.pauseRank(rank, now);
+    }
+
+    void
+    onSrExit(RankId rank, Tick now) override
+    {
+        ledger_.resumeRank(rank, now);
+    }
+
+    /** Nothing changes between ledger accrual instants. */
+    Tick nextWake(Tick) override { return ledger_.nextAccrualTick(); }
+
+    const RefreshLedger &ledger() const { return ledger_; }
+
+  protected:
+    RefreshLedger ledger_;
 };
 
 } // namespace dsarp

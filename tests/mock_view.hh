@@ -47,18 +47,6 @@ class MockView : public ControllerView
     }
 
     int
-    pendingReads(RankId r, BankId b) const override
-    {
-        return reads_[index(r, b)];
-    }
-
-    int
-    pendingWrites(RankId r, BankId b) const override
-    {
-        return writes_[index(r, b)];
-    }
-
-    int
     pendingDemandsRank(RankId r) const override
     {
         int total = 0;

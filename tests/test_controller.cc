@@ -201,7 +201,7 @@ TEST_F(ControllerTest, UrgentRefreshBlocksNewActsToTargetBank)
     // forced (credit exhausted), a refresh must still get through.
     std::uint64_t id = 0;
     for (Tick end = Tick(0) + 12 * timing_.tRefiAb; now_ < end;) {
-        if (ctl_->pendingReads(0, 0) < 4) {
+        if (ctl_->pendingDemands(0, 0) < 4) {
             const RowId row = static_cast<RowId>(id % 64);
             ctl_->enqueueRead(req(id++, 0, 0, row), now_);
         }

@@ -10,13 +10,17 @@
  *     retirement schedules must line up cycle for cycle),
  *   - identical channel stats, including the background-energy inputs
  *     (rank active/total ticks, srTicks) and the derived energy,
+ *   - identical refresh-policy counters (postponed, pulled in, forced,
+ *     issued),
  *   - a clean offline-checker replay of the event run's log.
  *
- * The matrix mirrors test_checker_fuzz.cc: every registered DRAM spec
- * x {REFab, REFpb, DSARP, HiRA, REFsb}, with the same seed-derived
- * config knobs (density, geometry, core count, self-refresh arming),
- * so any divergence the fuzzer's space can produce is caught here as
- * a first-class diff rather than a downstream checker violation.
+ * The matrix extends test_checker_fuzz.cc's: every registered DRAM spec
+ * x {REFab, REFpb, Elastic, AR, DSARP, HiRA, REFsb, HiRAsb}, which
+ * covers every refresh scheduler class (REFsb and HiRAsb only on specs
+ * with bank groups), with the same seed-derived config knobs (density,
+ * geometry, core count, self-refresh arming), so any divergence the
+ * fuzzer's space can produce is caught here as a first-class diff
+ * rather than a downstream checker violation.
  *
  * DSARP_EVENT_SEEDS scales the seeds per (spec, mechanism) pair
  * (default 2; set it before the binary on the command line).
@@ -41,13 +45,22 @@ using namespace dsarp;
 
 namespace {
 
-const char *const kMechs[] = {"REFab", "REFpb", "DSARP", "HiRA", "REFsb"};
+const char *const kMechs[] = {"REFab", "REFpb", "Elastic", "AR",
+                              "DSARP", "HiRA",  "REFsb",   "HiRAsb"};
+
+/** REFsb and HiRAsb refresh bank-group slices. */
+bool
+sameBank(const std::string &mech)
+{
+    return mech == "REFsb" || mech == "HiRAsb";
+}
 
 /** Everything an engine run can be observed by. */
 struct RunObservation
 {
     std::vector<std::vector<TimedCommand>> logs;
     std::vector<ChannelStats> channels;
+    std::vector<RefreshSchedStats> refresh;
     std::vector<double> ipc;
     std::vector<double> energyNj;
     Tick end{};
@@ -69,7 +82,7 @@ deriveConfig(const std::string &spec, const std::string &mech,
     const Density densities[] = {Density::k8Gb, Density::k16Gb,
                                  Density::k32Gb};
     cfg.mem.density = densities[rng.below(3)];
-    if (mech == "REFsb" && rng.chance(0.5))
+    if (sameBank(mech) && rng.chance(0.5))
         cfg.mem.org.banksPerRank = 32;
     cfg.numCores = 2 + static_cast<int>(rng.below(3));
     if (self_refresh) {
@@ -102,6 +115,7 @@ runOnce(SystemConfig cfg, const std::string &engine, std::uint64_t seed)
         obs.logs.push_back(sys.commandLog(ch));
         const ChannelStats &cs = sys.controller(ch).channel().stats();
         obs.channels.push_back(cs);
+        obs.refresh.push_back(sys.controller(ch).refreshStats());
         obs.energyNj.push_back(
             channelEnergy(cs, sys.timing(), energy).totalNj());
     }
@@ -159,6 +173,16 @@ expectStatsEqual(const ChannelStats &c, const ChannelStats &e,
 }
 
 void
+expectRefreshStatsEqual(const RefreshSchedStats &c,
+                        const RefreshSchedStats &e, const std::string &ctx)
+{
+    EXPECT_EQ(c.postponed, e.postponed) << ctx << " postponed";
+    EXPECT_EQ(c.pulledIn, e.pulledIn) << ctx << " pulledIn";
+    EXPECT_EQ(c.forced, e.forced) << ctx << " forced";
+    EXPECT_EQ(c.issued, e.issued) << ctx << " issued";
+}
+
+void
 equivalentOne(const std::string &spec, const std::string &mech,
               std::uint64_t seed, bool self_refresh)
 {
@@ -192,9 +216,10 @@ equivalentOne(const std::string &spec, const std::string &mech,
             << " (logs agree up to the shorter one)";
         EXPECT_GT(el.size(), 0u) << ctx.str();
 
-        expectStatsEqual(cyc.channels[ch], evt.channels[ch],
-                         ctx.str() + " channel=" +
-                             std::to_string(ch));
+        const std::string where = ctx.str() + " channel=" +
+            std::to_string(ch);
+        expectStatsEqual(cyc.channels[ch], evt.channels[ch], where);
+        expectRefreshStatsEqual(cyc.refresh[ch], evt.refresh[ch], where);
         // Exact double equality is intentional: both runs must feed
         // the model the same integer counters.
         EXPECT_EQ(cyc.energyNj[ch], evt.energyNj[ch])
@@ -223,7 +248,7 @@ TEST_P(EventEngineEquivalence, BitIdenticalToCycleLoop)
     const std::uint64_t seeds = envKnob("DSARP_EVENT_SEEDS", 2);
 
     for (const char *mech : kMechs) {
-        if (std::string(mech) == "REFsb" && !sameBankSupported)
+        if (sameBank(mech) && !sameBankSupported)
             continue;
         for (std::uint64_t s = 1; s <= seeds; ++s) {
             equivalentOne(spec, mech, s, /*self_refresh=*/false);
@@ -258,7 +283,7 @@ TEST(EventEngineEquivalence, EventRunPassesOfflineChecker)
     // log is independently validated against the JEDEC constraints.
     for (const char *mech : kMechs) {
         const std::string spec =
-            std::string(mech) == "REFsb" ? "DDR5-4800" : "DDR3-1333";
+            sameBank(mech) ? "DDR5-4800" : "DDR3-1333";
         SystemConfig cfg = deriveConfig(spec, mech, 1, false);
         cfg.engine = "event";
         Rng rng(1 * 0x9e3779b97f4a7c15ULL + 11);

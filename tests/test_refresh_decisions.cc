@@ -2,9 +2,12 @@
  * @file
  * Differential tests for the mask-driven refresh decisions. DARP's
  * urgent set (forced and on-time banks, then the write-refresh pick)
- * and its idle-bank pull-in, and REFsb's urgent slices and slice
- * pull-in, are each held to a reference that walks every bank (or
- * slice) in order, asking the ledger and the view one unit at a time.
+ * and its idle-bank pull-in, and the same scheduler's urgent slices and
+ * slice pull-in under REFsb, are each held to a reference that walks
+ * every bank (or slice) in order, asking the ledger and the view one
+ * unit at a time. The HiRA and HiRAsb legs run HiRA's refresh-refresh
+ * pairing at coverage 1, which makes its draw deterministic, so the
+ * references need no RNG for it.
  *
  * The driver randomizes ledger balances (accruals, forced backlogs,
  * pull-ins up to the JEDEC limit), per-bank demand through MockView,
@@ -26,7 +29,6 @@
 #include "refresh/darp.hh"
 #include "refresh/hira.hh"
 #include "refresh/registry.hh"
-#include "refresh/same_bank.hh"
 
 using namespace dsarp;
 
@@ -36,13 +38,27 @@ namespace {
 // Reference decisions: per-unit walks.
 // ---------------------------------------------------------------------
 
+/** HiRA's refresh-refresh pairing at coverage 1: a unit owing at least
+ *  two slots of @p slot ledger parts covers two slots' rows and retires
+ *  two slots. @p slot 0: pairing off. */
+void
+referencePair(RefreshRequest &req, const RefreshLedger &ledger, int slot,
+              const TimingParams &timing)
+{
+    if (slot > 0 && ledger.owed(req.rank, req.bank) >= 2 * slot) {
+        req.rowsOverride = 2 * timing.rowsPerRefresh;
+        req.ledgerParts = 2 * slot;
+    }
+}
+
 /** DARP's urgent(): every forced or due bank of a rank outside
- *  self-refresh in (rank, bank) order, then per rank with no refresh
- *  in flight the pull-in-eligible refreshable bank with the fewest
- *  pending demands (lowest first). */
+ *  self-refresh in (rank, bank) order, paired as referencePair()
+ *  says, then per rank with no refresh in flight the pull-in-eligible
+ *  refreshable bank with the fewest pending demands (lowest first). */
 std::vector<RefreshRequest>
 referenceDarpUrgent(const DarpScheduler &sched, const MockView &view,
-                    bool write_refresh, Tick now)
+                    bool write_refresh, int pair_slot,
+                    const TimingParams &timing, Tick now)
 {
     const RefreshLedger &ledger = sched.ledger();
     const int banks = ledger.banksPerRank();
@@ -57,6 +73,7 @@ referenceDarpUrgent(const DarpScheduler &sched, const MockView &view,
                 req.rank = r;
                 req.bank = b;
                 req.blocking = true;
+                referencePair(req, ledger, pair_slot, timing);
                 out.push_back(req);
             }
         }
@@ -130,14 +147,15 @@ groupDemand(const MockView &view, RankId r, int g, int per_group)
     return count;
 }
 
-/** REFsb's urgent() without pairing: every forced or due slice of a
- *  rank outside self-refresh, in (rank, slice) order. */
+/** REFsb's urgent(): every forced or due slice of a rank outside
+ *  self-refresh, in (rank, slice) order, paired as referencePair()
+ *  says. */
 std::vector<RefreshRequest>
-referenceSbUrgent(const SameBankScheduler &sched, const MockView &view,
-                  Tick now)
+referenceSbUrgent(const DarpScheduler &sched, const MockView &view,
+                  int pair_slot, const TimingParams &timing, Tick now)
 {
     const RefreshLedger &ledger = sched.ledger();
-    const int groups = sched.numGroups();
+    const int groups = ledger.banksPerRank();
     std::vector<RefreshRequest> out;
     for (RankId r = 0; r < ledger.numRanks(); ++r) {
         if (view.dram().rank(r).selfRefreshLockout(now))
@@ -152,6 +170,7 @@ referenceSbUrgent(const SameBankScheduler &sched, const MockView &view,
             req.rank = r;
             req.bank = g;
             req.blocking = true;
+            referencePair(req, ledger, pair_slot, timing);
             out.push_back(req);
         }
     }
@@ -162,14 +181,14 @@ referenceSbUrgent(const SameBankScheduler &sched, const MockView &view,
  *  no pending demand in any bank, one slot of credit and a legal
  *  REFsb. No draw when pull-in is off. */
 bool
-referenceSbOpportunistic(const SameBankScheduler &sched,
+referenceSbOpportunistic(const DarpScheduler &sched,
                          const MockView &view, bool pull_in, int per_group,
                          Rng &rng, Tick now, RefreshRequest &out, int &start)
 {
     if (!pull_in)
         return false;
     const RefreshLedger &ledger = sched.ledger();
-    const int groups = sched.numGroups();
+    const int groups = ledger.banksPerRank();
     const int total = ledger.numRanks() * groups;
     start = static_cast<int>(rng.below(total));
     for (int i = 0; i < total; ++i) {
@@ -231,6 +250,7 @@ enum Outcome {
     kPullAfter,     ///< Pull-in found only after the wrap.
     kNoPull,        ///< No unit could be pulled in.
     kLockedOut,     ///< A rank with forced or due units in self-refresh.
+    kPaired,        ///< A forced or due request covering two slots.
     kOutcomes,
 };
 
@@ -412,6 +432,21 @@ countLockouts(const RefreshLedger &ledger, std::uint64_t pending,
     }
 }
 
+/** Tally one urgent request by the outcome it stands for. */
+void
+countUrgent(const RefreshRequest &req, const RefreshLedger &ledger,
+            Tally &tally)
+{
+    if (!req.blocking)
+        ++tally.seen[kWriteRefresh];
+    else if (ledger.mustForce(req.rank, req.bank))
+        ++tally.seen[kForced];
+    else
+        ++tally.seen[kDue];
+    if (req.ledgerParts > 0)
+        ++tally.seen[kPaired];
+}
+
 /** Random DARP (or HiRA, whose ledger counts rows) runs. */
 void
 driveDarp(int ranks, bool sarp, bool hira, bool write_refresh,
@@ -424,7 +459,9 @@ driveDarp(int ranks, bool sarp, bool hira, bool write_refresh,
     cfg.maxOverlappedRefPb = overlapped;
     cfg.org.ranksPerChannel = ranks;
     cfg.finalize();
-    const TimingParams timing = TimingParams::forConfig(cfg);
+    TimingParams timing = TimingParams::forConfig(cfg);
+    timing.hiraRefCoverage = 1.0;  // Every pairing draw succeeds.
+    const int pair_slot = hira ? timing.rowsPerRefresh : 0;
     MockView view(&cfg, &timing);
     std::unique_ptr<DarpScheduler> sched =
         hira ? std::make_unique<HiraScheduler>(&cfg, &timing, &view)
@@ -441,8 +478,8 @@ driveDarp(int ranks, bool sarp, bool hira, bool write_refresh,
         // DARP's own urgent(), not HiRA's extension of it.
         std::vector<RefreshRequest> urgent;
         sched->DarpScheduler::urgent(now, urgent);
-        const std::vector<RefreshRequest> want =
-            referenceDarpUrgent(*sched, view, write_refresh, now);
+        const std::vector<RefreshRequest> want = referenceDarpUrgent(
+            *sched, view, write_refresh, pair_slot, timing, now);
         ASSERT_TRUE(sameRequests(urgent, want))
             << "seed " << seed << " step " << step << " urgent";
 
@@ -463,14 +500,8 @@ driveDarp(int ranks, bool sarp, bool hira, bool write_refresh,
 
         const RefreshLedger &ledger = sched->ledger();
         ++tally.steps;
-        for (const RefreshRequest &req : urgent) {
-            if (!req.blocking)
-                ++tally.seen[kWriteRefresh];
-            else if (ledger.mustForce(req.rank, req.bank))
-                ++tally.seen[kForced];
-            else
-                ++tally.seen[kDue];
-        }
+        for (const RefreshRequest &req : urgent)
+            countUrgent(req, ledger, tally);
         const int idx = got.rank * ledger.banksPerRank() + got.bank;
         if (!found)
             ++tally.seen[kNoPull];
@@ -493,10 +524,10 @@ driveDarp(int ranks, bool sarp, bool hira, bool write_refresh,
     }
 }
 
-/** Random REFsb runs. */
+/** Random REFsb (or HiRAsb, which pairs lagging slices) runs. */
 void
 driveSameBank(int ranks, int banks_per_rank, int group_size, bool pull_in,
-              std::uint64_t seed, Tally &tally)
+              bool hira, std::uint64_t seed, Tally &tally)
 {
     MemConfig cfg;
     cfg.dramSpec = "DDR5-4800";
@@ -504,14 +535,17 @@ driveSameBank(int ranks, int banks_per_rank, int group_size, bool pull_in,
     cfg.org.banksPerRank = banks_per_rank;
     cfg.sameBankGroupSize = group_size;
     cfg.sameBankPullIn = pull_in;
-    cfg.policy = "REFsb";
+    cfg.policy = hira ? "HiRAsb" : "REFsb";
     RefreshPolicyRegistry::instance().resolve(cfg);
     cfg.finalize();
-    const TimingParams timing = TimingParams::forConfig(cfg);
+    TimingParams timing = TimingParams::forConfig(cfg);
+    timing.hiraRefCoverage = 1.0;  // Every pairing draw succeeds.
+    const int pair_slot = hira ? 1 : 0;
     MockView view(&cfg, &timing);
-    SameBankScheduler sched(&cfg, &timing, &view);
+    DarpScheduler sched(&cfg, &timing, &view);
+    const int groups = sched.ledger().banksPerRank();
     Rng rng(seed);
-    StateDriver driver(cfg, view, sched, rng, sched.numGroups());
+    StateDriver driver(cfg, view, sched, rng, groups);
 
     Tick now = 0;
     for (int step = 0; step < 4000; ++step) {
@@ -521,7 +555,8 @@ driveSameBank(int ranks, int banks_per_rank, int group_size, bool pull_in,
 
         std::vector<RefreshRequest> urgent;
         sched.urgent(now, urgent);
-        ASSERT_TRUE(sameRequests(urgent, referenceSbUrgent(sched, view, now)))
+        ASSERT_TRUE(sameRequests(
+            urgent, referenceSbUrgent(sched, view, pair_slot, timing, now)))
             << "seed " << seed << " step " << step << " urgent";
 
         Rng before = view.schedulerRng();
@@ -541,11 +576,9 @@ driveSameBank(int ranks, int banks_per_rank, int group_size, bool pull_in,
 
         const RefreshLedger &ledger = sched.ledger();
         ++tally.steps;
-        for (const RefreshRequest &req : urgent) {
-            ++tally.seen[ledger.mustForce(req.rank, req.bank) ? kForced
-                                                               : kDue];
-        }
-        const int idx = got.rank * sched.numGroups() + got.bank;
+        for (const RefreshRequest &req : urgent)
+            countUrgent(req, ledger, tally);
+        const int idx = got.rank * groups + got.bank;
         if (!found)
             ++tally.seen[kNoPull];
         else
@@ -566,8 +599,14 @@ driveSameBank(int ranks, int banks_per_rank, int group_size, bool pull_in,
 }
 
 void
-expectEveryOutcome(const Tally &tally, bool write_refresh)
+expectEveryOutcome(const Tally &tally, bool write_refresh,
+                   bool pairing = false)
 {
+    if (pairing) {
+        EXPECT_GT(tally.seen[kPaired], 0u);
+    } else {
+        EXPECT_EQ(tally.seen[kPaired], 0u);
+    }
     EXPECT_GT(tally.seen[kForced], 0u);
     EXPECT_GT(tally.seen[kDue], 0u);
     if (write_refresh) {
@@ -608,7 +647,8 @@ TEST(RefreshDecisionDifferential, DarpMatchesPerBankWalk)
 TEST(RefreshDecisionDifferential, HiraInheritsDarpDecisionsOnRowLedger)
 {
     // HiRA keeps its ledger in rows (denominator rowsPerRefresh); the
-    // masks must still match DARP's per-bank walk.
+    // masks must still match DARP's per-bank walk, and a bank two
+    // slots behind pairs its refresh.
     Tally tally;
     std::uint64_t seed = 100;
     for (const int ranks : {1, 2, 4}) {
@@ -616,7 +656,7 @@ TEST(RefreshDecisionDifferential, HiraInheritsDarpDecisionsOnRowLedger)
         if (HasFatalFailure())
             return;
     }
-    expectEveryOutcome(tally, true);
+    expectEveryOutcome(tally, true, /*pairing=*/true);
 }
 
 TEST(RefreshDecisionDifferential, SameBankMatchesPerSliceWalk)
@@ -632,13 +672,34 @@ TEST(RefreshDecisionDifferential, SameBankMatchesPerSliceWalk)
     };
     for (const Shape s : {Shape{1, 32, 0}, Shape{2, 32, 0}, Shape{2, 8, 0},
                           Shape{2, 16, 2}, Shape{1, 8, 1}}) {
-        driveSameBank(s.ranks, s.banks, s.group, true, seed++, tally);
+        driveSameBank(s.ranks, s.banks, s.group, true, false, seed++,
+                      tally);
         if (HasFatalFailure())
             return;
     }
     expectEveryOutcome(tally, false);
 
     Tally off;
-    driveSameBank(2, 32, 0, false, seed, off);
+    driveSameBank(2, 32, 0, false, false, seed, off);
     EXPECT_EQ(off.seen[kNoPull], off.steps);
+}
+
+TEST(RefreshDecisionDifferential, HirasbPairsOnPerSliceWalk)
+{
+    // HiRAsb is REFsb with pairing: a slice two slots behind retires
+    // both in one command. Pull-in on and off.
+    Tally tally;
+    std::uint64_t seed = 300;
+    for (const int ranks : {1, 2}) {
+        driveSameBank(ranks, 32, 0, true, true, seed++, tally);
+        driveSameBank(ranks, 16, 2, true, true, seed++, tally);
+        if (HasFatalFailure())
+            return;
+    }
+    expectEveryOutcome(tally, false, /*pairing=*/true);
+
+    Tally off;
+    driveSameBank(2, 8, 0, false, true, seed, off);
+    EXPECT_EQ(off.seen[kNoPull], off.steps);
+    EXPECT_GT(off.seen[kPaired], 0u);
 }

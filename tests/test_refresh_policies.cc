@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the baseline refresh policies: REFab on-schedule
- * issuing, REFpb strict round-robin order, elastic postponement, and the
- * adaptive (AR) 1x/4x mode mixing.
+ * issuing, REFpb strict round-robin order, elastic postponement, the
+ * adaptive (AR) 1x/4x mode mixing, and the forced-refresh count.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "mock_view.hh"
 #include "refresh/all_bank.hh"
@@ -273,4 +275,46 @@ TEST_F(PolicyTest, AdaptiveCoversObligationsInMixedMode)
     // Rank 0 accrued ~32 quarters over 8 intervals; coverage must keep
     // pace within the postpone window.
     EXPECT_GE(covered_quarters, 32u - 8u);
+}
+
+TEST_F(PolicyTest, ForcedCountsRefreshesIssuedAtTheLimit)
+{
+    // An open row holds rank 0's REFab off until the rank has sat at the
+    // postpone limit for half an interval. The forced counter must count
+    // the refreshes issued at the limit, not the ticks spent there.
+    const Tick release =
+        Tick(0) + 8 * timing_.tRefiAb + timing_.tRefiAb / 2;
+    const Tick end = release + 2 * timing_.tRefiAb;
+    for (const bool adaptive : {false, true}) {
+        MockView view(&cfg_, &timing_);
+        std::unique_ptr<LedgerScheduler> sched;
+        if (adaptive)
+            sched = std::make_unique<AdaptiveScheduler>(&cfg_, &timing_, &view);
+        else
+            sched = std::make_unique<ElasticScheduler>(&cfg_, &timing_, &view);
+        view.channel().issue(Command{CommandType::kAct, 0, 0}, 0);
+
+        std::uint64_t at_limit = 0;
+        std::vector<RefreshRequest> urgent;
+        for (Tick t = 1; t < end; ++t) {
+            if (t == release)
+                view.channel().issue(Command{CommandType::kPre, 0, 0}, t);
+            sched->tick(t);
+            urgent.clear();
+            sched->urgent(t, urgent);
+            for (const RefreshRequest &req : urgent) {
+                Command cmd{CommandType::kRefAb, req.rank};
+                cmd.tRfcOverride = req.tRfcOverride;
+                if (!view.channel().canIssue(cmd, t))
+                    continue;
+                at_limit += sched->ledger().mustForce(req.rank) ? 1 : 0;
+                view.channel().issue(cmd, t);
+                sched->onIssued(req, t);
+                break;
+            }
+        }
+        const char *name = adaptive ? "AR" : "Elastic";
+        EXPECT_GT(at_limit, 0u) << name;
+        EXPECT_EQ(sched->stats().forced, at_limit) << name;
+    }
 }

@@ -15,8 +15,8 @@
 
 #include "dram/spec.hh"
 #include "mock_view.hh"
+#include "refresh/darp.hh"
 #include "refresh/registry.hh"
-#include "refresh/same_bank.hh"
 #include "sim/checker.hh"
 #include "sim/system.hh"
 #include "workload/benchmark.hh"
@@ -242,8 +242,8 @@ TEST(SameBankScheduling, DueSliceIsBlockingAndRetiresWholeGroup)
     MemConfig cfg = ddr5Config();
     const TimingParams timing = TimingParams::forConfig(cfg);
     MockView view(&cfg, &timing);
-    SameBankScheduler sched(&cfg, &timing, &view);
-    EXPECT_EQ(sched.numGroups(), 2);
+    DarpScheduler sched(&cfg, &timing, &view);
+    EXPECT_EQ(sched.ledger().banksPerRank(), 2) << "one unit per slice";
 
     // Advance past the first accrual of rank 0 / group 0.
     const Tick t0 = Tick(1) + timing.tRefiAb;
@@ -266,7 +266,7 @@ TEST(SameBankScheduling, PendingDemandsPostponeUntilHeadroomRunsOut)
     MemConfig cfg = ddr5Config();
     const TimingParams timing = TimingParams::forConfig(cfg);
     MockView view(&cfg, &timing);
-    SameBankScheduler sched(&cfg, &timing, &view);
+    DarpScheduler sched(&cfg, &timing, &view);
     view.setReads(0, 2, 4);  // Demand on one bank of group 0.
 
     Tick t = Tick(1) + timing.tRefiAb;
@@ -297,7 +297,7 @@ TEST(SameBankScheduling, IdlePullInHonoursKnobAndWindow)
     const TimingParams timing = TimingParams::forConfig(cfg);
     {
         MockView view(&cfg, &timing);
-        SameBankScheduler sched(&cfg, &timing, &view);
+        DarpScheduler sched(&cfg, &timing, &view);
         RefreshRequest opp;
         int pulled = 0;
         Tick t = 10;
@@ -317,7 +317,7 @@ TEST(SameBankScheduling, IdlePullInHonoursKnobAndWindow)
         MemConfig noPull = cfg;
         noPull.sameBankPullIn = false;
         MockView view(&noPull, &timing);
-        SameBankScheduler sched(&noPull, &timing, &view);
+        DarpScheduler sched(&noPull, &timing, &view);
         RefreshRequest opp;
         EXPECT_FALSE(sched.opportunistic(10, opp));
     }
@@ -329,7 +329,7 @@ TEST(SameBankScheduling, HiraPairingDoublesLaggingSlices)
     TimingParams timing = TimingParams::forConfig(cfg);
     timing.hiraRefCoverage = 1.0;  // Deterministic pairing draw.
     MockView view(&cfg, &timing);
-    SameBankScheduler sched(&cfg, &timing, &view);
+    DarpScheduler sched(&cfg, &timing, &view);
 
     // Three slots accrue with no refresh issued: the due slice must
     // offer to retire two of them in one command.
@@ -345,7 +345,6 @@ TEST(SameBankScheduling, HiraPairingDoublesLaggingSlices)
     const int owed_before = sched.ledger().owed(req.rank, req.bank);
     sched.onIssued(req, t);
     EXPECT_EQ(sched.ledger().owed(req.rank, req.bank), owed_before - 2);
-    EXPECT_EQ(sched.pairedIssued(), 1u);
 }
 
 TEST(SameBankScheduling, NoPairingWithoutHira)
@@ -353,7 +352,7 @@ TEST(SameBankScheduling, NoPairingWithoutHira)
     MemConfig cfg = ddr5Config();
     const TimingParams timing = TimingParams::forConfig(cfg);
     MockView view(&cfg, &timing);
-    SameBankScheduler sched(&cfg, &timing, &view);
+    DarpScheduler sched(&cfg, &timing, &view);
     const Tick t = Tick(1) + 3 * timing.tRefiAb + timing.tRefiSb;
     sched.tick(t);
     std::vector<RefreshRequest> urgent;

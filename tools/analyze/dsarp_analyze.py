@@ -86,7 +86,7 @@ RULES = (
 #     (pinned by tests/test_traffic.cc bit-identity cases).
 #   - controller/controller.cc: the opportunistic-probe draw, replayed
 #     by skipTicks via the oppDraws_ counter.
-#   - refresh/{darp,hira,same_bank}.cc: idle-bank/coverage picks on the
+#   - refresh/{darp,hira}.cc: idle-unit/coverage picks on the
 #     scheduler stream (schedulerRng), identical in both engines.
 #   - sim/parallel.*: pointSeed derivation (splitmix64 per point).
 RNG_TUS = {
@@ -99,7 +99,6 @@ RNG_TUS = {
     "src/controller/controller.cc",
     "src/refresh/darp.cc",
     "src/refresh/hira.cc",
-    "src/refresh/same_bank.cc",
     "src/sim/parallel.hh",
     "src/sim/parallel.cc",
 }
@@ -128,7 +127,6 @@ STAT_ACCOUNTING_TUS = {
     "src/refresh/fgr.cc",
     "src/refresh/darp.cc",
     "src/refresh/hira.cc",
-    "src/refresh/same_bank.cc",
     "src/common/stats.cc",        # the stat helpers themselves
 }
 
