@@ -278,17 +278,19 @@ TEST(SameBankScheduling, PendingDemandsPostponeUntilHeadroomRunsOut)
     EXPECT_GT(sched.stats().postponed, 0u);
 
     // Two slots short of the postpone limit the slice goes due even
-    // with demands pending (drain headroom before the erratum bound).
-    for (int slots = 2; slots <= 7; ++slots) {
-        t = Tick(1) + (slots + 1) * timing.tRefiAb;
+    // with demands pending (drain headroom before the erratum bound),
+    // before the limit would force it.
+    for (int slots = 2; slots <= 6; ++slots) {
+        t = Tick(1) + slots * timing.tRefiAb;
         sched.tick(t);
+        urgent.clear();
+        sched.urgent(t, urgent);
+        bool group0_due = false;
+        for (const RefreshRequest &req : urgent)
+            group0_due |= req.rank == 0 && req.bank == 0;
+        EXPECT_EQ(group0_due, slots == 6) << slots << " slots owed";
     }
-    urgent.clear();
-    sched.urgent(t, urgent);
-    bool group0_due = false;
-    for (const RefreshRequest &req : urgent)
-        group0_due |= req.bank == 0;
-    EXPECT_TRUE(group0_due);
+    EXPECT_FALSE(sched.ledger().mustForce(0, 0));
 }
 
 TEST(SameBankScheduling, IdlePullInHonoursKnobAndWindow)
@@ -345,6 +347,41 @@ TEST(SameBankScheduling, HiraPairingDoublesLaggingSlices)
     const int owed_before = sched.ledger().owed(req.rank, req.bank);
     sched.onIssued(req, t);
     EXPECT_EQ(sched.ledger().owed(req.rank, req.bank), owed_before - 2);
+}
+
+TEST(SameBankScheduling, HiraPairingDrawsOncePerSlot)
+{
+    // One coverage draw per due slot: repeated urgent() calls reuse it,
+    // and a slice draws again only for the slot after its refresh.
+    MemConfig cfg = ddr5Config(8, 0, /*hira=*/true);
+    TimingParams timing = TimingParams::forConfig(cfg);
+    timing.hiraRefCoverage = 0.0;  // Every draw fails: one slot retires.
+    MockView view(&cfg, &timing);
+    DarpScheduler sched(&cfg, &timing, &view);
+
+    Tick t = Tick(1) + 3 * timing.tRefiAb;
+    sched.tick(t);
+    std::vector<RefreshRequest> urgent;
+    sched.urgent(t, urgent);
+    const std::uint64_t drawn = view.schedulerRng().draws();
+    EXPECT_GT(drawn, 0u);
+    urgent.clear();
+    sched.urgent(t, urgent);
+    EXPECT_EQ(view.schedulerRng().draws(), drawn) << "one draw per slot";
+
+    ASSERT_FALSE(urgent.empty());
+    ASSERT_EQ(urgent[0].rank, 0);
+    ASSERT_EQ(urgent[0].bank, 0);
+    EXPECT_EQ(urgent[0].ledgerParts, 0);
+    sched.onIssued(urgent[0], t);
+
+    // The slice's next accrual makes it due again, with a fresh draw;
+    // every other slice keeps its draw.
+    t += timing.tRefiAb;
+    sched.tick(t);
+    urgent.clear();
+    sched.urgent(t, urgent);
+    EXPECT_EQ(view.schedulerRng().draws(), drawn + 1);
 }
 
 TEST(SameBankScheduling, NoPairingWithoutHira)
