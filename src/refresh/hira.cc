@@ -112,15 +112,15 @@ HiraScheduler::nextWake(Tick now)
 void
 HiraScheduler::onIssued(const RefreshRequest &req, Tick now)
 {
-    if (!req.hidden) {
-        DarpScheduler::onIssued(req, now);
+    if (req.hidden) {
+        if (ledger_.owed(req.rank, req.bank) <= 0)
+            ++stats_.pulledIn;
+        ledger_.onPartialRefresh(req.rank, req.bank, req.ledgerParts);
+        windows_[index(req.rank, req.bank)].armed = false;
+        ++stats_.issued;
         return;
     }
-    if (ledger_.owed(req.rank, req.bank) <= 0)
-        ++stats_.pulledIn;
-    ledger_.onPartialRefresh(req.rank, req.bank, req.ledgerParts);
-    windows_[index(req.rank, req.bank)].armed = false;
-    ++stats_.issued;
+    DarpScheduler::onIssued(req, now);
 }
 
 } // namespace dsarp
