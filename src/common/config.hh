@@ -21,20 +21,18 @@
 namespace dsarp {
 
 /**
- * Refresh timing profiles evaluated in the paper (Sections 6.1, 6.5):
- * the compact descriptor TimingParams and the checker consume. Not a
- * selector -- MemConfig::policy names the mechanism, and
- * RefreshPolicyRegistry::resolve() sets this tag from the name.
+ * Refresh timing profiles (paper Sections 6.1, 6.5): the compact
+ * descriptor TimingParams and the checker consume. A profile names
+ * timing, not a mechanism -- Elastic and AR time like kAllBank, DARP,
+ * DSARP and HiRA like kPerBank. MemConfig::policy names the mechanism,
+ * and RefreshPolicyRegistry::resolve() sets this tag from the name.
  */
 enum class RefreshMode {
     kNoRefresh,  ///< Ideal baseline: refresh eliminated.
-    kAllBank,    ///< REFab: rank-level refresh (DDR/LPDDR baseline).
-    kPerBank,    ///< REFpb: sequential round-robin per-bank (LPDDR).
-    kElastic,    ///< Elastic refresh [Stuecheli+, MICRO'10].
-    kDarp,       ///< DARP: out-of-order REFpb + write-refresh parallelization.
+    kAllBank,    ///< Rank-level all-bank refresh (REFab).
+    kPerBank,    ///< Per-bank refresh (REFpb).
     kFgr2x,      ///< DDR4 fine granularity refresh, 2x rate.
     kFgr4x,      ///< DDR4 fine granularity refresh, 4x rate.
-    kAdaptive,   ///< Adaptive refresh (AR) [Mukundan+, ISCA'13]: 1x/4x FGR.
     kSameBank,   ///< REFsb: DDR5 same-bank refresh (one bank-group slice).
 };
 

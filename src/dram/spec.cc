@@ -157,8 +157,7 @@ DramSpec::timingFor(const MemConfig &cfg) const
     // Per-bank refresh must fit inside its command interval; FGR modes
     // never issue REFpb, so the constraint only binds when REFpb is
     // used.
-    if (cfg.refresh == RefreshMode::kPerBank ||
-        cfg.refresh == RefreshMode::kDarp) {
+    if (cfg.refresh == RefreshMode::kPerBank) {
         if (t.tRefiPb <= t.tRfcPb) {
             DSARP_FATALF(
                 "config key '%s'/'%s': per-bank refresh does not fit its "

@@ -11,7 +11,7 @@ namespace dsarp {
 DSARP_REGISTER_REFRESH_POLICY(darp, {
     "DARP", "out-of-order per-bank refresh + write-refresh "
             "parallelization (paper Section 4.2)",
-    [](MemConfig &m) { m.refresh = RefreshMode::kDarp; },
+    [](MemConfig &m) { m.refresh = RefreshMode::kPerBank; },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<DarpScheduler>(&c, &t, &v);
     }})
@@ -19,7 +19,7 @@ DSARP_REGISTER_REFRESH_POLICY(darp, {
 DSARP_REGISTER_REFRESH_POLICY(dsarp, {
     "DSARP", "DARP + SARP combined (the paper's headline mechanism)",
     [](MemConfig &m) {
-        m.refresh = RefreshMode::kDarp;
+        m.refresh = RefreshMode::kPerBank;
         m.sarp = true;
     },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {

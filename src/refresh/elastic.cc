@@ -7,7 +7,7 @@ namespace dsarp {
 DSARP_REGISTER_REFRESH_POLICY(elastic, {
     "Elastic", "elastic refresh [Stuecheli+, MICRO'10]: postpone while "
                "the rank is busy",
-    [](MemConfig &m) { m.refresh = RefreshMode::kElastic; },
+    nullptr,  // All-bank timing: the tags resolve() resets to.
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<ElasticScheduler>(&c, &t, &v);
     }})

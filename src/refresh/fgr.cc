@@ -29,7 +29,7 @@ DSARP_REGISTER_REFRESH_POLICY(fgr4x, {
 
 DSARP_REGISTER_REFRESH_POLICY(adaptive, {
     "AR", "adaptive refresh [Mukundan+, ISCA'13]: dynamic 1x/4x FGR mix",
-    [](MemConfig &m) { m.refresh = RefreshMode::kAdaptive; },
+    nullptr,  // 1x timing; the scheduler mixes in 4x commands itself.
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<AdaptiveScheduler>(&c, &t, &v);
     }}, {"adaptive"})

@@ -12,7 +12,7 @@ DSARP_REGISTER_REFRESH_POLICY(hira, {
         // without SARP's chip modification; the hira flag arms the
         // hidden-refresh paths and the tRRD/tFAW power-integrity
         // inflation while one is in flight.
-        m.refresh = RefreshMode::kDarp;
+        m.refresh = RefreshMode::kPerBank;
         m.hira = true;
     },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {

@@ -93,7 +93,7 @@ class RefreshPolicyRegistry
  *
  *   DSARP_REGISTER_REFRESH_POLICY(darp, {
  *       "DARP", "out-of-order per-bank refresh",
- *       [](MemConfig &m) { m.refresh = RefreshMode::kDarp; },
+ *       [](MemConfig &m) { m.refresh = RefreshMode::kPerBank; },
  *       [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
  *           return std::make_unique<DarpScheduler>(&c, &t, &v);
  *       }})

@@ -97,7 +97,7 @@ TEST(Hira, ResolvesFromTheRegistry)
     const auto &entry = registry.resolve(cfg);
     EXPECT_EQ(entry.name, "HiRA");
     EXPECT_EQ(cfg.policy, "HiRA");
-    EXPECT_EQ(cfg.refresh, RefreshMode::kDarp);  // Per-bank OoO profile.
+    EXPECT_EQ(cfg.refresh, RefreshMode::kPerBank);  // DARP's timing.
     EXPECT_FALSE(cfg.sarp);                      // No chip modification.
     EXPECT_TRUE(cfg.hira);
 }

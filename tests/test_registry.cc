@@ -44,15 +44,15 @@ builtinMechanisms()
         {"NoREF", RefreshMode::kNoRefresh, false, false},
         {"REFab", RefreshMode::kAllBank, false, false},
         {"REFpb", RefreshMode::kPerBank, false, false},
-        {"Elastic", RefreshMode::kElastic, false, false},
-        {"DARP", RefreshMode::kDarp, false, false},
+        {"Elastic", RefreshMode::kAllBank, false, false},
+        {"DARP", RefreshMode::kPerBank, false, false},
         {"SARPab", RefreshMode::kAllBank, true, false},
         {"SARPpb", RefreshMode::kPerBank, true, false},
-        {"DSARP", RefreshMode::kDarp, true, false},
+        {"DSARP", RefreshMode::kPerBank, true, false},
         {"FGR2x", RefreshMode::kFgr2x, false, false},
         {"FGR4x", RefreshMode::kFgr4x, false, false},
-        {"AR", RefreshMode::kAdaptive, false, false},
-        {"HiRA", RefreshMode::kDarp, false, true},
+        {"AR", RefreshMode::kAllBank, false, false},
+        {"HiRA", RefreshMode::kPerBank, false, true},
         {"REFsb", RefreshMode::kSameBank, false, false},
         {"HiRAsb", RefreshMode::kSameBank, false, true},
     };
@@ -120,7 +120,7 @@ TEST(Registry, ResolvedTagsDependOnTheNameAlone)
     for (const Expected &mech : builtinMechanisms()) {
         cfg.policy = "HiRA";
         registry.resolve(cfg);
-        EXPECT_EQ(cfg.refresh, RefreshMode::kDarp);
+        EXPECT_EQ(cfg.refresh, RefreshMode::kPerBank);
         EXPECT_FALSE(cfg.sarp);
         EXPECT_TRUE(cfg.hira);
 

@@ -48,7 +48,7 @@ Six checks, each born from a real bug class in this codebase:
    ``.sarp`` or ``.hira`` tag outside the policies' own translation
    units, src/refresh/*.cc.  RefreshPolicyRegistry::resolve() resets
    all three from MemConfig::policy, so a stray
-   ``cfg.mem.refresh = RefreshMode::kDarp`` would silently run REFab;
+   ``cfg.mem.refresh = RefreshMode::kPerBank`` would silently run REFab;
    select the mechanism by setting ``policy`` instead.
 
 Exit status 0 when clean, 1 with findings (one ``file:line: message``
@@ -353,7 +353,7 @@ def self_test():
         # 6. A tag written outside a policy's translation unit.
         (root / "tests/test_tag.cc").write_text(
             "void f(SystemConfig &cfg)\n"
-            "{ cfg.mem.refresh = RefreshMode::kDarp; }\n")
+            "{ cfg.mem.refresh = RefreshMode::kPerBank; }\n")
 
         findings = run_checks(root)
         for needle in ("raw tCK arithmetic", "respelled",
