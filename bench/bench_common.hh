@@ -1,30 +1,33 @@
 /**
  * @file
- * Shared helpers for the per-figure/per-table bench binaries.
+ * Shared helpers for the bench binaries: the figure driver
+ * (figures.cc) and the engine timing harness (perf_sweep.cc).
  *
- * Every binary prints (a) the paper's reference numbers where useful and
- * (b) the values this reproduction measures, in the same units, so
- * shape-level agreement can be read off directly. Absolute values differ
- * from the paper (scaled runs, synthetic traces; see DESIGN.md §5).
+ * Every figure prints (a) the paper's reference numbers where useful
+ * and (b) the values this reproduction measures, in the same units, so
+ * shape-level agreement can be read off directly. Absolute values
+ * differ from the paper (scaled runs, synthetic workloads; see the
+ * README's "Workload calibration").
  */
 
 #ifndef DSARP_BENCH_BENCH_COMMON_HH
 #define DSARP_BENCH_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "dram/spec.hh"
-#include "sim/parallel.hh"
 #include "sim/runner.hh"
-#include "workload/workload.hh"
 
 namespace dsarp::bench {
 
@@ -36,114 +39,61 @@ densities()
 }
 
 /**
- * The bench-wide DRAM spec axis: the DSARP_DRAM_SPEC environment knob,
- * canonicalised through the registry (fatal named-key error on an
- * unknown name). Empty when unset, which keeps the library default
- * (DDR3-1333). Every bench that sweeps through sweep()/mechNamed()
- * honours it, so any figure can be re-run per backend:
- *
- *   DSARP_DRAM_SPEC=LPDDR4-3200 ./bench_fig13_all_mechanisms
- */
-inline std::string
-defaultSpec()
-{
-    const char *env = std::getenv("DSARP_DRAM_SPEC");
-    if (!env || !*env)
-        return "";
-    return DramSpecRegistry::instance().at(env).name;
-}
-
-/**
- * The spec axis from the command line: "--spec NAME" (canonicalised,
- * fatal on unknown names) wins over DSARP_DRAM_SPEC, which wins over
- * the DDR3-1333 default. Benches pass argc/argv straight through.
- */
-inline std::string
-specFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--spec") == 0) {
-            if (i + 1 >= argc)
-                DSARP_FATAL("--spec needs a value (a registered DRAM "
-                            "spec name)");
-            return DramSpecRegistry::instance().at(argv[i + 1]).name;
-        }
-    }
-    return defaultSpec();
-}
-
-/**
- * True when the (possibly empty = default DDR3-1333) spec name on a
- * bench's spec axis declares same-bank refresh support, i.e. the
- * REFsb/HiRAsb columns are meaningful for it.
+ * True when the DRAM spec named @p spec declares same-bank refresh
+ * support, i.e. the REFsb/HiRAsb columns are meaningful for it.
  */
 inline bool
 specSupportsSameBank(const std::string &spec)
 {
-    const std::string name = spec.empty() ? "DDR3-1333" : spec;
-    return DramSpecRegistry::instance().at(name).banksPerGroup > 0;
+    return DramSpecRegistry::instance().at(spec).banksPerGroup > 0;
 }
 
 /**
- * The value of "FLAG N" on the command line, an int of at least
- * @p min; @p absent when the flag is not given. A missing, malformed
- * or out-of-range value is a fatal error naming the flag; @p what
- * describes a valid value ("a positive channel count"). Benches pass
- * argc/argv straight through, exactly like specFromArgs().
+ * The "FLAG VALUE" pairs of a command line, argv[first] onwards. Every
+ * flag must be one of @p known and carry a value: an unknown flag, or
+ * one with no value, is a fatal error naming it.
+ */
+inline std::vector<std::pair<std::string, std::string>>
+flagPairs(int argc, char **argv, int first,
+          std::initializer_list<const char *> known)
+{
+    std::vector<std::pair<std::string, std::string>> pairs;
+    for (int i = first; i < argc; i += 2) {
+        const auto is = [&](const char *k) {
+            return std::strcmp(k, argv[i]) == 0;
+        };
+        if (std::none_of(known.begin(), known.end(), is)) {
+            std::string flags;
+            for (const char *k : known)
+                flags += std::string(flags.empty() ? "" : " ") + k;
+            DSARP_FATALF("%s: unknown flag (flags: %s)", argv[i],
+                         flags.c_str());
+        }
+        if (i + 1 >= argc)
+            DSARP_FATALF("%s needs a value", argv[i]);
+        pairs.emplace_back(argv[i], argv[i + 1]);
+    }
+    return pairs;
+}
+
+/**
+ * @p text, the value given to @p flag, as an int of at least @p min. A
+ * malformed or out-of-range value is a fatal error naming the flag;
+ * @p what describes a valid value ("a positive channel count").
  */
 inline int
-intFlag(int argc, char **argv, const char *flag, int min, int absent,
+intFlag(const char *flag, const std::string &text, int min,
         const char *what)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], flag) != 0)
-            continue;
-        if (i + 1 >= argc)
-            DSARP_FATALF("%s needs a value (%s)", flag, what);
-        const char *text = argv[i + 1];
-        char *end = nullptr;
-        errno = 0;
-        const long n = std::strtol(text, &end, 10);
-        if (end == text || *end != '\0' || errno == ERANGE || n < min ||
-            n > INT_MAX) {
-            DSARP_FATALF("%s: '%s' is not %s (%d to %d)", flag, text, what,
-                         min, INT_MAX);
-        }
-        return static_cast<int>(n);
+    char *end = nullptr;
+    errno = 0;
+    const long n = std::strtol(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+        n < min || n > INT_MAX) {
+        DSARP_FATALF("%s: '%s' is not %s (%d to %d)", flag, text.c_str(),
+                     what, min, INT_MAX);
     }
-    return absent;
-}
-
-/**
- * The channel-count axis from the command line: "--channels N", 0
- * when absent = keep the library default topology.
- */
-inline int
-channelsFromArgs(int argc, char **argv)
-{
-    return intFlag(argc, argv, "--channels", 1, 0, "a positive channel count");
-}
-
-/**
- * The bench-wide worker count: every binary's sweep() calls shard
- * their workload list across this many threads. Defaults to the
- * DSARP_JOBS environment knob (itself defaulting to 1 = serial);
- * "--jobs N" on the command line wins (applyJobsFromArgs()). Results
- * are byte-identical for any value -- see sim/parallel.hh.
- */
-inline int &
-sweepJobs()
-{
-    static int jobs = static_cast<int>(envKnob("DSARP_JOBS", 1));
-    return jobs;
-}
-
-/** Parse "--jobs N", when given, into the bench-wide worker count. */
-inline void
-applyJobsFromArgs(int argc, char **argv)
-{
-    sweepJobs() = intFlag(argc, argv, "--jobs", 1, sweepJobs(),
-                          "a positive worker count");
+    return static_cast<int>(n);
 }
 
 /** Print a figure/table banner. */
@@ -192,45 +142,6 @@ maxPctOver(const std::vector<double> &xs, const std::vector<double> &bases)
     for (std::size_t i = 0; i < xs.size(); ++i)
         best = std::max(best, pctOver(xs[i], bases[i]));
     return best;
-}
-
-/**
- * Run one mechanism over a workload list; progress to stderr. A sweep
- * point that did not pick a DRAM spec explicitly inherits the
- * DSARP_DRAM_SPEC axis, so existing benches re-run per backend without
- * per-figure wiring.
- */
-inline std::vector<RunResult>
-sweep(Runner &runner, const RunConfig &cfgIn,
-      const std::vector<Workload> &workloads)
-{
-    RunConfig cfg = cfgIn;
-    if (cfg.dramSpec.empty())
-        cfg.dramSpec = defaultSpec();
-    if (sweepJobs() > 1) {
-        // Sharded across the bench-wide pool; SweepRunner collects
-        // results by point index, so the output (and therefore every
-        // printed figure) is byte-identical to the serial path.
-        std::fprintf(stderr, "  [%s %s] %zu workloads x %d jobs\r",
-                     densityName(cfg.density),
-                     cfg.mechanismName().c_str(), workloads.size(),
-                     sweepJobs());
-        SweepRunner sharded(runner, sweepJobs());
-        auto out = sharded.run(cfg, workloads);
-        std::fprintf(stderr, "%60s\r", "");
-        return out;
-    }
-    std::vector<RunResult> out;
-    out.reserve(workloads.size());
-    for (const Workload &w : workloads) {
-        std::fprintf(stderr, "  [%s %s] workload %d/%zu\r",
-                     densityName(cfg.density),
-                     cfg.mechanismName().c_str(), w.index + 1,
-                     workloads.size());
-        out.push_back(runner.run(cfg, w));
-    }
-    std::fprintf(stderr, "%60s\r", "");
-    return out;
 }
 
 /** Pull WS samples from a result vector. */

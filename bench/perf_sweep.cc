@@ -5,43 +5,40 @@
  *
  * Three timed passes over the same grid: the seed configuration
  * (cycle engine, one thread), the event engine on one thread, and the
- * event engine sharded across --jobs worker threads. The alone-IPC
- * cache is prewarmed before any pass so the baselines' simulation cost
- * is charged to none of them. Exits non-zero when the event engine is
- * slower than the cycle engine beyond --tolerance, which is the CI
- * perf-smoke gate.
+ * event engine sharded across --jobs worker threads. Each pass reports
+ * its wall seconds and the process CPU seconds it used (all threads).
+ * The alone-IPC cache is prewarmed before any pass so the baselines'
+ * simulation cost is charged to none of them. Exits non-zero when the
+ * event engine's wall time exceeds the cycle engine's beyond
+ * --tolerance, which is the CI perf-smoke gate.
  *
  * Each pass also folds every run's command digest (RunResult::
  * cmdDigest) into a per-point and a whole-grid digest, in grid and
  * workload order, so --jobs cannot change them. A digest that differs
  * between passes fails the gate exactly like a ws_sum mismatch.
  *
- * Flags: --grid fig13|smoke, --jobs N, --tolerance F, --out FILE
- * (plus the usual DSARP_BENCH_* scale knobs).
+ * Flags: --grid fig13|smoke, --jobs N (default 4), --tolerance F (a
+ * non-negative fraction, default 0.05), --out FILE (plus the usual
+ * DSARP_BENCH_* scale knobs). An unknown flag, a flag without a value
+ * or a bad value is a fatal error naming the flag.
  */
 
 #include <chrono>
+#include <cmath>
+#include <ctime>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hh"
 #include "common/rng.hh"
+#include "sim/parallel.hh"
 
 using namespace dsarp;
 using namespace dsarp::bench;
 
 namespace {
-
-/** One (spec, mechanism, density) cell of the timed grid. */
-struct GridPoint
-{
-    std::string spec;
-    std::string mech;
-    Density density;
-};
 
 /** One timed pass over the whole grid. */
 struct PassResult
@@ -49,6 +46,7 @@ struct PassResult
     std::string engine;
     int jobs = 0;
     double wallSeconds = 0.0;
+    double cpuSeconds = 0.0;  ///< Process CPU time, every thread.
     double simCyclesPerSec = 0.0;
     std::vector<double> pointSeconds;
     std::vector<std::uint64_t> pointDigests;
@@ -66,11 +64,11 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 
 /**
  * Time one full pass over the grid. Each grid point shards its
- * workload list through SweepRunner, exactly like bench sweep() with
- * --jobs; per-point wall seconds land in PassResult::pointSeconds.
+ * workload list through SweepRunner; per-point wall seconds land in
+ * PassResult::pointSeconds.
  */
 PassResult
-runPass(Runner &runner, const std::vector<GridPoint> &grid,
+runPass(Runner &runner, const std::vector<SystemConfig> &grid,
         const std::vector<Workload> &workloads, const char *engine,
         int jobs)
 {
@@ -79,15 +77,19 @@ runPass(Runner &runner, const std::vector<GridPoint> &grid,
     pass.jobs = jobs;
     SweepRunner sharded(runner, jobs);
     const auto t0 = std::chrono::steady_clock::now();
+    const std::clock_t c0 = std::clock();
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        const GridPoint &gp = grid[i];
+        const MemConfig &mem = grid[i].mem;
         std::fprintf(stderr, "  [%s %d] %s %s %s (%zu/%zu)%10s\r", engine,
-                     jobs, gp.spec.c_str(), gp.mech.c_str(),
-                     densityName(gp.density), i + 1, grid.size(), "");
-        RunConfig cfg = mechNamed(gp.mech, gp.density, gp.spec);
-        cfg.engine = engine;
+                     jobs, mem.dramSpec.c_str(), mem.policy.c_str(),
+                     densityName(mem.density), i + 1, grid.size(), "");
+        std::vector<SweepPoint> points;
+        for (const Workload &w : workloads)
+            points.push_back({grid[i], w});
+        for (SweepPoint &p : points)
+            p.cfg.engine = engine;
         const auto p0 = std::chrono::steady_clock::now();
-        const auto results = sharded.run(cfg, workloads);
+        const auto results = sharded.run(points);
         pass.pointSeconds.push_back(secondsSince(p0));
         std::uint64_t point_digest = 0;
         for (const RunResult &r : results) {
@@ -98,6 +100,7 @@ runPass(Runner &runner, const std::vector<GridPoint> &grid,
         pass.digest = mix64(pass.digest ^ point_digest);
     }
     pass.wallSeconds = secondsSince(t0);
+    pass.cpuSeconds = static_cast<double>(std::clock() - c0) / CLOCKS_PER_SEC;
     std::fprintf(stderr, "%70s\r", "");
     const double simCycles =
         static_cast<double>(runner.warmupTicks() + runner.measureTicks()) *
@@ -113,10 +116,11 @@ writeJsonPass(std::FILE *f, const PassResult &p, bool last)
 {
     std::fprintf(f,
                  "    {\"engine\": \"%s\", \"jobs\": %d, "
-                 "\"wall_seconds\": %.6f, \"sim_cycles_per_sec\": %.1f, "
+                 "\"wall_seconds\": %.6f, \"cpu_seconds\": %.6f, "
+                 "\"sim_cycles_per_sec\": %.1f, "
                  "\"ws_sum\": %.9f, \"digest\": \"%016llx\",\n"
                  "     \"point_seconds\": [",
-                 p.engine.c_str(), p.jobs, p.wallSeconds,
+                 p.engine.c_str(), p.jobs, p.wallSeconds, p.cpuSeconds,
                  p.simCyclesPerSec, p.wsSum,
                  static_cast<unsigned long long>(p.digest));
     for (std::size_t i = 0; i < p.pointSeconds.size(); ++i)
@@ -134,34 +138,48 @@ writeJsonPass(std::FILE *f, const PassResult &p, bool last)
 int
 main(int argc, char **argv)
 {
-    banner("perf_sweep",
-           "engine wall-clock over the fig13 mechanisms x specs grid");
-
-    applyJobsFromArgs(argc, argv);
-    // The sharded pass: --jobs N when given, else the acceptance
-    // default of 4 workers.
-    const int jobs = sweepJobs() > 1 ? sweepJobs() : 4;
-
+    int jobs = 4;  // The sharded pass's workers.
     std::string grid_name = "fig13";
     std::string out_path = "BENCH_sweep.json";
     double tolerance = 0.05;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--grid") == 0)
-            grid_name = argv[i + 1];
-        else if (std::strcmp(argv[i], "--out") == 0)
-            out_path = argv[i + 1];
-        else if (std::strcmp(argv[i], "--tolerance") == 0)
-            tolerance = std::atof(argv[i + 1]);
+    for (const auto &[flag, value] :
+         flagPairs(argc, argv, 1,
+                   {"--grid", "--jobs", "--tolerance", "--out"})) {
+        if (flag == "--grid") {
+            grid_name = value;
+        } else if (flag == "--jobs") {
+            jobs = intFlag("--jobs", value, 1, "a positive worker count");
+        } else if (flag == "--out") {
+            out_path = value;
+        } else {
+            char *end = nullptr;
+            tolerance = std::strtod(value.c_str(), &end);
+            if (end == value.c_str() || *end != '\0' ||
+                !std::isfinite(tolerance) || tolerance < 0.0)
+                DSARP_FATALF("--tolerance: '%s' is not a non-negative "
+                             "number",
+                             value.c_str());
+        }
     }
     if (grid_name != "fig13" && grid_name != "smoke")
         DSARP_FATALF("--grid: '%s' is not \"fig13\" or \"smoke\"",
                      grid_name.c_str());
+    banner("perf_sweep",
+           "engine wall-clock over the fig13 mechanisms x specs grid");
 
     // The grid. fig13: every registered spec x the fig13 mechanism
     // list (REFsb only where the spec supports it) x every density.
     // smoke: the two golden-baseline specs x three mechanisms x 8Gb,
     // small enough for a CI gate.
-    std::vector<GridPoint> grid;
+    std::vector<SystemConfig> grid;
+    const auto point = [&](const std::string &spec, const std::string &mech,
+                           Density d) {
+        SystemConfig cfg;
+        cfg.mem.dramSpec = spec;
+        cfg.mem.policy = mech;
+        cfg.mem.density = d;
+        grid.push_back(cfg);
+    };
     const std::vector<const char *> fig13_mechs = {
         "REFab",  "REFpb", "Elastic", "DARP", "SARPab",
         "SARPpb", "DSARP", "HiRA",    "NoREF"};
@@ -174,7 +192,7 @@ main(int argc, char **argv)
                 mechs.insert(mechs.begin() + 2, "REFsb");
             for (const std::string &mech : mechs)
                 for (Density d : densities())
-                    grid.push_back({spec, mech, d});
+                    point(spec, mech, d);
         }
     } else {
         for (const char *spec : {"DDR3-1333", "DDR5-4800"}) {
@@ -182,7 +200,7 @@ main(int argc, char **argv)
             if (specSupportsSameBank(spec))
                 mechs.push_back("REFsb");
             for (const std::string &mech : mechs)
-                grid.push_back({spec, mech, Density::k8Gb});
+                point(spec, mech, Density::k8Gb);
         }
     }
 
@@ -199,17 +217,15 @@ main(int argc, char **argv)
     // engine, so one pass would otherwise get it for free anyway).
     {
         const auto t0 = std::chrono::steady_clock::now();
-        std::vector<GridPoint> warm;
-        for (const GridPoint &gp : grid) {
-            if (gp.mech == fig13_mechs.front())
-                warm.push_back(gp);  // One mechanism per (spec, density).
+        std::vector<SystemConfig> warm;
+        for (const SystemConfig &cfg : grid) {
+            if (cfg.mem.policy == fig13_mechs.front())
+                warm.push_back(cfg);  // One mechanism per (spec, density).
         }
         parallelFor(jobs, warm.size(), [&](std::size_t i) {
-            RunConfig cfg = mechNamed("NoREF", warm[i].density,
-                                      warm[i].spec);
             for (const Workload &w : workloads)
                 for (int bench : w.benchIdx)
-                    runner.aloneIpc(bench, cfg);
+                    runner.aloneIpc(bench, warm[i]);
         });
         std::printf("alone-IPC prewarm: %.2fs\n", secondsSince(t0));
     }
@@ -220,9 +236,10 @@ main(int argc, char **argv)
     const auto timed = [&](const char *engine, int pass_jobs) {
         passes.push_back(runPass(runner, grid, workloads, engine, pass_jobs));
         const PassResult &p = passes.back();
-        std::printf("%s x%d: %8.2fs  (%.2e sim-cycles/sec)  "
+        std::printf("%s x%d: %8.2fs  cpu %8.2fs  (%.2e sim-cycles/sec)  "
                     "digest %016llx\n",
-                    engine, pass_jobs, p.wallSeconds, p.simCyclesPerSec,
+                    engine, pass_jobs, p.wallSeconds, p.cpuSeconds,
+                    p.simCyclesPerSec,
                     static_cast<unsigned long long>(p.digest));
     };
     timed("cycle", 1);

@@ -61,18 +61,9 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
 {
     std::vector<RunResult> out(points.size());
     parallelFor(jobs_, points.size(), [&](std::size_t i) {
-        out[i] = runner_->run(points[i].cfg, points[i].workload);
-    });
-    return out;
-}
-
-std::vector<RunResult>
-SweepRunner::run(const RunConfig &cfg,
-                 const std::vector<Workload> &workloads)
-{
-    std::vector<RunResult> out(workloads.size());
-    parallelFor(jobs_, workloads.size(), [&](std::size_t i) {
-        out[i] = runner_->run(cfg, workloads[i]);
+        const SweepPoint &p = points[i];
+        out[i] = p.cfg.traffic.enabled() ? runner_->runTraffic(p.cfg)
+                                         : runner_->run(p.cfg, p.workload);
     });
     return out;
 }

@@ -2,7 +2,7 @@
  * @file
  * Sharded parallel sweep execution.
  *
- * A sweep is a list of independent (RunConfig, Workload) points; the
+ * A sweep is a list of independent (SystemConfig, Workload) points; the
  * SweepRunner shards them across a std::thread pool with an atomic
  * work-stealing index and writes each result into its point's slot, so
  * the output vector is byte-identical for any job count and any shard
@@ -42,10 +42,14 @@ namespace dsarp {
 void parallelFor(int jobs, std::size_t n,
                  const std::function<void(std::size_t)> &fn);
 
-/** One sweep point: a full system config plus the workload to run. */
+/**
+ * One sweep point: a full system config plus the workload to run. A
+ * config with open-loop traffic enabled runs through
+ * Runner::runTraffic and ignores the workload.
+ */
 struct SweepPoint
 {
-    RunConfig cfg;
+    SystemConfig cfg;
     Workload workload;
 };
 
@@ -65,10 +69,6 @@ class SweepRunner
      * regardless of job count or completion order.
      */
     std::vector<RunResult> run(const std::vector<SweepPoint> &points);
-
-    /** The bench_common sweep() shape: one config, many workloads. */
-    std::vector<RunResult> run(const RunConfig &cfg,
-                               const std::vector<Workload> &workloads);
 
     /**
      * Deterministic per-point seed: a splitmix64 mix of the sweep's

@@ -13,7 +13,9 @@
  *     (no cross-point leakage through the shared alone-IPC memo),
  *   - parallelFor runs each index exactly once and rethrows worker
  *     exceptions on the caller,
- *   - pointSeed depends only on (base, index).
+ *   - pointSeed depends only on (base, index),
+ *   - a point with open-loop traffic enabled runs through
+ *     Runner::runTraffic.
  *
  * The whole file runs under the CI sanitizer matrix (including TSan),
  * so the jobs=8 legs double as a data-race probe of Runner::run's
@@ -54,9 +56,9 @@ makePoints()
     for (const char *mech : mechs) {
         for (const Workload &w : workloads) {
             SweepPoint p;
-            p.cfg.policy = mech;
+            p.cfg.mem.policy = mech;
             p.cfg.numCores = 4;
-            p.cfg.density = Density::k16Gb;
+            p.cfg.mem.density = Density::k16Gb;
             p.workload = w;
             points.push_back(p);
         }
@@ -171,22 +173,25 @@ TEST(SweepRunner, ShardOrderIndependent)
     }
 }
 
-TEST(SweepRunner, ConfigPlusWorkloadsOverloadMatchesPointwise)
+TEST(SweepRunner, TrafficPointsRunOpenLoop)
 {
-    // The bench_common shape -- one config, many workloads -- must be
-    // sugar for the general point list, nothing more.
-    const auto workloads = makeWorkloads(1, 4, 7);
-    RunConfig cfg;
-    cfg.policy = "DSARP";
-    cfg.numCores = 4;
+    // An open-loop point has no workload: the sweep hands it to
+    // Runner::runTraffic, next to closed-loop points in the same list.
+    SystemConfig traffic;
+    traffic.mem.policy = "DSARP";
+    traffic.traffic.mode = "poisson";
+    traffic.traffic.ratePerKilocycle = 40.0;
+    std::vector<SweepPoint> points = makePoints();
+    points.insert(points.begin() + 1, {traffic, Workload{}});
 
-    std::vector<SweepPoint> points;
-    for (const Workload &w : workloads)
-        points.push_back({cfg, w});
-
-    const auto a = SweepRunner(testRunner(), 2).run(cfg, workloads);
-    const auto b = SweepRunner(testRunner(), 2).run(points);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        expectResultsEqual(a[i], b[i], "workload=" + std::to_string(i));
+    const auto got = SweepRunner(testRunner(), 4).run(points);
+    ASSERT_EQ(got.size(), points.size());
+    const RunResult want = testRunner().runTraffic(traffic);
+    expectResultsEqual(got[1], want, "traffic point");
+    EXPECT_EQ(got[1].cmdDigest, want.cmdDigest);
+    EXPECT_GT(got[1].readsCompleted, 0u);
+    EXPECT_TRUE(got[1].ipc.empty());
+    expectResultsEqual(got[0], testRunner().run(points[0].cfg,
+                                                points[0].workload),
+                       "closed-loop point");
 }
