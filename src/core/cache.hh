@@ -6,7 +6,8 @@
  * CacheSlice is a plain LRU writeback model; CacheFilteredTrace wraps a
  * raw *access* trace and emits only the misses (with genuine dirty
  * evictions as writebacks), demonstrating the full core->LLC->DRAM path.
- * The calibrated workloads drive miss streams directly (DESIGN.md §5).
+ * The calibrated workloads drive miss streams directly (README,
+ * "Workload calibration").
  */
 
 #ifndef DSARP_CORE_CACHE_HH

@@ -8,10 +8,10 @@
  * miss) and, optionally, the dirty-eviction writeback that miss caused.
  *
  * SyntheticTrace is the statistical substitute for the paper's SPEC
- * CPU2006 / STREAM / TPC / HPCC traces (see DESIGN.md Section 5): a
- * profile fixes the miss rate (MPKI), row-buffer locality, writeback
- * fraction, and footprint, which are the stream properties that determine
- * refresh/access interference.
+ * CPU2006 / STREAM / TPC / HPCC traces (see the README's "Workload
+ * calibration"): a profile fixes the miss rate (MPKI), row-buffer
+ * locality, writeback fraction, and footprint, which are the stream
+ * properties that determine refresh/access interference.
  */
 
 #ifndef DSARP_CORE_TRACE_HH

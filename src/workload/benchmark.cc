@@ -27,7 +27,8 @@ benchmarkTable()
 {
     // Profiles are loosely modelled on the published MPKI / locality
     // behaviour of the named applications; the names are suffixed "-like"
-    // because only the stream statistics are reproduced (DESIGN.md §5).
+    // because only the stream statistics are reproduced (README,
+    // "Workload calibration").
     static const std::vector<Benchmark> table = {
         // Memory non-intensive (MPKI < 10).
         make("povray-like", 0.1, 0.80, 0.10, 64, false),
