@@ -883,6 +883,7 @@ hira(const Grids &grids)
 
     banner("HiRA x FGR", "DDR4-2400 per-bank HiRA on FGR-scaled timing");
     const Row &fgrRow = grids[2].rows[0];
+    // HiRA@1x, HiRA@2x, HiRA@4x (grid 2's rows), then FGR2x and FGR4x.
     std::vector<std::pair<std::string, MechPoint>> points;
     for (const Row &row : grids[1].rows)
         points.emplace_back(row.label, measure(row.runs.at("HiRA")));

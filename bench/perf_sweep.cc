@@ -25,8 +25,8 @@
 
 #include <chrono>
 #include <cmath>
-#include <ctime>
 #include <cstdio>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,11 +83,11 @@ runPass(Runner &runner, const std::vector<SystemConfig> &grid,
         std::fprintf(stderr, "  [%s %d] %s %s %s (%zu/%zu)%10s\r", engine,
                      jobs, mem.dramSpec.c_str(), mem.policy.c_str(),
                      densityName(mem.density), i + 1, grid.size(), "");
+        SystemConfig cfg = grid[i];
+        cfg.engine = engine;
         std::vector<SweepPoint> points;
         for (const Workload &w : workloads)
-            points.push_back({grid[i], w});
-        for (SweepPoint &p : points)
-            p.cfg.engine = engine;
+            points.push_back({cfg, w});
         const auto p0 = std::chrono::steady_clock::now();
         const auto results = sharded.run(points);
         pass.pointSeconds.push_back(secondsSince(p0));

@@ -32,8 +32,9 @@ namespace dsarp {
  * One evaluated system point (mechanism x density x knobs).
  *
  * Pre-dates ExperimentConfig (sim/experiment.hh), which is the full
- * layered configuration surface; RunConfig remains as the compact
- * sweep point the bench harnesses iterate over.
+ * layered configuration surface. The bench binaries and SweepRunner
+ * take SystemConfig points; RunConfig remains for perfbench and the
+ * Runner's own tests.
  */
 struct RunConfig
 {
@@ -41,8 +42,7 @@ struct RunConfig
 
     /**
      * DRAM device spec by registry name (see dram/spec.hh); empty
-     * keeps the MemConfig default ("DDR3-1333"). Gives every bench
-     * sweep a backend axis orthogonal to mechanism x density.
+     * keeps the MemConfig default ("DDR3-1333").
      */
     std::string dramSpec;
 
