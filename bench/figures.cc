@@ -1396,6 +1396,8 @@ simulate(Grids &grids, WorkloadSet set, const SystemConfig &base,
             }
         }
     }
+    if (points.empty())
+        return;
     std::fprintf(stderr, "  %zu runs x %d jobs\r", points.size(), jobs);
     const std::vector<RunResult> results =
         SweepRunner(runner, jobs).run(points);
