@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared helpers for the bench binaries: the figure driver
- * (figures.cc) and the engine timing harness (perf_sweep.cc).
+ * Shared helpers for the bench binaries: bench_figures (figures.cc)
+ * and the engine timing harness (perf_sweep.cc).
  *
  * Every figure prints (a) the paper's reference numbers where useful
  * and (b) the values this reproduction measures, in the same units, so

@@ -1,6 +1,6 @@
 /**
  * @file
- * Every figure and table of the reproduction, as rows of one driver:
+ * Every figure and table of the reproduction, as rows of one binary:
  * the paper's Figures 5-7 and 12-16, Tables 2-6 and the Section 6.1.2
  * DARP breakdown, plus the cross-spec comparison, three ablations, the
  * HiRA, REFsb and overlapped-REFpb extensions and the open-loop
@@ -11,9 +11,8 @@
  * the results and prints them. A grid is a list of mechanism columns
  * and a list of labelled rows; each row is a set of key=value
  * overrides that ExperimentConfig's key table applies to the base
- * config. The driver runs every point of a figure in one
- * SweepRunner::run call, so the output is byte-identical for any job
- * count.
+ * config. Every point of a figure runs in one SweepRunner::run call,
+ * so the output is byte-identical for any job count.
  *
  *   bench_figures --list
  *   bench_figures ID|all [--jobs N] [--spec NAME] [--channels N]
@@ -53,7 +52,7 @@ namespace {
 /** key=value overrides, applied in order through ExperimentConfig. */
 using Sets = std::vector<std::pair<const char *, std::string>>;
 
-/** A labelled grid row. The driver fills in its workloads and runs. */
+/** A labelled grid row. simulate() fills in its workloads and runs. */
 struct Row
 {
     std::string label;
@@ -1270,7 +1269,7 @@ figures(const SystemConfig &base)
     };
 }
 
-// --- The driver ------------------------------------------------------
+// --- Running a figure ------------------------------------------------
 
 /** @p sys with @p sets applied through ExperimentConfig's key table. */
 SystemConfig
