@@ -22,6 +22,12 @@
  * fuzzer's space can produce is caught here as a first-class diff
  * rather than a downstream checker violation.
  *
+ * A separate case widens the same configs to two channels on every
+ * spec, and to DDR5-4800's four sub-channels, comparing per-channel
+ * command digests and counters: the cross-channel paths (a core
+ * waking another channel's controller, deliveries, refresh overlap)
+ * only exist there.
+ *
  * DSARP_EVENT_SEEDS scales the seeds per (spec, mechanism) pair
  * (default 2; set it before the binary on the command line).
  */
@@ -275,6 +281,129 @@ specName(const ::testing::TestParamInfo<std::string> &info)
 INSTANTIATE_TEST_SUITE_P(
     AllSpecs, EventEngineEquivalence,
     ::testing::ValuesIn(DramSpecRegistry::instance().names()), specName);
+
+namespace {
+
+/** What a multi-channel run is compared by: digests stand in for the
+ *  command logs, so the widened matrix stays cheap. */
+struct ChannelsObservation
+{
+    std::vector<std::uint64_t> digests;
+    std::vector<ControllerStats> controllers;
+    std::vector<ChannelStats> channels;
+    std::vector<RefreshSchedStats> refresh;
+    std::vector<double> ipc;
+};
+
+ChannelsObservation
+runChannels(SystemConfig cfg, const std::string &engine, std::uint64_t seed)
+{
+    cfg.engine = engine;
+    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 11);
+    const auto workloads = makeWorkloads(1, cfg.numCores, seed);
+    const Workload &w = workloads[rng.below(workloads.size())];
+
+    System sys(cfg, w.benchIdx);
+    sys.run(Tick(0) + 8 * sys.timing().tRefiAb);
+
+    ChannelsObservation obs;
+    obs.ipc = sys.coreIpc();
+    for (int ch = 0; ch < sys.numChannels(); ++ch) {
+        const ChannelController &ctl = sys.controller(ch);
+        obs.digests.push_back(ctl.stats().cmdDigest);
+        obs.controllers.push_back(ctl.stats());
+        obs.channels.push_back(ctl.dram().stats());
+        obs.refresh.push_back(ctl.refreshStats());
+    }
+    return obs;
+}
+
+void
+expectControllerStatsEqual(const ControllerStats &c,
+                           const ControllerStats &e, const std::string &ctx)
+{
+#define DSARP_EQ(field) EXPECT_EQ(c.field, e.field) << ctx << " " #field
+    DSARP_EQ(readsEnqueued);
+    DSARP_EQ(writesEnqueued);
+    DSARP_EQ(readsCompleted);
+    DSARP_EQ(writesIssued);
+    DSARP_EQ(readLatencySum);
+    DSARP_EQ(forwardedReads);
+    DSARP_EQ(writebackModeTicks);
+    DSARP_EQ(ticks);
+    DSARP_EQ(readQueueOccupancySum);
+    DSARP_EQ(writeQueueOccupancySum);
+#undef DSARP_EQ
+}
+
+/** One seed-derived config widened to several channels (or the
+ *  sub-channel map), run on both engines. The single-channel matrix
+ *  above never exercises a core's enqueue waking another channel's
+ *  controller, deliveries from several channels to one core, or the
+ *  cross-channel refresh-overlap callback. */
+void
+equivalentChannels(const std::string &spec, const std::string &mech,
+                   std::uint64_t seed, bool self_refresh,
+                   const std::string &address_map)
+{
+    SystemConfig cfg = deriveConfig(spec, mech, seed, self_refresh);
+    cfg.mem.org.channels = 2;
+    cfg.mem.addressMap = address_map;
+    cfg.enableChecker = false;
+    const ChannelsObservation cyc = runChannels(cfg, "cycle", seed);
+    const ChannelsObservation evt = runChannels(cfg, "event", seed);
+
+    std::ostringstream ctx;
+    ctx << "spec=" << spec << " mech=" << mech << " seed=" << seed
+        << " sr=" << self_refresh << " map=" << address_map
+        << " density=" << densityName(cfg.mem.density)
+        << " cores=" << cfg.numCores
+        << " banks=" << cfg.mem.org.banksPerRank;
+
+    ASSERT_EQ(cyc.digests.size(), evt.digests.size()) << ctx.str();
+    ASSERT_GE(evt.digests.size(), 2u) << ctx.str();
+    for (std::size_t ch = 0; ch < cyc.digests.size(); ++ch) {
+        const std::string where = ctx.str() + " channel=" +
+            std::to_string(ch);
+        EXPECT_EQ(cyc.digests[ch], evt.digests[ch]) << where;
+        expectControllerStatsEqual(cyc.controllers[ch],
+                                   evt.controllers[ch], where);
+        expectStatsEqual(cyc.channels[ch], evt.channels[ch], where);
+        EXPECT_EQ(cyc.channels[ch].refOverlapTicks,
+                  evt.channels[ch].refOverlapTicks)
+            << where << " refOverlapTicks";
+        expectRefreshStatsEqual(cyc.refresh[ch], evt.refresh[ch], where);
+    }
+    ASSERT_EQ(cyc.ipc.size(), evt.ipc.size()) << ctx.str();
+    for (std::size_t i = 0; i < cyc.ipc.size(); ++i)
+        EXPECT_EQ(cyc.ipc[i], evt.ipc[i]) << ctx.str() << " core=" << i;
+}
+
+} // namespace
+
+TEST(EventEngineEquivalence, MultiChannelBitIdenticalToCycleLoop)
+{
+    // Two channels on every spec, then DDR5-4800's sub-channel map,
+    // which expands the two channels into four.
+    const std::uint64_t seeds = envKnob("DSARP_EVENT_SEEDS", 2);
+    for (const std::string &spec : DramSpecRegistry::instance().names()) {
+        const bool sameBankSupported =
+            DramSpecRegistry::instance().at(spec).banksPerGroup > 0;
+        const bool subChannels =
+            DramSpecRegistry::instance().at(spec).subChannels > 1;
+        for (const char *mech : kMechs) {
+            if (sameBank(mech) && !sameBankSupported)
+                continue;
+            for (std::uint64_t s = 1; s <= seeds; ++s) {
+                for (const bool sr : {false, true}) {
+                    equivalentChannels(spec, mech, s, sr, "burst-ch");
+                    if (subChannels)
+                        equivalentChannels(spec, mech, s, sr, "ddr5-subch");
+                }
+            }
+        }
+    }
+}
 
 TEST(EventEngineEquivalence, EventRunPassesOfflineChecker)
 {
