@@ -46,7 +46,7 @@ ChannelController::enqueueRead(const Request &req, Tick now)
     // Forward from the write queue when a not-yet-drained write to the
     // same line exists (the controller holds the freshest data). The
     // completion is delivered on the next tick, never synchronously.
-    if (writeQ_.findAddr(req.addr) >= 0) {
+    if (writeQ_.findAddr(req.addr, req.loc.rank, req.loc.bank) >= 0) {
         ++stats_.forwardedReads;
         pendingReads_.push_back({now + 1, req});
         enqueuedSinceTick_ = true;

@@ -65,9 +65,11 @@ RequestQueue::rankCount(RankId r) const
 }
 
 int
-RequestQueue::findAddr(Addr addr) const
+RequestQueue::findAddr(Addr addr, RankId r, BankId b) const
 {
-    for (int i = 0; i < size(); ++i) {
+    for (std::uint64_t pos = positions_[r * banks_ + b]; pos;
+         pos &= pos - 1) {
+        const int i = std::countr_zero(pos);
         if (entries_[i].addr == addr)
             return i;
     }

@@ -62,8 +62,10 @@ class RequestQueue
     /** Queued requests targeting a rank. */
     int rankCount(RankId r) const;
 
-    /** First index whose request matches @p addr, or -1. */
-    int findAddr(Addr addr) const;
+    /** First index whose request matches @p addr, or -1, walking only
+     *  the positions of (rank, bank): equal addresses decode to the
+     *  same bank, so no match can sit anywhere else. */
+    int findAddr(Addr addr, RankId r, BankId b) const;
 
     /** Requests queued for (rank, bank, row): a walk of the bank's
      *  positions, so it costs that bank's occupancy. */

@@ -81,11 +81,31 @@ TEST(RequestQueue, PopMiddlePreservesOrder)
 
 TEST(RequestQueue, FindAddr)
 {
-    RequestQueue q(8, 1, 8);
+    RequestQueue q(8, 2, 8);
     q.push(makeReq(1, 0, 0, 0, 0x1000));
     q.push(makeReq(2, 0, 0, 0, 0x2000));
-    EXPECT_EQ(q.findAddr(0x2000), 1);
-    EXPECT_EQ(q.findAddr(0x3000), -1);
+    EXPECT_EQ(q.findAddr(0x2000, 0, 0), 1);
+    EXPECT_EQ(q.findAddr(0x3000, 0, 0), -1);
+
+    // Other banks' entries sit between and after the same bank's: the
+    // probe walks only the target bank and returns its first match.
+    q.push(makeReq(3, 1, 0, 0, 0x4000));
+    q.push(makeReq(4, 0, 5, 0, 0x5000));
+    q.push(makeReq(5, 0, 0, 1, 0x6000));
+    q.push(makeReq(6, 0, 0, 1, 0x6000));
+    EXPECT_EQ(q.findAddr(0x6000, 0, 0), 4);
+    EXPECT_EQ(q.findAddr(0x4000, 1, 0), 2);
+    EXPECT_EQ(q.findAddr(0x5000, 0, 5), 3);
+    // A match outside the probed bank is not found: the caller decodes
+    // the address first, so equal addresses always share a bank.
+    EXPECT_EQ(q.findAddr(0x4000, 0, 0), -1);
+    EXPECT_EQ(q.findAddr(0x1000, 0, 5), -1);
+
+    // Pops shift the positions; the probe follows them.
+    q.pop(0);
+    EXPECT_EQ(q.findAddr(0x2000, 0, 0), 0);
+    EXPECT_EQ(q.findAddr(0x6000, 0, 0), 3);
+    EXPECT_EQ(q.findAddr(0x1000, 0, 0), -1);
 }
 
 TEST(RequestQueue, RowCount)
