@@ -103,9 +103,11 @@ ChannelController::srDemandPending(RankId r) const
     // watermark fires, so below it they neither block self-refresh
     // entry nor wake a sleeping rank -- once writeback mode starts,
     // the batch needs the DRAM and the rank must be up.
-    if (readQ_.rankCount(r) > 0)
+    const int banks = cfg_->org.banksPerRank;
+    const std::uint64_t rank_bits = lowBits(banks) << (r * banks);
+    if (readQ_.busyBanks() & rank_bits)
         return true;
-    return writeDrain_.active() && writeQ_.rankCount(r) > 0;
+    return writeDrain_.active() && (writeQ_.busyBanks() & rank_bits);
 }
 
 void
@@ -337,7 +339,6 @@ ChannelController::tick(Tick now)
             const PendingRead pr = pendingReads_[i];
             pendingReads_[i] = pendingReads_.back();
             pendingReads_.pop_back();
-            deadlineCacheValid_ = false;
             ++stats_.readsCompleted;
             stats_.readLatencySum += pr.done - pr.req.arrival;
             stats_.readLatency.add(pr.done - pr.req.arrival);
@@ -358,55 +359,78 @@ ChannelController::tick(Tick now)
 Tick
 ChannelController::nextWake(Tick now)
 {
-    // A tick that issued a command, or fresh work enqueued by a core
-    // after this controller ticked, may enable another command on the
-    // very next tick: step.
-    if (issuedThisTick_ || enqueuedSinceTick_)
+    // Fresh work enqueued by a core after this controller ticked may
+    // be issuable on the very next tick: step (tick() then drops the
+    // cache and the pick certificate below).
+    if (enqueuedSinceTick_)
         return now;
+    if (issuedThisTick_) {
+        // So may a second command after this tick's: the bus takes one
+        // per tick. With at most one bank of served work none usually
+        // is, and certifying the post-issue state here lets that step
+        // skip the demand pick. With more, the certificate seldom
+        // holds and a run of issuing ticks would pay for it at each:
+        // step and let tick() drop the cache. Likewise when a pop
+        // switches the write drain, hence the served queue, at the
+        // next tick.
+        const std::uint64_t busy =
+            (writeDrain_.active() ? writeQ_ : readQ_).busyBanks();
+        if ((busy & (busy - 1)) || writeDrain_.switchesAt(writeQ_.size()))
+            return now;
+    }
 
-    // The DRAM deadline set only moves when a command issues, work is
-    // enqueued, or read data is delivered -- every such event
-    // invalidates the cache -- so an inert controller re-enumerates at
-    // most once per event rather than at every wake. The refresh
-    // scheduler is deliberately outside the cache: its wake is cheap
-    // and its internal state (ledger accrual, policy decisions) moves
-    // on its own schedule.
-    if (!deadlineCacheValid_ || cachedDeadline_ <= now) {
-        Tick issu = kTickNever;
-        const auto addIssu = [&](Tick t) {
-            if (t > now && t < issu)
-                issu = t;
-        };
-        addIssu(channel_.nextDeadline(now));
-        // Self-refresh idle-entry thresholds (arbitrate step 4). Added
-        // unconditionally per rank: a spurious wake costs one tick, a
-        // missed one would diverge.
+    // The issuability deadline depends on the DRAM state, the served
+    // queue's banks and direction, and the idle clocks. Each moves
+    // only at an issue or an enqueue (the write drain switches only at
+    // the tick after one), so an inert controller re-enumerates only
+    // once the cached minimum has passed. Read deliveries and the
+    // refresh scheduler are outside the cache: neither changes what a
+    // command's legality depends on.
+    Tick ready = 0;
+    if (issuedThisTick_ || !deadlineCacheValid_ || cachedDeadline_ <= now) {
+        const bool writes = writeDrain_.active();
+        Tick issu = channel_.nextDeadline(
+            now, (writes ? writeQ_ : readQ_).busyBanks(), writes, ready);
+        // Self-refresh idle-entry thresholds (arbitrate step 4) of the
+        // ranks that are awake: a rank in self-refresh leaves it only
+        // by an issued SRX.
         if (cfg_->srIdleEntryCycles > 0) {
             for (RankId r = 0; r < channel_.numRanks(); ++r) {
-                addIssu(lastDemandActivity_[r] +
-                        static_cast<Tick>(cfg_->srIdleEntryCycles));
+                const Tick t = lastDemandActivity_[r] +
+                    static_cast<Tick>(cfg_->srIdleEntryCycles);
+                if (t > now && t < issu &&
+                    !channel_.rank(r).inSelfRefresh(now)) {
+                    issu = t;
+                }
             }
         }
-        Tick wake = issu;
-        for (const PendingRead &pr : pendingReads_) {
-            if (pr.done > now && pr.done < wake)
-                wake = pr.done;
-        }
-        cachedDeadline_ = wake;
-        cachedIssuDeadline_ = issu;
+        cachedDeadline_ = issu;
         deadlineCacheValid_ = true;
     }
+    if (issuedThisTick_) {
+        // Step. The cache above already holds the post-issue state.
+        // The pick and the assist may skip that step when none of
+        // their commands can be legal by then: every instant at which
+        // one could turn legal is a cached deadline, so that holds
+        // until the cached minimum, whatever the refresh policy asks.
+        issuedThisTick_ = false;
+        pickSkipUntil_ = ready > now + 1 ? cachedDeadline_ : 0;
+        return now;
+    }
+    // This tick was inert and everything the demand pick (and the
+    // precharge assist behind it) reads is frozen until the
+    // issuability deadline or the policy's next state change,
+    // whichever is first: later wakes (deliveries, refresh pull-ins,
+    // SRE probes) may skip the FR-FCFS scan until then.
     Tick wake = cachedDeadline_;
     const Tick sched = refreshSched_->nextWake(now);
     if (sched > now && sched < wake)
         wake = sched;
-    // This tick was inert and everything the demand pick reads is
-    // frozen until the issuability deadline or the policy's next state
-    // change, whichever is first: later wakes (deliveries, refresh
-    // pull-ins, SRE probes) may skip the FR-FCFS scan until then.
-    pickSkipUntil_ = cachedIssuDeadline_;
-    if (sched > now && sched < pickSkipUntil_)
-        pickSkipUntil_ = sched;
+    pickSkipUntil_ = wake;
+    for (const PendingRead &pr : pendingReads_) {
+        if (pr.done > now && pr.done < wake)
+            wake = pr.done;
+    }
     return wake;
 }
 

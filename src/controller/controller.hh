@@ -86,13 +86,18 @@ class ChannelController : public ControllerView
     void tick(Tick now);
 
     /**
-     * Earliest tick strictly after @p now at which this controller
-     * could act differently than it just did: the next read-data
-     * delivery, refresh-policy wake, DRAM timing threshold, or
-     * self-refresh idle-entry instant. Returns @p now (forcing the
-     * legacy one-tick step) whenever the tick at @p now issued a
-     * command or a core enqueued since -- only provably inert state
-     * may be skipped.
+     * Certificate for the event-driven engine, called after tick(@p
+     * now): every tick before the returned one would issue no command
+     * and deliver no read. The wakes are the next read-data delivery,
+     * the refresh policy's wake, the self-refresh idle-entry instants
+     * of awake ranks, and the DRAM thresholds at which a command the
+     * controller can want changes legality (Channel::nextDeadline():
+     * refresh ends, self-refresh instants, ACT-ready of closed banks,
+     * precharge-ready of open ones, and the column, bus and tRRD/tFAW
+     * instants only of banks with work in the served queue, in its
+     * direction). Returns @p now (forcing a one-tick step) whenever
+     * the tick at @p now issued a command or a core enqueued since --
+     * only provably inert state may be skipped.
      */
     Tick nextWake(Tick now);
 
@@ -203,21 +208,21 @@ class ChannelController : public ControllerView
      *  once per skipped tick; lazy draws in urgent() cache themselves
      *  and must not be replayed). */
     std::uint64_t oppDraws_ = 0;
-    /** Memoized DRAM-side deadline minimum (see nextWake()). */
+    /** Memoized issuability deadline (see nextWake()): the earliest
+     *  tick a command the controller can want may change legality. */
     Tick cachedDeadline_ = 0;
-    /** Same minimum without the read-delivery instants: the earliest
-     *  tick any command's legality can flip (deliveries never do). */
-    Tick cachedIssuDeadline_ = 0;
     bool deadlineCacheValid_ = false;
     /**
      * Frozen-pick certificate: while now < pickSkipUntil_, the demand
-     * pick (and the precharge assist behind it) provably repeats its
-     * last "nothing issuable" answer -- the queues are unchanged (an
-     * enqueue zeroes this), no command issued (ditto), no DRAM timing
+     * pick (and the precharge assist behind it) provably answers
+     * "nothing issuable" -- the queues are unchanged (an enqueue
+     * zeroes this), no command issued (ditto), no DRAM timing
      * threshold expires before the issuability deadline, and the
      * refresh policy's urgent set is fixed until its own wake. Set by
-     * nextWake() after an inert tick, so only event-engine runs
-     * benefit; the cycle engine always runs the full pick.
+     * nextWake() after an inert tick, and after an issuing tick when
+     * no served command and no precharge can be legal at the next
+     * one, so only event-engine runs benefit; the cycle engine always
+     * runs the full pick.
      */
     Tick pickSkipUntil_ = 0;
     /// @}

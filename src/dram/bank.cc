@@ -61,24 +61,6 @@ Bank::canHiddenRefresh(Tick now) const
     return subarrayOf(refRowCounter_) != openSubarray_;
 }
 
-Tick
-Bank::nextDeadline(Tick now, bool hira) const
-{
-    Tick deadline = kTickNever;
-    const auto add = [&](Tick t) {
-        if (t > now && t < deadline)
-            deadline = t;
-    };
-    add(actAllowedAt_);
-    add(colAllowedAt_);
-    add(preAllowedAt_);
-    add(refreshUntil_);
-    // canHiddenRefresh() flips tHiRA after the demand ACT.
-    if (hira && lastActAt_ != kTickNever)
-        add(lastActAt_ + timing_->tHiRA);
-    return deadline;
-}
-
 void
 Bank::onAct(Tick now, RowId row, SubarrayId subarray)
 {

@@ -19,6 +19,8 @@
 #ifndef DSARP_DRAM_BANK_HH
 #define DSARP_DRAM_BANK_HH
 
+#include <algorithm>
+
 #include "common/types.hh"
 #include "dram/timing.hh"
 
@@ -98,16 +100,36 @@ class Bank
     /** Earliest tick an ACT could be accepted (ignores rank constraints). */
     Tick actReadyAt() const { return actAllowedAt_; }
 
+    /** Earliest tick a column command could be accepted (ignores the
+     *  data bus). */
+    Tick colReadyAt() const { return colAllowedAt_; }
+
+    /** Earliest tick a precharge could be accepted. */
+    Tick preReadyAt() const { return preAllowedAt_; }
+
     /**
-     * Earliest pending bank-local threshold strictly after @p now
-     * (kTickNever when none): the instants at which any legality
-     * predicate above can flip. The event-driven engine wakes at each
-     * so a skipped span never crosses a legality change. @p hira
-     * includes the canHiddenRefresh() flip after each ACT -- only the
-     * HiRA schedulers consult that predicate, so other mechanisms
-     * skip the spurious per-ACT wake.
+     * Earliest bank-local threshold strictly after @p now (kTickNever
+     * when none) that needs no queued request: while closed, the
+     * ACT-ready instant, which also gates canRefresh(); while open,
+     * the precharge-ready instant and, with @p hira, the
+     * canHiddenRefresh() flip tHiRA after the ACT (only the HiRA
+     * schedulers consult it). Nothing else can flip in the current
+     * open/closed state, which changes only at an issue. The
+     * column-ready instant matters only for a queued row hit, so the
+     * channel adds it for banks with queued work; a refresh's end is
+     * its rank's deadline.
      */
-    Tick nextDeadline(Tick now, bool hira) const;
+    Tick
+    nextDeadline(Tick now, bool hira) const
+    {
+        const auto after = [now](Tick t) { return t > now ? t : kTickNever; };
+        if (openRow_ == kNone)
+            return after(actAllowedAt_);
+        // canHiddenRefresh() flips tHiRA after the demand ACT.
+        const Tick armed = hira ? after(lastActAt_ + timing_->tHiRA)
+                                : kTickNever;
+        return std::min(after(preAllowedAt_), armed);
+    }
     /// @}
 
   private:

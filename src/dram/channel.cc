@@ -1,6 +1,7 @@
 #include "dram/channel.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 
@@ -195,39 +196,69 @@ Channel::issue(const Command &cmd, Tick now)
 }
 
 Tick
-Channel::nextDeadline(Tick now) const
+Channel::busReadyAt(RankId r, bool write) const
+{
+    // busOkFor{Read,Write}() hold from the returned tick on: the burst
+    // leads the data by tCL/tCWL, so the command may issue that much
+    // before the bus frees.
+    Tick bus_free = busBusyUntil_;
+    if (lastBurstRank_ != kNone && lastBurstRank_ != r)
+        bus_free += timing_->tRtrs;
+    const Tick lead =
+        static_cast<Tick>((write ? timing_->tCwl : timing_->tCl).count());
+    Tick ready = bus_free > lead ? bus_free - lead : 0;
+    if (write) {
+        if (lastRdCmdAt_ != kTickNever)
+            ready = std::max(ready, lastRdCmdAt_ + timing_->tRtw);
+    } else {
+        ready = std::max(ready, wrDataEnd_[r] + timing_->tWtr);
+    }
+    return ready;
+}
+
+Tick
+Channel::nextDeadline(Tick now, std::uint64_t demand, bool writes,
+                      Tick &ready) const
 {
     Tick deadline = kTickNever;
+    ready = kTickNever;
     const auto add = [&](Tick t) {
-        if (t > now && t < deadline)
-            deadline = t;
+        ready = std::min(ready, t);
+        deadline = std::min(deadline, t > now ? t : kTickNever);
     };
-    // A column command leads its burst by tCL/tCWL, so the command
-    // legality instant is that much *before* the bus frees (with the
-    // tRTRS variant for a rank switch).
-    const auto addLead = [&](Tick busFree, Cycles lead) {
-        const Tick c = static_cast<Tick>(lead.count());
-        if (busFree > c)
-            add(busFree - c);
-    };
-    addLead(busBusyUntil_, timing_->tCl);
-    addLead(busBusyUntil_ + timing_->tRtrs, timing_->tCl);
-    addLead(busBusyUntil_, timing_->tCwl);
-    addLead(busBusyUntil_ + timing_->tRtrs, timing_->tCwl);
-    if (lastRdCmdAt_ != kTickNever)
-        add(lastRdCmdAt_ + timing_->tRtw);
+    const int banks = cfg_->org.banksPerRank;
     for (RankId r = 0; r < static_cast<RankId>(ranks_.size()); ++r) {
-        add(wrDataEnd_[r] + timing_->tWtr);
-        // A rank's deadline set only moves when a command issues to it
-        // (every eff* flip instant -- refresh start/end -- is either an
-        // issue or itself an enumerated deadline capping the cached
-        // value), so the O(banks) walk reruns only after an issue or
-        // once the cached instant has passed.
+        const Rank &rk = ranks_[r];
+        // A rank's demand-free set only moves when a command issues to
+        // it (every eff* flip instant -- refresh start/end -- is either
+        // an issue or itself a deadline capping the cached value), so
+        // the O(banks) walk reruns only after an issue or once the
+        // cached instant has passed.
         if (rankDeadlineDirty_[r] || rankDeadlineCache_[r] <= now) {
-            rankDeadlineCache_[r] = ranks_[r].nextDeadline(now);
+            rankDeadlineCache_[r] = rk.nextDeadline(now);
             rankDeadlineDirty_[r] = 0;
         }
-        add(rankDeadlineCache_[r]);
+        deadline = std::min(deadline, rankDeadlineCache_[r]);
+
+        if (rk.selfRefreshLockout(now))
+            continue;
+        const auto bank = [&](std::uint64_t bits) -> const Bank & {
+            return rk.bank(std::countr_zero(bits));
+        };
+        const std::uint64_t open = openBanks_ >> (r * banks) & lowBits(banks);
+        for (std::uint64_t bits = open; bits; bits &= bits - 1)
+            ready = std::min(ready, bank(bits).preReadyAt());
+        const std::uint64_t queued = demand >> (r * banks) & lowBits(banks);
+        if (queued & open) {
+            const Tick bus = busReadyAt(r, writes);
+            for (std::uint64_t bits = queued & open; bits; bits &= bits - 1)
+                add(std::max(bus, bank(bits).colReadyAt()));
+        }
+        if (queued & ~open) {
+            const Tick act = rk.actReadyAt(now);
+            for (std::uint64_t bits = queued & ~open; bits; bits &= bits - 1)
+                add(std::max(act, bank(bits).actReadyAt()));
+        }
     }
     return deadline;
 }

@@ -100,12 +100,33 @@ class Channel
     void sampleActivitySpan(Tick firstTick, Tick ticks);
 
     /**
-     * Earliest pending channel/rank/bank threshold strictly after
-     * @p now (kTickNever when none): bus-turnaround instants (command
-     * legality leads the burst by tCL/tCWL), tWTR/tRTW windows, and
-     * every rank/bank deadline.
+     * Earliest threshold strictly after @p now (kTickNever when none)
+     * at which a command the controller can want changes legality.
+     * @p demand holds the bank bits of the served queue's requests and
+     * @p writes its direction. Every rank's demand-free deadlines
+     * count (Rank::nextDeadline(): refresh ends, self-refresh
+     * instants, ACT-ready of closed banks, precharge-ready of open
+     * ones). Beyond them:
+     *   - an open bank in @p demand adds the instant its column
+     *     command becomes legal: the later of its column-ready
+     *     instant and the bus's readiness in that direction (the
+     *     burst lead of tCL/tCWL, tRTRS on a rank switch, tWTR or
+     *     tRTW);
+     *   - a closed bank in @p demand adds the instant its ACT
+     *     becomes legal: the later of its ACT-ready instant and its
+     *     rank's tRRD/tFAW.
+     * A rank inside its self-refresh lockout adds neither: its
+     * lockout's end is a deadline.
+     *
+     * @p ready receives the earliest tick, at or before @p now
+     * included, from which one of those column commands or ACTs, or a
+     * precharge of any open bank, could be legal (kTickNever when
+     * none), over the ranks outside their lockout. It ignores which
+     * rows are queued and which banks a refresh blocks, so a demand
+     * pick finds nothing before it.
      */
-    Tick nextDeadline(Tick now) const;
+    Tick nextDeadline(Tick now, std::uint64_t demand, bool writes,
+                      Tick &ready) const;
 
     const ChannelStats &stats() const { return stats_; }
     const TimingParams &timing() const { return *timing_; }
@@ -131,6 +152,11 @@ class Channel
   private:
     bool busOkForRead(RankId r, Tick now) const;
     bool busOkForWrite(RankId r, Tick now) const;
+
+    /** First tick the data bus and the turnaround windows admit a
+     *  read (busOkForRead()) or a write to rank @p r; exact until
+     *  the next column command issues. */
+    Tick busReadyAt(RankId r, bool write) const;
 
     /** This command's bit in openBanks_. */
     std::uint64_t

@@ -209,6 +209,7 @@ Rank::onRefPb(Tick now, BankId bank, Cycles t_rfc_override,
     const Cycles t_rfc = t_rfc_override ? t_rfc_override : timing_->tRfcPb;
     banks_[bank].onRefresh(now, t_rfc, rows_override, hidden);
     refPbEnds_.push_back(now + t_rfc);
+    refreshUntil_ = std::max(refreshUntil_, now + t_rfc);
     if (hidden)
         hiddenPbEnds_.push_back(now + t_rfc);
 }
@@ -222,7 +223,9 @@ Rank::onRefSb(Tick now, int group, Cycles t_rfc_override,
     const int slice = timing_->banksPerGroup;
     for (int b = group * slice; b < (group + 1) * slice; ++b)
         banks_[b].onRefresh(now, t_rfc, rows_override);
+    pruneInFlight(refSbEnds_, now);
     refSbEnds_.push_back(now + t_rfc);
+    refreshUntil_ = std::max(refreshUntil_, now + t_rfc);
 }
 
 void
@@ -233,6 +236,7 @@ Rank::onRefAb(Tick now, Cycles t_rfc_override, int rows_override)
     for (Bank &b : banks_)
         b.onRefresh(now, t_rfc, rows_override);
     refAbUntil_ = now + t_rfc;
+    refreshUntil_ = std::max(refreshUntil_, refAbUntil_);
 }
 
 bool
@@ -279,21 +283,32 @@ Rank::onSrExit(Tick now)
 }
 
 Tick
+Rank::actReadyAt(Tick now) const
+{
+    if (lastActAt_ == kTickNever)
+        return 0;
+    // Only an in-flight refresh inflates tRRD/tFAW: skip counting the
+    // in-flight lists when there is none.
+    const bool inflated = refreshInFlight(now);
+    Tick ready = lastActAt_ + (inflated ? effTRrd(now) : timing_->tRrd);
+    if (actsSeen_ >= 4) {
+        ready = std::max(ready, actWindow_[0] +
+                                    (inflated ? effTFaw(now) : timing_->tFaw));
+    }
+    return ready;
+}
+
+Tick
 Rank::nextDeadline(Tick now) const
 {
     Tick deadline = kTickNever;
     const auto add = [&](Tick t) {
-        if (t > now && t < deadline)
-            deadline = t;
+        deadline = std::min(deadline, t > now ? t : kTickNever);
     };
-    if (lastActAt_ != kTickNever)
-        add(lastActAt_ + effTRrd(now));
-    if (actsSeen_ >= 4)
-        add(actWindow_[0] + effTFaw(now));
+    // Every refresh's banks end with it (hiddenPbEnds_ is a subset of
+    // refPbEnds_), so these also stand for the banks' refresh ends.
     add(refAbUntil_);
     for (Tick end : refPbEnds_)
-        add(end);
-    for (Tick end : hiddenPbEnds_)
         add(end);
     for (Tick end : refSbEnds_)
         add(end);
@@ -303,17 +318,6 @@ Rank::nextDeadline(Tick now) const
     for (const Bank &b : banks_)
         add(b.nextDeadline(now, cfg_->hira));
     return deadline;
-}
-
-Tick
-Rank::refreshBusyUntil() const
-{
-    Tick latest = refAbUntil_;
-    for (Tick end : refPbEnds_)
-        latest = std::max(latest, end);
-    for (Tick end : refSbEnds_)
-        latest = std::max(latest, end);
-    return latest;
 }
 
 } // namespace dsarp

@@ -104,12 +104,7 @@ class Rank
     bool refSbInFlight(Tick now) const;
 
     /** True while a refresh of any granularity is in flight. */
-    bool
-    refreshInFlight(Tick now) const
-    {
-        return refAbInFlight(now) || refPbInFlight(now) ||
-            refSbInFlight(now);
-    }
+    bool refreshInFlight(Tick now) const { return refreshUntil_ > now; }
 
     /** Number of per-bank refreshes currently in flight. */
     int refPbCount(Tick now) const;
@@ -134,9 +129,6 @@ class Rank
     static double refreshInflationMult(const MemConfig &cfg,
                                        bool abInFlight, int pbInFlight);
 
-    /** End tick of the newest in-flight refresh (0 when none). */
-    Tick refreshBusyUntil() const;
-
     /**
      * Effective tRRD/tFAW at @p now: the datasheet value, multiplied by
      * the SARP power-integrity factor while a refresh is in flight.
@@ -145,13 +137,21 @@ class Rank
     Cycles effTFaw(Tick now) const;
 
     /**
-     * Earliest pending rank- or bank-level threshold strictly after
-     * @p now (kTickNever when none). Every legality predicate of this
-     * rank flips only at one of these instants, so the event-driven
-     * engine is safe to sleep to the minimum. tRRD/tFAW use the
-     * inflation effective at @p now; the refresh-end ticks that change
-     * the inflation are themselves deadlines, so the value is exact
-     * within the span.
+     * First tick tRRD and tFAW admit a new ACT, with the inflation
+     * effective at @p now (0 before any ACT). The refresh ends that
+     * change the inflation are deadlines, so the value is exact until
+     * the next one.
+     */
+    Tick actReadyAt(Tick now) const;
+
+    /**
+     * Earliest rank- or bank-level threshold strictly after @p now
+     * (kTickNever when none) that needs no queued request: refresh
+     * ends, the self-refresh protocol instants, and every bank's
+     * nextDeadline(). With actReadyAt() for ranks that have ACTs
+     * queued, every legality predicate of this rank that queued work
+     * can reach flips only at one of these instants, so the
+     * event-driven engine is safe to sleep to the minimum.
      */
     Tick nextDeadline(Tick now) const;
 
@@ -181,6 +181,9 @@ class Rank
     /** End ticks of in-flight same-bank refresh slices. */
     mutable std::vector<Tick> refSbEnds_;
     Tick refAbUntil_ = 0;
+    /** Latest refresh end of any granularity: a refresh is in flight
+     *  while it lies ahead. */
+    Tick refreshUntil_ = 0;
 
     /** @name Self-refresh protocol state. */
     /// @{

@@ -153,7 +153,6 @@ class System
      *  tick not yet accounted (executed or skipped). */
     /// @{
     std::vector<Tick> ctlWake_, ctlNext_, coreWake_, coreNext_;
-    std::vector<std::uint8_t> ctlRan_, coreRan_;
     bool eventRun_ = false;
     /// @}
 };
