@@ -200,7 +200,9 @@ class ChannelController : public ControllerView
 
     /** @name Event-engine bookkeeping (see nextWake/skipTicks). */
     /// @{
-    bool issuedThisTick_ = false;    ///< Any command went out at tick().
+    /** Any command went out at tick(); cleared once nextWake() has
+     *  certified the post-issue state. */
+    bool issuedThisTick_ = false;
     bool enqueuedSinceTick_ = false; ///< A core enqueued after tick().
     bool sendRejected_ = false;      ///< An enqueue bounced off a full queue.
     bool poppedWithRejection_ = false; ///< ...and a slot has freed since.

@@ -65,6 +65,8 @@ sameBank(const std::string &mech)
 struct RunObservation
 {
     std::vector<std::vector<TimedCommand>> logs;
+    std::vector<std::uint64_t> digests;
+    std::vector<ControllerStats> controllers;
     std::vector<ChannelStats> channels;
     std::vector<RefreshSchedStats> refresh;
     std::vector<double> ipc;
@@ -119,6 +121,8 @@ runOnce(SystemConfig cfg, const std::string &engine, std::uint64_t seed)
     obs.ipc = sys.coreIpc();
     for (int ch = 0; ch < sys.numChannels(); ++ch) {
         obs.logs.push_back(sys.commandLog(ch));
+        obs.digests.push_back(sys.controller(ch).stats().cmdDigest);
+        obs.controllers.push_back(sys.controller(ch).stats());
         const ChannelStats &cs = sys.controller(ch).channel().stats();
         obs.channels.push_back(cs);
         obs.refresh.push_back(sys.controller(ch).refreshStats());
@@ -284,40 +288,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 namespace {
 
-/** What a multi-channel run is compared by: digests stand in for the
- *  command logs, so the widened matrix stays cheap. */
-struct ChannelsObservation
-{
-    std::vector<std::uint64_t> digests;
-    std::vector<ControllerStats> controllers;
-    std::vector<ChannelStats> channels;
-    std::vector<RefreshSchedStats> refresh;
-    std::vector<double> ipc;
-};
-
-ChannelsObservation
-runChannels(SystemConfig cfg, const std::string &engine, std::uint64_t seed)
-{
-    cfg.engine = engine;
-    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 11);
-    const auto workloads = makeWorkloads(1, cfg.numCores, seed);
-    const Workload &w = workloads[rng.below(workloads.size())];
-
-    System sys(cfg, w.benchIdx);
-    sys.run(Tick(0) + 8 * sys.timing().tRefiAb);
-
-    ChannelsObservation obs;
-    obs.ipc = sys.coreIpc();
-    for (int ch = 0; ch < sys.numChannels(); ++ch) {
-        const ChannelController &ctl = sys.controller(ch);
-        obs.digests.push_back(ctl.stats().cmdDigest);
-        obs.controllers.push_back(ctl.stats());
-        obs.channels.push_back(ctl.dram().stats());
-        obs.refresh.push_back(ctl.refreshStats());
-    }
-    return obs;
-}
-
 void
 expectControllerStatsEqual(const ControllerStats &c,
                            const ControllerStats &e, const std::string &ctx)
@@ -346,12 +316,14 @@ equivalentChannels(const std::string &spec, const std::string &mech,
                    std::uint64_t seed, bool self_refresh,
                    const std::string &address_map)
 {
+    // Digests stand in for the command logs, so the widened matrix
+    // stays cheap.
     SystemConfig cfg = deriveConfig(spec, mech, seed, self_refresh);
     cfg.mem.org.channels = 2;
     cfg.mem.addressMap = address_map;
     cfg.enableChecker = false;
-    const ChannelsObservation cyc = runChannels(cfg, "cycle", seed);
-    const ChannelsObservation evt = runChannels(cfg, "event", seed);
+    const RunObservation cyc = runOnce(cfg, "cycle", seed);
+    const RunObservation evt = runOnce(cfg, "event", seed);
 
     std::ostringstream ctx;
     ctx << "spec=" << spec << " mech=" << mech << " seed=" << seed
