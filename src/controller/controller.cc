@@ -359,25 +359,12 @@ ChannelController::tick(Tick now)
 Tick
 ChannelController::nextWake(Tick now)
 {
-    // Fresh work enqueued by a core after this controller ticked may
-    // be issuable on the very next tick: step (tick() then drops the
-    // cache and the pick certificate below).
-    if (enqueuedSinceTick_)
+    // A tick that issued a command, or fresh work enqueued by a core
+    // after this controller ticked, may enable another command on the
+    // very next tick: step (tick() then drops the cache and the pick
+    // certificate below).
+    if (issuedThisTick_ || enqueuedSinceTick_)
         return now;
-    if (issuedThisTick_) {
-        // So may a second command after this tick's: the bus takes one
-        // per tick. With at most one bank of served work none usually
-        // is, and certifying the post-issue state here lets that step
-        // skip the demand pick. With more, the certificate seldom
-        // holds and a run of issuing ticks would pay for it at each:
-        // step and let tick() drop the cache. Likewise when a pop
-        // switches the write drain, hence the served queue, at the
-        // next tick.
-        const std::uint64_t busy =
-            (writeDrain_.active() ? writeQ_ : readQ_).busyBanks();
-        if ((busy & (busy - 1)) || writeDrain_.switchesAt(writeQ_.size()))
-            return now;
-    }
 
     // The issuability deadline depends on the DRAM state, the served
     // queue's banks and direction, and the idle clocks. Each moves
@@ -386,11 +373,10 @@ ChannelController::nextWake(Tick now)
     // once the cached minimum has passed. Read deliveries and the
     // refresh scheduler are outside the cache: neither changes what a
     // command's legality depends on.
-    Tick ready = 0;
-    if (issuedThisTick_ || !deadlineCacheValid_ || cachedDeadline_ <= now) {
+    if (!deadlineCacheValid_ || cachedDeadline_ <= now) {
         const bool writes = writeDrain_.active();
         Tick issu = channel_.nextDeadline(
-            now, (writes ? writeQ_ : readQ_).busyBanks(), writes, ready);
+            now, (writes ? writeQ_ : readQ_).busyBanks(), writes);
         // Self-refresh idle-entry thresholds (arbitrate step 4) of the
         // ranks that are awake: a rank in self-refresh leaves it only
         // by an issued SRX.
@@ -406,16 +392,6 @@ ChannelController::nextWake(Tick now)
         }
         cachedDeadline_ = issu;
         deadlineCacheValid_ = true;
-    }
-    if (issuedThisTick_) {
-        // Step. The cache above already holds the post-issue state.
-        // The pick and the assist may skip that step when none of
-        // their commands can be legal by then: every instant at which
-        // one could turn legal is a cached deadline, so that holds
-        // until the cached minimum, whatever the refresh policy asks.
-        issuedThisTick_ = false;
-        pickSkipUntil_ = ready > now + 1 ? cachedDeadline_ : 0;
-        return now;
     }
     // This tick was inert and everything the demand pick (and the
     // precharge assist behind it) reads is frozen until the

@@ -200,9 +200,7 @@ class ChannelController : public ControllerView
 
     /** @name Event-engine bookkeeping (see nextWake/skipTicks). */
     /// @{
-    /** Any command went out at tick(); cleared once nextWake() has
-     *  certified the post-issue state. */
-    bool issuedThisTick_ = false;
+    bool issuedThisTick_ = false;    ///< Any command went out at tick().
     bool enqueuedSinceTick_ = false; ///< A core enqueued after tick().
     bool sendRejected_ = false;      ///< An enqueue bounced off a full queue.
     bool poppedWithRejection_ = false; ///< ...and a slot has freed since.
@@ -216,15 +214,13 @@ class ChannelController : public ControllerView
     bool deadlineCacheValid_ = false;
     /**
      * Frozen-pick certificate: while now < pickSkipUntil_, the demand
-     * pick (and the precharge assist behind it) provably answers
-     * "nothing issuable" -- the queues are unchanged (an enqueue
-     * zeroes this), no command issued (ditto), no DRAM timing
+     * pick (and the precharge assist behind it) provably repeats its
+     * last "nothing issuable" answer -- the queues are unchanged (an
+     * enqueue zeroes this), no command issued (ditto), no DRAM timing
      * threshold expires before the issuability deadline, and the
      * refresh policy's urgent set is fixed until its own wake. Set by
-     * nextWake() after an inert tick, and after an issuing tick when
-     * no served command and no precharge can be legal at the next
-     * one, so only event-engine runs benefit; the cycle engine always
-     * runs the full pick.
+     * nextWake() after an inert tick, so only event-engine runs
+     * benefit; the cycle engine always runs the full pick.
      */
     Tick pickSkipUntil_ = 0;
     /// @}

@@ -27,13 +27,6 @@ class WriteDrain
 
     bool active() const { return active_; }
 
-    /** True when update(@p writeQueueSize) would switch the mode. */
-    bool
-    switchesAt(int writeQueueSize) const
-    {
-        return active_ ? writeQueueSize <= low_ : writeQueueSize >= high_;
-    }
-
     /** Number of times writeback mode was entered. */
     std::uint64_t batches() const { return batches_; }
 

@@ -104,9 +104,6 @@ class Bank
      *  data bus). */
     Tick colReadyAt() const { return colAllowedAt_; }
 
-    /** Earliest tick a precharge could be accepted. */
-    Tick preReadyAt() const { return preAllowedAt_; }
-
     /**
      * Earliest bank-local threshold strictly after @p now (kTickNever
      * when none) that needs no queued request: while closed, the

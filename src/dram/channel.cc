@@ -217,13 +217,10 @@ Channel::busReadyAt(RankId r, bool write) const
 }
 
 Tick
-Channel::nextDeadline(Tick now, std::uint64_t demand, bool writes,
-                      Tick &ready) const
+Channel::nextDeadline(Tick now, std::uint64_t demand, bool writes) const
 {
     Tick deadline = kTickNever;
-    ready = kTickNever;
     const auto add = [&](Tick t) {
-        ready = std::min(ready, t);
         deadline = std::min(deadline, t > now ? t : kTickNever);
     };
     const int banks = cfg_->org.banksPerRank;
@@ -240,15 +237,13 @@ Channel::nextDeadline(Tick now, std::uint64_t demand, bool writes,
         }
         deadline = std::min(deadline, rankDeadlineCache_[r]);
 
-        if (rk.selfRefreshLockout(now))
+        const std::uint64_t queued = demand >> (r * banks) & lowBits(banks);
+        if (!queued || rk.selfRefreshLockout(now))
             continue;
         const auto bank = [&](std::uint64_t bits) -> const Bank & {
             return rk.bank(std::countr_zero(bits));
         };
         const std::uint64_t open = openBanks_ >> (r * banks) & lowBits(banks);
-        for (std::uint64_t bits = open; bits; bits &= bits - 1)
-            ready = std::min(ready, bank(bits).preReadyAt());
-        const std::uint64_t queued = demand >> (r * banks) & lowBits(banks);
         if (queued & open) {
             const Tick bus = busReadyAt(r, writes);
             for (std::uint64_t bits = queued & open; bits; bits &= bits - 1)

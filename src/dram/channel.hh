@@ -117,16 +117,8 @@ class Channel
      *     rank's tRRD/tFAW.
      * A rank inside its self-refresh lockout adds neither: its
      * lockout's end is a deadline.
-     *
-     * @p ready receives the earliest tick, at or before @p now
-     * included, from which one of those column commands or ACTs, or a
-     * precharge of any open bank, could be legal (kTickNever when
-     * none), over the ranks outside their lockout. It ignores which
-     * rows are queued and which banks a refresh blocks, so a demand
-     * pick finds nothing before it.
      */
-    Tick nextDeadline(Tick now, std::uint64_t demand, bool writes,
-                      Tick &ready) const;
+    Tick nextDeadline(Tick now, std::uint64_t demand, bool writes) const;
 
     const ChannelStats &stats() const { return stats_; }
     const TimingParams &timing() const { return *timing_; }
