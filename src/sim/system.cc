@@ -1,7 +1,6 @@
 #include "sim/system.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/log.hh"
 
@@ -14,39 +13,6 @@ finalized(SystemConfig cfg)
 {
     cfg.finalize();
     return cfg;
-}
-
-/** Words of a due mask covering @p n components. */
-std::size_t
-maskWords(std::size_t n)
-{
-    return (n + 63) / 64;
-}
-
-/** One compare sweep: bit k of @p due is set iff wake[k] <= t. */
-void
-markDue(const std::vector<Tick> &wake, Tick t,
-        std::vector<std::uint64_t> &due)
-{
-    for (std::size_t w = 0; w < due.size(); ++w) {
-        const std::size_t base = w * 64;
-        const std::size_t n = std::min<std::size_t>(64, wake.size() - base);
-        std::uint64_t bits = 0;
-        for (std::size_t k = 0; k < n; ++k)
-            bits |= std::uint64_t(wake[base + k] <= t) << k;
-        due[w] = bits;
-    }
-}
-
-/** Call @p fn with every set bit of @p due, in ascending order. */
-template <typename Fn>
-void
-forEachDue(const std::vector<std::uint64_t> &due, Fn &&fn)
-{
-    for (std::size_t w = 0; w < due.size(); ++w) {
-        for (std::uint64_t bits = due[w]; bits; bits &= bits - 1)
-            fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-    }
 }
 
 } // namespace
@@ -252,47 +218,43 @@ System::runEvent(Tick end)
     ctlNext_.assign(ncs, now_);
     coreWake_.assign(nks, now_);
     coreNext_.assign(nks, now_);
-    std::vector<std::uint64_t> ctlDue(maskWords(ncs));
-    std::vector<std::uint64_t> coreDue(maskWords(nks));
     eventRun_ = true;
 
     while (now_ < end) {
         const Tick t = now_;
 
-        // One compare sweep per phase picks the components due at t;
-        // the front ends' sweep follows the controllers' phase, whose
-        // deliveries and pops may wake them for this very tick.
-        markDue(ctlWake_, t, ctlDue);
-        forEachDue(ctlDue, [&](std::size_t i) {
+        // Each component re-certifies as soon as it has executed. A
+        // later front end's enqueue re-wakes a controller for t+1
+        // through the bind() hook (its next tick drops what this
+        // certificate cached), and nothing after the core phase can
+        // touch a core, so every wake is the one the cycle order gives.
+        for (std::size_t i = 0; i < ncs; ++i) {
+            if (ctlWake_[i] > t)
+                continue;
             ctlCatchUp(i, t);
             controllers_[i]->tick(t);
             ctlNext_[i] = t + 1;
             if (controllers_[i]->consumePoppedWithRejection()) {
-                for (Tick &w : coreWake_)
-                    w = std::min(w, t);
+                for (std::size_t j = 0; j < nks; ++j)
+                    coreWake_[j] = std::min(coreWake_[j], t);
             }
-        });
-        markDue(coreWake_, t, coreDue);
-        forEachDue(coreDue, [&](std::size_t j) {
+            const Tick w = controllers_[i]->nextWake(t);
+            ctlWake_[i] = w <= t ? t + 1 : w;
+        }
+        for (std::size_t j = 0; j < nks; ++j) {
+            if (coreWake_[j] > t)
+                continue;
             coreCatchUp(j, t);
             if (injector_)
                 injector_->tick(t);
             else
                 cores_[j]->tick();
             coreNext_[j] = t + 1;
-        });
-
-        // Re-certify what executed; hook-set wakes (always t+1) stand
-        // for the rest.
-        forEachDue(ctlDue, [&](std::size_t i) {
-            const Tick w = controllers_[i]->nextWake(t);
-            ctlWake_[i] = w <= t ? t + 1 : w;
-        });
-        forEachDue(coreDue, [&](std::size_t j) {
             const Tick w = injector_ ? injector_->nextWake(t)
                                      : cores_[j]->nextWake(t);
             coreWake_[j] = w <= t ? t + 1 : w;
-        });
+        }
+
         Tick next = end;
         for (const Tick w : ctlWake_)
             next = std::min(next, w);
