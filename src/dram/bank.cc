@@ -28,13 +28,7 @@ Bank::canAct(Tick now, RowId row) const
 }
 
 bool
-Bank::canRead(Tick now) const
-{
-    return openRow_ != kNone && now >= colAllowedAt_;
-}
-
-bool
-Bank::canWrite(Tick now) const
+Bank::canColumn(Tick now) const
 {
     return openRow_ != kNone && now >= colAllowedAt_;
 }
@@ -76,7 +70,7 @@ Bank::onAct(Tick now, RowId row, SubarrayId subarray)
 void
 Bank::onRead(Tick now, bool auto_precharge)
 {
-    DSARP_ASSERT(canRead(now), "illegal RD");
+    DSARP_ASSERT(canColumn(now), "illegal RD");
     colAllowedAt_ = std::max(colAllowedAt_, now + timing_->tCcd);
     // Read-to-precharge constraint.
     const Tick pre_ready =
@@ -92,7 +86,7 @@ Bank::onRead(Tick now, bool auto_precharge)
 void
 Bank::onWrite(Tick now, bool auto_precharge)
 {
-    DSARP_ASSERT(canWrite(now), "illegal WR");
+    DSARP_ASSERT(canColumn(now), "illegal WR");
     colAllowedAt_ = std::max(colAllowedAt_, now + timing_->tCcd);
     // Write recovery: precharge may start tWR after the write data ends.
     const Tick data_end = now + timing_->tCwl + timing_->tBl;

@@ -35,8 +35,8 @@ class Bank
     /** @name Command legality (bank-local constraints only). */
     /// @{
     bool canAct(Tick now, RowId row) const;
-    bool canRead(Tick now) const;
-    bool canWrite(Tick now) const;
+    /** A column command (RD/WR, with or without auto-precharge). */
+    bool canColumn(Tick now) const;
     bool canPre(Tick now) const;
 
     /** Bank idle (precharged, no refresh) so a refresh may start. */

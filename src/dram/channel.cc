@@ -23,40 +23,6 @@ Channel::Channel(const MemConfig *cfg, const TimingParams *timing)
 }
 
 bool
-Channel::busOkForRead(RankId r, Tick now) const
-{
-    const Tick data_start = now + timing_->tCl;
-    // The burst must find the bus free, plus a rank-switch gap.
-    Tick bus_free = busBusyUntil_;
-    if (lastBurstRank_ != kNone && lastBurstRank_ != r)
-        bus_free += timing_->tRtrs;
-    if (data_start < bus_free)
-        return false;
-    // Write-to-read turnaround within the same rank (tWTR counts from the
-    // end of write data to the read command).
-    if (now < wrDataEnd_[r] + timing_->tWtr)
-        return false;
-    return true;
-}
-
-bool
-Channel::busOkForWrite(RankId r, Tick now) const
-{
-    const Tick data_start = now + timing_->tCwl;
-    Tick bus_free = busBusyUntil_;
-    if (lastBurstRank_ != kNone && lastBurstRank_ != r)
-        bus_free += timing_->tRtrs;
-    if (data_start < bus_free)
-        return false;
-    // Read-to-write command turnaround on the shared bus.
-    if (lastRdCmdAt_ != kTickNever &&
-        now < lastRdCmdAt_ + timing_->tRtw) {
-        return false;
-    }
-    return true;
-}
-
-bool
 Channel::canIssue(const Command &cmd, Tick now) const
 {
     const Rank &rk = ranks_[cmd.rank];
@@ -72,11 +38,10 @@ Channel::canIssue(const Command &cmd, Tick now) const
             rk.canActRankLevel(now);
       case CommandType::kRd:
       case CommandType::kRdA:
-        return rk.bank(cmd.bank).canRead(now) && busOkForRead(cmd.rank, now);
       case CommandType::kWr:
       case CommandType::kWrA:
-        return rk.bank(cmd.bank).canWrite(now) &&
-            busOkForWrite(cmd.rank, now);
+        return rk.bank(cmd.bank).canColumn(now) &&
+            now >= busReadyAt(cmd.rank, isWriteCmd(cmd.type));
       case CommandType::kPre:
         return rk.bank(cmd.bank).canPre(now);
       case CommandType::kRefPb:
@@ -116,7 +81,6 @@ Channel::issue(const Command &cmd, Tick now)
             openBanks_ &= ~bankBit(cmd);
         const Tick data_end = now + timing_->tCl + timing_->tBl;
         busBusyUntil_ = data_end;
-        lastBurstWasWrite_ = false;
         lastBurstRank_ = cmd.rank;
         lastRdCmdAt_ = now;
         ++stats_.reads;
@@ -130,7 +94,6 @@ Channel::issue(const Command &cmd, Tick now)
             openBanks_ &= ~bankBit(cmd);
         const Tick data_end = now + timing_->tCwl + timing_->tBl;
         busBusyUntil_ = data_end;
-        lastBurstWasWrite_ = true;
         lastBurstRank_ = cmd.rank;
         wrDataEnd_[cmd.rank] = data_end;
         ++stats_.writes;
@@ -143,42 +106,19 @@ Channel::issue(const Command &cmd, Tick now)
         ++stats_.pres;
         return 0;
 
-      case CommandType::kRefPb: {
-        rk.onRefPb(now, cmd.bank, cmd.tRfcOverride, cmd.rowsOverride,
-                   cmd.hidden);
-        ++stats_.refPb;
-        if (cmd.hidden)
-            ++stats_.refPbHidden;
-        const std::uint64_t dur = static_cast<std::uint64_t>(
-            (cmd.tRfcOverride ? cmd.tRfcOverride : timing_->tRfcPb)
-                .count());
-        stats_.refPbCycles += dur;
-        if (refreshSpanCb_)
-            refreshSpanCb_(now, now + dur);
-        return 0;
-      }
-
-      case CommandType::kRefAb: {
-        rk.onRefAb(now, cmd.tRfcOverride, cmd.rowsOverride);
-        ++stats_.refAb;
-        const std::uint64_t dur = static_cast<std::uint64_t>(
-            (cmd.tRfcOverride ? cmd.tRfcOverride : timing_->tRfcAb)
-                .count());
-        stats_.refAbCycles += dur;
-        if (refreshSpanCb_)
-            refreshSpanCb_(now, now + dur);
-        return 0;
-      }
-
+      case CommandType::kRefAb:
+      case CommandType::kRefPb:
       case CommandType::kRefSb: {
-        rk.onRefSb(now, cmd.bank, cmd.tRfcOverride, cmd.rowsOverride);
-        ++stats_.refSb;
-        const std::uint64_t dur = static_cast<std::uint64_t>(
-            (cmd.tRfcOverride ? cmd.tRfcOverride : timing_->tRfcSb)
-                .count());
-        stats_.refSbCycles += dur;
+        const Tick end = rk.onRefresh(now, cmd);
+        const bool ab = cmd.type == CommandType::kRefAb;
+        const bool sb = cmd.type == CommandType::kRefSb;
+        ++(ab ? stats_.refAb : sb ? stats_.refSb : stats_.refPb);
+        (ab ? stats_.refAbCycles
+         : sb ? stats_.refSbCycles
+              : stats_.refPbCycles) += end - now;
+        stats_.refPbHidden += cmd.hidden;
         if (refreshSpanCb_)
-            refreshSpanCb_(now, now + dur);
+            refreshSpanCb_(now, end);
         return 0;
       }
 
@@ -198,7 +138,7 @@ Channel::issue(const Command &cmd, Tick now)
 Tick
 Channel::busReadyAt(RankId r, bool write) const
 {
-    // busOkFor{Read,Write}() hold from the returned tick on: the burst
+    // The burst must find the bus free, plus a rank-switch gap. It
     // leads the data by tCL/tCWL, so the command may issue that much
     // before the bus frees.
     Tick bus_free = busBusyUntil_;
@@ -208,9 +148,12 @@ Channel::busReadyAt(RankId r, bool write) const
         static_cast<Tick>((write ? timing_->tCwl : timing_->tCl).count());
     Tick ready = bus_free > lead ? bus_free - lead : 0;
     if (write) {
+        // Read-to-write command turnaround on the shared bus.
         if (lastRdCmdAt_ != kTickNever)
             ready = std::max(ready, lastRdCmdAt_ + timing_->tRtw);
     } else {
+        // Write-to-read turnaround within the same rank (tWTR counts
+        // from the end of write data to the read command).
         ready = std::max(ready, wrDataEnd_[r] + timing_->tWtr);
     }
     return ready;
@@ -268,34 +211,16 @@ Channel::sampleActivitySpan(Tick firstTick, Tick ticks)
         const Rank &rk = ranks_[r];
         stats_.rankTotalTicks += ticks;
 
+        // Command-level self-refresh: real residency, billed IDD6.
         if (rk.inSelfRefresh(firstTick)) {
             stats_.srTicks += ticks;
             continue;
         }
 
+        // Active standby: a row open or a refresh in flight.
         const bool row_open = openBanks_ & rankBankBits(r);
         if (row_open || rk.refreshInFlight(firstTick))
             stats_.rankActiveTicks += ticks;
-    }
-}
-
-void
-Channel::sampleActivity(Tick now)
-{
-    for (RankId r = 0; r < static_cast<RankId>(ranks_.size()); ++r) {
-        const Rank &rk = ranks_[r];
-        ++stats_.rankTotalTicks;
-
-        // Command-level self-refresh: real residency, billed IDD6.
-        if (rk.inSelfRefresh(now)) {
-            ++stats_.srTicks;
-            continue;
-        }
-
-        // Active standby: a row open or a refresh in flight.
-        const bool row_open = openBanks_ & rankBankBits(r);
-        if (row_open || rk.refreshInFlight(now))
-            ++stats_.rankActiveTicks;
     }
 }
 

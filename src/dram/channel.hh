@@ -89,7 +89,7 @@ class Channel
     Tick issue(const Command &cmd, Tick now);
 
     /** Accumulate per-tick activity for the energy model. */
-    void sampleActivity(Tick now);
+    void sampleActivity(Tick now) { sampleActivitySpan(now, 1); }
 
     /**
      * Bulk form of sampleActivity() for the event-driven engine: one
@@ -142,12 +142,9 @@ class Channel
     void resetStats() { stats_ = ChannelStats{}; }
 
   private:
-    bool busOkForRead(RankId r, Tick now) const;
-    bool busOkForWrite(RankId r, Tick now) const;
-
     /** First tick the data bus and the turnaround windows admit a
-     *  read (busOkForRead()) or a write to rank @p r; exact until
-     *  the next column command issues. */
+     *  read or a write to rank @p r: a column command is legal on the
+     *  bus from then on, until the next one issues. */
     Tick busReadyAt(RankId r, bool write) const;
 
     /** This command's bit in openBanks_. */
@@ -172,7 +169,6 @@ class Channel
     std::uint64_t openBanks_ = 0;
 
     Tick busBusyUntil_ = 0;        ///< End of the last data burst.
-    bool lastBurstWasWrite_ = false;
     RankId lastBurstRank_ = kNone;
     Tick lastRdCmdAt_ = kTickNever;
     std::vector<Tick> wrDataEnd_;  ///< Per-rank last write-data end (tWTR).

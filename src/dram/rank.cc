@@ -1,6 +1,7 @@
 #include "dram/rank.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/log.hh"
@@ -8,7 +9,8 @@
 namespace dsarp {
 
 Rank::Rank(const MemConfig *cfg, const TimingParams *timing)
-    : cfg_(cfg), timing_(timing)
+    : cfg_(cfg), timing_(timing),
+      inflates_(cfg->sarp || cfg->hira || cfg->maxOverlappedRefPb > 1)
 {
     banks_.reserve(cfg->org.banksPerRank);
     for (int b = 0; b < cfg->org.banksPerRank; ++b) {
@@ -90,59 +92,43 @@ Rank::inflationRefPbCount(Tick now) const
                             hiddenRefPbCount(now));
 }
 
-Cycles
-Rank::effTRrd(Tick now) const
+Rank::ActSpacing
+Rank::actSpacing(Tick now) const
 {
-    if (cfg_->sarp || cfg_->hira || cfg_->maxOverlappedRefPb > 1) {
+    // Only an in-flight refresh inflates the spacing: skip counting the
+    // in-flight lists when there is none.
+    if (inflates_ && refreshInFlight(now)) {
         if (refAbInFlight(now))
-            return tRrdInflAb_;
+            return {tRrdInflAb_, tFawInflAb_};
         const int pb = inflationRefPbCount(now);
         if (pb == 1)
-            return tRrdInflPb_;
+            return {tRrdInflPb_, tFawInflPb_};
         if (pb > 1) {
-            return timing_->tRrd.ceilScaled(
-                refreshInflationMult(*cfg_, false, pb));
+            const double mult = refreshInflationMult(*cfg_, false, pb);
+            return {timing_->tRrd.ceilScaled(mult),
+                    timing_->tFaw.ceilScaled(mult)};
         }
     }
-    return timing_->tRrd;
+    return {timing_->tRrd, timing_->tFaw};
 }
 
-Cycles
-Rank::effTFaw(Tick now) const
+Tick
+Rank::actReadyAt(Tick now) const
 {
-    if (cfg_->sarp || cfg_->hira || cfg_->maxOverlappedRefPb > 1) {
-        if (refAbInFlight(now))
-            return tFawInflAb_;
-        const int pb = inflationRefPbCount(now);
-        if (pb == 1)
-            return tFawInflPb_;
-        if (pb > 1) {
-            return timing_->tFaw.ceilScaled(
-                refreshInflationMult(*cfg_, false, pb));
-        }
-    }
-    return timing_->tFaw;
+    if (lastActAt_ == kTickNever)
+        return 0;
+    const ActSpacing spacing = actSpacing(now);
+    Tick ready = lastActAt_ + spacing.tRrd;
+    // Oldest of the last four ACTs bounds the four-activate window.
+    if (actsSeen_ >= 4)
+        ready = std::max(ready, actWindow_[0] + spacing.tFaw);
+    return ready;
 }
 
 bool
 Rank::canActRankLevel(Tick now) const
 {
-    if (selfRefreshLockout(now))
-        return false;
-    if (lastActAt_ != kTickNever && now < lastActAt_ + effTRrd(now))
-        return false;
-    if (actsSeen_ >= 4) {
-        // Oldest of the last four ACTs bounds the four-activate window.
-        if (now < actWindow_[0] + effTFaw(now))
-            return false;
-    }
-    return true;
-}
-
-bool
-Rank::refSbInFlight(Tick now) const
-{
-    return pruneInFlight(refSbEnds_, now) > 0;
+    return !selfRefreshLockout(now) && now >= actReadyAt(now);
 }
 
 bool
@@ -153,39 +139,48 @@ Rank::canRefPbRankLevel(Tick now) const
         !refAbInFlight(now) && !refSbInFlight(now);
 }
 
-bool
-Rank::canRefAb(Tick now) const
+std::uint64_t
+Rank::refreshBanks(CommandType type, BankId bank) const
 {
-    if (selfRefreshLockout(now))
+    switch (type) {
+      case CommandType::kRefAb:
+        return lowBits(numBanks());
+      case CommandType::kRefSb: {
+        const int slice = timing_->banksPerGroup;
+        if (slice <= 0 || bank < 0 || (bank + 1) * slice > numBanks())
+            return 0;
+        return lowBits(slice) << (bank * slice);
+      }
+      default:
+        return std::uint64_t(1) << bank;
+    }
+}
+
+bool
+Rank::quiescent(Tick now, std::uint64_t banks) const
+{
+    // Refreshes of any granularity never overlap within a rank; banks
+    // outside @p banks are unconstrained (they keep serving).
+    if (selfRefreshLockout(now) || refreshInFlight(now))
         return false;
-    if (refreshInFlight(now))
-        return false;
-    for (const Bank &b : banks_) {
-        if (!b.canRefresh(now))
+    for (; banks; banks &= banks - 1) {
+        if (!banks_[std::countr_zero(banks)].canRefresh(now))
             return false;
     }
     return true;
 }
 
 bool
+Rank::canRefAb(Tick now) const
+{
+    return quiescent(now, refreshBanks(CommandType::kRefAb, 0));
+}
+
+bool
 Rank::canRefSb(Tick now, int group) const
 {
-    if (selfRefreshLockout(now))
-        return false;
-    // Refreshes of any granularity never overlap within a rank; banks
-    // outside the slice are unconstrained (they keep serving).
-    if (refreshInFlight(now))
-        return false;
-    const int slice = timing_->banksPerGroup;
-    if (slice <= 0 || group < 0 ||
-        (group + 1) * slice > static_cast<int>(banks_.size())) {
-        return false;
-    }
-    for (int b = group * slice; b < (group + 1) * slice; ++b) {
-        if (!banks_[b].canRefresh(now))
-            return false;
-    }
-    return true;
+    const std::uint64_t slice = refreshBanks(CommandType::kRefSb, group);
+    return slice && quiescent(now, slice);
 }
 
 void
@@ -201,59 +196,37 @@ Rank::onAct(Tick now)
         ++actsSeen_;
 }
 
-void
-Rank::onRefPb(Tick now, BankId bank, Cycles t_rfc_override,
-              int rows_override, bool hidden)
+Tick
+Rank::onRefresh(Tick now, const Command &cmd)
 {
-    DSARP_ASSERT(canRefPbRankLevel(now), "REFpb exceeds the overlap limit");
-    const Cycles t_rfc = t_rfc_override ? t_rfc_override : timing_->tRfcPb;
-    banks_[bank].onRefresh(now, t_rfc, rows_override, hidden);
-    refPbEnds_.push_back(now + t_rfc);
-    refreshUntil_ = std::max(refreshUntil_, now + t_rfc);
-    if (hidden)
-        hiddenPbEnds_.push_back(now + t_rfc);
-}
-
-void
-Rank::onRefSb(Tick now, int group, Cycles t_rfc_override,
-              int rows_override)
-{
-    DSARP_ASSERT(canRefSb(now, group), "illegal same-bank refresh");
-    const Cycles t_rfc = t_rfc_override ? t_rfc_override : timing_->tRfcSb;
-    const int slice = timing_->banksPerGroup;
-    for (int b = group * slice; b < (group + 1) * slice; ++b)
-        banks_[b].onRefresh(now, t_rfc, rows_override);
-    pruneInFlight(refSbEnds_, now);
-    refSbEnds_.push_back(now + t_rfc);
-    refreshUntil_ = std::max(refreshUntil_, now + t_rfc);
-}
-
-void
-Rank::onRefAb(Tick now, Cycles t_rfc_override, int rows_override)
-{
-    DSARP_ASSERT(canRefAb(now), "REFab while rank not idle");
-    const Cycles t_rfc = t_rfc_override ? t_rfc_override : timing_->tRfcAb;
-    for (Bank &b : banks_)
-        b.onRefresh(now, t_rfc, rows_override);
-    refAbUntil_ = now + t_rfc;
-    refreshUntil_ = std::max(refreshUntil_, refAbUntil_);
-}
-
-bool
-Rank::canSrEnter(Tick now) const
-{
-    // SRE needs a fully quiesced rank: the device assumes control of
-    // refresh from a precharged, refresh-idle state (JEDEC: all banks
-    // precharged, tRFC of any refresh satisfied).
-    if (srActive_ || now < srExitLockoutUntil_)
-        return false;
-    if (refreshInFlight(now))
-        return false;
-    for (const Bank &b : banks_) {
-        if (!b.canRefresh(now))
-            return false;
+    const bool ab = cmd.type == CommandType::kRefAb;
+    const bool sb = cmd.type == CommandType::kRefSb;
+    DSARP_ASSERT(ab   ? canRefAb(now)
+                 : sb ? canRefSb(now, cmd.bank)
+                      : canRefPbRankLevel(now),
+                 "illegal refresh");
+    const Cycles t_rfc = cmd.tRfcOverride ? cmd.tRfcOverride
+        : ab                              ? timing_->tRfcAb
+        : sb                              ? timing_->tRfcSb
+                                          : timing_->tRfcPb;
+    const Tick end = now + t_rfc;
+    for (std::uint64_t bits = refreshBanks(cmd.type, cmd.bank); bits;
+         bits &= bits - 1) {
+        banks_[std::countr_zero(bits)].onRefresh(now, t_rfc,
+                                                 cmd.rowsOverride,
+                                                 cmd.hidden);
     }
-    return true;
+    if (ab) {
+        refAbUntil_ = end;
+    } else if (sb) {
+        refSbUntil_ = end;
+    } else {
+        refPbEnds_.push_back(end);
+        if (cmd.hidden)
+            hiddenPbEnds_.push_back(end);
+    }
+    refreshUntil_ = std::max(refreshUntil_, end);
+    return end;
 }
 
 bool
@@ -283,22 +256,6 @@ Rank::onSrExit(Tick now)
 }
 
 Tick
-Rank::actReadyAt(Tick now) const
-{
-    if (lastActAt_ == kTickNever)
-        return 0;
-    // Only an in-flight refresh inflates tRRD/tFAW: skip counting the
-    // in-flight lists when there is none.
-    const bool inflated = refreshInFlight(now);
-    Tick ready = lastActAt_ + (inflated ? effTRrd(now) : timing_->tRrd);
-    if (actsSeen_ >= 4) {
-        ready = std::max(ready, actWindow_[0] +
-                                    (inflated ? effTFaw(now) : timing_->tFaw));
-    }
-    return ready;
-}
-
-Tick
 Rank::nextDeadline(Tick now) const
 {
     Tick deadline = kTickNever;
@@ -308,9 +265,8 @@ Rank::nextDeadline(Tick now) const
     // Every refresh's banks end with it (hiddenPbEnds_ is a subset of
     // refPbEnds_), so these also stand for the banks' refresh ends.
     add(refAbUntil_);
+    add(refSbUntil_);
     for (Tick end : refPbEnds_)
-        add(end);
-    for (Tick end : refSbEnds_)
         add(end);
     add(srExitLockoutUntil_);
     if (srActive_ && srEnteredAt_ != kTickNever)

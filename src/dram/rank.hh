@@ -9,11 +9,13 @@
 #ifndef DSARP_DRAM_RANK_HH
 #define DSARP_DRAM_RANK_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/types.hh"
 #include "dram/bank.hh"
+#include "dram/command.hh"
 
 namespace dsarp {
 
@@ -29,10 +31,12 @@ class Rank
     /** @name Rank-level command legality. */
     /// @{
 
-    /** tRRD/tFAW check for a new ACT (inflated during refresh if SARP). */
+    /** A new ACT may issue: outside the self-refresh lockout and at
+     *  or after actReadyAt() (tRRD/tFAW, inflated during refresh). */
     bool canActRankLevel(Tick now) const;
 
-    /** A REFpb may start: previous REFpb done and no REFab in flight. */
+    /** A REFpb may start: under the overlap limit, no REFab or REFsb
+     *  in flight. */
     bool canRefPbRankLevel(Tick now) const;
 
     /** A REFab may start: all banks idle, no refresh in flight. */
@@ -48,27 +52,37 @@ class Rank
     bool canRefSb(Tick now, int group) const;
 
     /**
-     * Self-refresh entry (SRE) may issue: not already in self-refresh,
-     * past any tXS lockout from a previous exit, no refresh of any
-     * kind in flight, and every bank precharged -- the device takes
-     * over its own refresh from a fully idle rank.
+     * Self-refresh entry (SRE) may issue: the REFab condition. The
+     * device takes over its own refresh from a fully idle rank (JEDEC:
+     * all banks precharged, tRFC of any refresh satisfied), outside
+     * self-refresh and its tXS exit window.
      */
-    bool canSrEnter(Tick now) const;
+    bool canSrEnter(Tick now) const { return canRefAb(now); }
 
     /** Self-refresh exit (SRX) may issue: in self-refresh and the
      *  minimum residency tCKESR has elapsed since entry. */
     bool canSrExit(Tick now) const;
     /// @}
 
+    /**
+     * The banks a refresh of kind @p type takes away, one bit per bank
+     * of this rank: every bank for REFab, bank-group slice @p bank for
+     * REFsb (none when the device has no slices or the group lies
+     * outside the rank), bank @p bank for REFpb.
+     */
+    std::uint64_t refreshBanks(CommandType type, BankId bank) const;
+
     /** @name State transitions. */
     /// @{
     void onAct(Tick now);
-    void onRefPb(Tick now, BankId bank, Cycles tRfcOverride = Cycles(),
-                 int rowsOverride = 0, bool hidden = false);
-    void onRefAb(Tick now, Cycles tRfcOverride = Cycles(),
-                 int rowsOverride = 0);
-    void onRefSb(Tick now, int group, Cycles tRfcOverride = Cycles(),
-                 int rowsOverride = 0);
+
+    /**
+     * Start the REFab, REFpb or REFsb @p cmd on its refreshBanks():
+     * tRFC of its kind (or cmd.tRfcOverride), cmd.rowsOverride rows,
+     * beneath the open row when cmd.hidden (HiRA). Returns the tick
+     * the refresh ends.
+     */
+    Tick onRefresh(Tick now, const Command &cmd);
     void onSrEnter(Tick now);
     void onSrExit(Tick now);
     /// @}
@@ -101,7 +115,7 @@ class Rank
     bool refPbInFlight(Tick now) const { return refPbCount(now) > 0; }
 
     /** True while a same-bank refresh slice is in flight. */
-    bool refSbInFlight(Tick now) const;
+    bool refSbInFlight(Tick now) const { return refSbUntil_ > now; }
 
     /** True while a refresh of any granularity is in flight. */
     bool refreshInFlight(Tick now) const { return refreshUntil_ > now; }
@@ -133,8 +147,8 @@ class Rank
      * Effective tRRD/tFAW at @p now: the datasheet value, multiplied by
      * the SARP power-integrity factor while a refresh is in flight.
      */
-    Cycles effTRrd(Tick now) const;
-    Cycles effTFaw(Tick now) const;
+    Cycles effTRrd(Tick now) const { return actSpacing(now).tRrd; }
+    Cycles effTFaw(Tick now) const { return actSpacing(now).tFaw; }
 
     /**
      * First tick tRRD and tFAW admit a new ACT, with the inflation
@@ -156,6 +170,21 @@ class Rank
     Tick nextDeadline(Tick now) const;
 
   private:
+    /** Effective tRRD and tFAW at one instant. */
+    struct ActSpacing
+    {
+        Cycles tRrd;
+        Cycles tFaw;
+    };
+
+    /** effTRrd() and effTFaw() from one count of in-flight refreshes. */
+    ActSpacing actSpacing(Tick now) const;
+
+    /** No refresh in flight, outside self-refresh and its tXS window,
+     *  and every bank in @p banks (refreshBanks() bits) idle: the
+     *  common condition of REFab, REFsb and SRE. */
+    bool quiescent(Tick now, std::uint64_t banks) const;
+
     /** Prune ended entries from an in-flight list; return the count. */
     static int pruneInFlight(std::vector<Tick> &ends, Tick now);
 
@@ -178,9 +207,10 @@ class Rank
     mutable std::vector<Tick> refPbEnds_;
     /** End ticks of the HiRA-hidden subset of refPbEnds_. */
     mutable std::vector<Tick> hiddenPbEnds_;
-    /** End ticks of in-flight same-bank refresh slices. */
-    mutable std::vector<Tick> refSbEnds_;
     Tick refAbUntil_ = 0;
+    /** End of the last same-bank refresh: one needs a rank with no
+     *  refresh in flight, so at most one is ever live. */
+    Tick refSbUntil_ = 0;
     /** Latest refresh end of any granularity: a refresh is in flight
      *  while it lies ahead. */
     Tick refreshUntil_ = 0;
@@ -192,6 +222,9 @@ class Rank
     Tick srExitLockoutUntil_ = 0;  ///< SRX tick + tXS.
     /// @}
 
+    /** SARP, HiRA or the overlap extension: an in-flight refresh can
+     *  inflate tRRD/tFAW (refreshInflationMult()). */
+    bool inflates_;
     /** Precomputed inflated values for the common cases (no fp math on
      *  the hot path); counts above one in-flight REFpb fall back to the
      *  shared formula. */

@@ -44,7 +44,7 @@ TEST_F(BankTest, FreshBankAcceptsAct)
 {
     Bank bank = makeBank();
     EXPECT_TRUE(bank.canAct(0, 10));
-    EXPECT_FALSE(bank.canRead(0));
+    EXPECT_FALSE(bank.canColumn(0));
     EXPECT_FALSE(bank.canPre(0));
     EXPECT_TRUE(bank.canRefresh(0));
 }
@@ -55,8 +55,8 @@ TEST_F(BankTest, ActOpensRowAfterTrcd)
     bank.onAct(0, 42, 0);
     EXPECT_TRUE(bank.isOpen());
     EXPECT_EQ(bank.openRow(), 42);
-    EXPECT_FALSE(bank.canRead(at(timing_.tRcd) - 1));
-    EXPECT_TRUE(bank.canRead(at(timing_.tRcd)));
+    EXPECT_FALSE(bank.canColumn(at(timing_.tRcd) - 1));
+    EXPECT_TRUE(bank.canColumn(at(timing_.tRcd)));
     EXPECT_FALSE(bank.canAct(0, 43));  // Already open.
     EXPECT_FALSE(bank.canRefresh(5));  // Not precharged.
 }
@@ -94,8 +94,8 @@ TEST_F(BankTest, PlainReadKeepsRowOpen)
     bank.onRead(at(timing_.tRcd), false);
     EXPECT_TRUE(bank.isOpen());
     // tCCD between column commands.
-    EXPECT_FALSE(bank.canRead(at(timing_.tRcd + timing_.tCcd) - 1));
-    EXPECT_TRUE(bank.canRead(at(timing_.tRcd + timing_.tCcd)));
+    EXPECT_FALSE(bank.canColumn(at(timing_.tRcd + timing_.tCcd) - 1));
+    EXPECT_TRUE(bank.canColumn(at(timing_.tRcd + timing_.tCcd)));
 }
 
 TEST_F(BankTest, PrechargeRespectsTras)

@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hh"
 #include "dram/channel.hh"
@@ -65,6 +68,61 @@ class ChannelTest : public ::testing::Test
         cmd.rank = r;
         cmd.bank = b;
         return cmd;
+    }
+
+    /**
+     * Issue a REFab, a REFpb and a HiRA-hidden REFpb beneath an open
+     * row, each on a fresh channel with @p tRfcOverride, and check the
+     * one refresh arm of Channel::issue(): the kind's counter and
+     * refresh cycles, the hidden subset, and the [start, end) span
+     * reported to the refresh-span observer.
+     */
+    void
+    expectRefreshAccounting(Cycles tRfcOverride)
+    {
+        const Tick start = 20;  // Past tHiRA after an ACT at tick 0.
+        for (const CommandType type :
+             {CommandType::kRefAb, CommandType::kRefPb}) {
+            for (const bool hidden : {false, true}) {
+                if (hidden && type == CommandType::kRefAb)
+                    continue;
+                SCOPED_TRACE(std::string(commandName(type)) +
+                             (hidden ? " hidden" : ""));
+                Channel ch(&cfg_, &timing_);
+                std::vector<std::pair<Tick, Tick>> spans;
+                ch.setRefreshSpanCallback(
+                    [&](Tick s, Tick e) { spans.emplace_back(s, e); });
+                if (hidden) {
+                    // The refresh counter targets subarray 0; the
+                    // demand row lives in subarray 1.
+                    Command open = act(0, 2, cfg_.org.rowsPerSubarray());
+                    open.subarray = 1;
+                    ch.issue(open, 0);
+                }
+                Command cmd = refresh(type, 0, 2);
+                cmd.tRfcOverride = tRfcOverride;
+                cmd.hidden = hidden;
+                ch.issue(cmd, start);
+
+                const bool ab = type == CommandType::kRefAb;
+                const Cycles t_rfc = tRfcOverride ? tRfcOverride
+                    : ab                          ? timing_.tRfcAb
+                                                  : timing_.tRfcPb;
+                const auto cycles =
+                    static_cast<std::uint64_t>(t_rfc.count());
+                const ChannelStats &st = ch.stats();
+                EXPECT_EQ(st.refAb, ab ? 1u : 0u);
+                EXPECT_EQ(st.refPb, ab ? 0u : 1u);
+                EXPECT_EQ(st.refSb, 0u);
+                EXPECT_EQ(st.refAbCycles, ab ? cycles : 0u);
+                EXPECT_EQ(st.refPbCycles, ab ? 0u : cycles);
+                EXPECT_EQ(st.refSbCycles, 0u);
+                EXPECT_EQ(st.refPbHidden, hidden ? 1u : 0u);
+                const std::vector<std::pair<Tick, Tick>> want = {
+                    {start, start + t_rfc}};
+                EXPECT_EQ(spans, want);
+            }
+        }
     }
 
     MemConfig cfg_;
@@ -152,24 +210,12 @@ TEST_F(ChannelTest, RankSwitchAddsTrtrs)
 
 TEST_F(ChannelTest, RefreshCommandsTracked)
 {
-    Channel ch(&cfg_, &timing_);
-    ch.issue(refresh(CommandType::kRefPb, 0, 2), 0);
-    EXPECT_EQ(ch.stats().refPb, 1u);
-    EXPECT_EQ(ch.stats().refPbCycles,
-              static_cast<std::uint64_t>(timing_.tRfcPb.count()));
-    ch.issue(refresh(CommandType::kRefAb, 1), 5);
-    EXPECT_EQ(ch.stats().refAb, 1u);
-    EXPECT_EQ(ch.stats().refAbCycles,
-              static_cast<std::uint64_t>(timing_.tRfcAb.count()));
+    expectRefreshAccounting(Cycles());
 }
 
 TEST_F(ChannelTest, RefreshOverrideChangesAccountedCycles)
 {
-    Channel ch(&cfg_, &timing_);
-    Command cmd = refresh(CommandType::kRefAb, 0);
-    cmd.tRfcOverride = Cycles(100);
-    ch.issue(cmd, 0);
-    EXPECT_EQ(ch.stats().refAbCycles, 100u);
+    expectRefreshAccounting(Cycles(100));
 }
 
 TEST_F(ChannelTest, IndependentRanksActFreely)

@@ -190,8 +190,7 @@ TEST(HiraBank, HiddenRefreshKeepsOpenRowServingAndBlocksNewActs)
     EXPECT_EQ(bank.refreshRowCounter(), 1);        // Advanced by 1 row.
 
     // The open row still serves column commands mid-refresh.
-    EXPECT_TRUE(bank.canRead(at(t.tRcd) + 1));
-    EXPECT_TRUE(bank.canWrite(at(t.tRcd) + 1));
+    EXPECT_TRUE(bank.canColumn(at(t.tRcd) + 1));
 
     // Close the row; a new ACT must wait for the hidden refresh end.
     bank.onRead(at(t.tRcd) + 1, /*autoPrecharge=*/true);

@@ -38,7 +38,7 @@ TEST_F(OverlapTest, StandardDisallowsOverlap)
     MemConfig cfg = makeCfg(1);
     const TimingParams timing = TimingParams::forConfig(cfg);
     Rank rank(&cfg, &timing);
-    rank.onRefPb(0, 0);
+    rank.onRefresh(0, {.type = CommandType::kRefPb, .bank = 0});
     EXPECT_FALSE(rank.canRefPbRankLevel(1));
     EXPECT_TRUE(rank.canRefPbRankLevel(Tick(0) + timing.tRfcPb));
 }
@@ -48,11 +48,11 @@ TEST_F(OverlapTest, ExtensionAllowsBoundedOverlap)
     MemConfig cfg = makeCfg(3);
     const TimingParams timing = TimingParams::forConfig(cfg);
     Rank rank(&cfg, &timing);
-    rank.onRefPb(0, 0);
+    rank.onRefresh(0, {.type = CommandType::kRefPb, .bank = 0});
     EXPECT_TRUE(rank.canRefPbRankLevel(1));
-    rank.onRefPb(1, 1);
+    rank.onRefresh(1, {.type = CommandType::kRefPb, .bank = 1});
     EXPECT_TRUE(rank.canRefPbRankLevel(2));
-    rank.onRefPb(2, 2);
+    rank.onRefresh(2, {.type = CommandType::kRefPb, .bank = 2});
     EXPECT_EQ(rank.refPbCount(3), 3);
     EXPECT_FALSE(rank.canRefPbRankLevel(3)) << "limit is 3";
     // The first refresh finishing frees a slot.
@@ -64,7 +64,7 @@ TEST_F(OverlapTest, RefAbStillNeedsQuietRank)
     MemConfig cfg = makeCfg(4);
     const TimingParams timing = TimingParams::forConfig(cfg);
     Rank rank(&cfg, &timing);
-    rank.onRefPb(0, 0);
+    rank.onRefresh(0, {.type = CommandType::kRefPb, .bank = 0});
     EXPECT_FALSE(rank.canRefAb(1));
     EXPECT_TRUE(rank.canRefAb(Tick(0) + timing.tRfcPb));
 }

@@ -72,7 +72,7 @@ TEST_F(RankTest, RefPbOccupiesRankSerialization)
 {
     Rank rank(&cfg_, &timing_);
     EXPECT_TRUE(rank.canRefPbRankLevel(0));
-    rank.onRefPb(0, 3);
+    rank.onRefresh(0, {.type = CommandType::kRefPb, .bank = 3});
     EXPECT_TRUE(rank.refPbInFlight(1));
     EXPECT_FALSE(rank.canRefPbRankLevel(at(timing_.tRfcPb) - 1));
     EXPECT_TRUE(rank.canRefPbRankLevel(at(timing_.tRfcPb)));
@@ -93,7 +93,7 @@ TEST_F(RankTest, RefAbNeedsAllBanksIdle)
 TEST_F(RankTest, RefAbLocksEveryBank)
 {
     Rank rank(&cfg_, &timing_);
-    rank.onRefAb(0);
+    rank.onRefresh(0, {.type = CommandType::kRefAb});
     EXPECT_TRUE(rank.refAbInFlight(at(timing_.tRfcAb) - 1));
     for (int b = 0; b < rank.numBanks(); ++b) {
         EXPECT_FALSE(rank.bank(b).canAct(at(timing_.tRfcAb) - 1, 0));
@@ -104,17 +104,17 @@ TEST_F(RankTest, RefAbLocksEveryBank)
 TEST_F(RankTest, RefAbAndRefPbMutuallyExclusive)
 {
     Rank rank(&cfg_, &timing_);
-    rank.onRefPb(0, 0);
+    rank.onRefresh(0, {.type = CommandType::kRefPb, .bank = 0});
     EXPECT_FALSE(rank.canRefAb(1));
     Rank rank2(&cfg_, &timing_);
-    rank2.onRefAb(0);
+    rank2.onRefresh(0, {.type = CommandType::kRefAb});
     EXPECT_FALSE(rank2.canRefPbRankLevel(1));
 }
 
 TEST_F(RankTest, NoInflationWithoutSarp)
 {
     Rank rank(&cfg_, &timing_);
-    rank.onRefPb(0, 0);
+    rank.onRefresh(0, {.type = CommandType::kRefPb, .bank = 0});
     EXPECT_EQ(rank.effTRrd(1), timing_.tRrd);
     EXPECT_EQ(rank.effTFaw(1), timing_.tFaw);
 }
@@ -123,11 +123,11 @@ TEST_F(RankTest, RefreshInFlightTracksPerBankAndAllBank)
 {
     Rank rank(&cfg_, &timing_);
     EXPECT_FALSE(rank.refreshInFlight(0));
-    rank.onRefPb(0, 1);
+    rank.onRefresh(0, {.type = CommandType::kRefPb, .bank = 1});
     EXPECT_TRUE(rank.refreshInFlight(1));
     EXPECT_FALSE(rank.refreshInFlight(at(timing_.tRfcPb)));
     const Tick t = at(timing_.tRfcPb);
-    rank.onRefAb(t);
+    rank.onRefresh(t, {.type = CommandType::kRefAb});
     EXPECT_TRUE(rank.refreshInFlight(t + 1));
     EXPECT_FALSE(rank.refreshInFlight(t + timing_.tRfcAb));
 }
@@ -135,7 +135,7 @@ TEST_F(RankTest, RefreshInFlightTracksPerBankAndAllBank)
 TEST_F(SarpRankTest, PerBankInflationDuringRefresh)
 {
     Rank rank(&cfg_, &timing_);
-    rank.onRefPb(0, 0);
+    rank.onRefresh(0, {.type = CommandType::kRefPb, .bank = 0});
     // 1.138x inflation: ceil(4 * 1.138) = 5, ceil(20 * 1.138) = 23.
     EXPECT_EQ(rank.effTRrd(1), 5);
     EXPECT_EQ(rank.effTFaw(1), 23);
@@ -146,7 +146,7 @@ TEST_F(SarpRankTest, PerBankInflationDuringRefresh)
 TEST_F(SarpRankTest, AllBankInflationDuringRefresh)
 {
     Rank rank(&cfg_, &timing_);
-    rank.onRefAb(0);
+    rank.onRefresh(0, {.type = CommandType::kRefAb});
     // 2.1x inflation: ceil(4 * 2.1) = 9, ceil(20 * 2.1) = 42.
     EXPECT_EQ(rank.effTRrd(1), 9);
     EXPECT_EQ(rank.effTFaw(1), 42);
@@ -155,7 +155,7 @@ TEST_F(SarpRankTest, AllBankInflationDuringRefresh)
 TEST_F(SarpRankTest, BanksAcceptActsDuringRefAb)
 {
     Rank rank(&cfg_, &timing_);
-    rank.onRefAb(0);
+    rank.onRefresh(0, {.type = CommandType::kRefAb});
     // SARP: refresh occupies subarray 0; other subarrays accessible.
     for (int b = 0; b < rank.numBanks(); ++b) {
         EXPECT_FALSE(rank.bank(b).canAct(1, 0));
@@ -166,7 +166,7 @@ TEST_F(SarpRankTest, BanksAcceptActsDuringRefAb)
 TEST_F(SarpRankTest, InflatedTrrdGatesActsUnderRefresh)
 {
     Rank rank(&cfg_, &timing_);
-    rank.onRefPb(0, 0);
+    rank.onRefresh(0, {.type = CommandType::kRefPb, .bank = 0});
     rank.onAct(1);
     EXPECT_FALSE(rank.canActRankLevel(Tick(1) + timing_.tRrd));
     EXPECT_TRUE(rank.canActRankLevel(Tick(1) + rank.effTRrd(1)));

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dram/spec.hh"
@@ -175,17 +176,40 @@ class SameBankDram : public ::testing::Test
 
 TEST_F(SameBankDram, SliceRefreshesAllGroupBanksAndOnlyThem)
 {
-    ASSERT_TRUE(channel_.canIssue(refSb(0), 10));
-    channel_.issue(refSb(0), 10);
-    const Rank &rank = channel_.rank(0);
-    for (BankId b = 0; b < 4; ++b)
-        EXPECT_TRUE(rank.bank(b).refreshing(11)) << "bank " << b;
-    for (BankId b = 4; b < 8; ++b)
-        EXPECT_FALSE(rank.bank(b).refreshing(11)) << "bank " << b;
-    EXPECT_TRUE(rank.refSbInFlight(11));
-    EXPECT_EQ(channel_.stats().refSb, 1u);
-    EXPECT_EQ(channel_.stats().refSbCycles,
-              static_cast<std::uint64_t>(timing_.tRfcSb.count()));
+    // At the datasheet tRFCsb and under an override: the slice's banks
+    // refresh for that long, and the refresh arm of Channel::issue()
+    // bills REFsb alone and reports the [start, end) span.
+    for (const Cycles override : {Cycles(), Cycles(100)}) {
+        SCOPED_TRACE(override.count());
+        Channel channel(&cfg_, &timing_);
+        std::vector<std::pair<Tick, Tick>> spans;
+        channel.setRefreshSpanCallback(
+            [&](Tick s, Tick e) { spans.emplace_back(s, e); });
+        Command cmd = refSb(0);
+        cmd.tRfcOverride = override;
+        ASSERT_TRUE(channel.canIssue(cmd, 10));
+        channel.issue(cmd, 10);
+
+        const Cycles t_rfc = override ? override : timing_.tRfcSb;
+        const Tick end = Tick(10) + t_rfc;
+        const Rank &rank = channel.rank(0);
+        for (BankId b = 0; b < 4; ++b) {
+            EXPECT_TRUE(rank.bank(b).refreshing(end - 1)) << "bank " << b;
+            EXPECT_FALSE(rank.bank(b).refreshing(end)) << "bank " << b;
+        }
+        for (BankId b = 4; b < 8; ++b)
+            EXPECT_FALSE(rank.bank(b).refreshing(11)) << "bank " << b;
+        EXPECT_TRUE(rank.refSbInFlight(end - 1));
+        EXPECT_FALSE(rank.refSbInFlight(end));
+
+        const ChannelStats &st = channel.stats();
+        EXPECT_EQ(st.refSb, 1u);
+        EXPECT_EQ(st.refSbCycles, static_cast<std::uint64_t>(t_rfc.count()));
+        EXPECT_EQ(st.refAb + st.refPb + st.refPbHidden, 0u);
+        EXPECT_EQ(st.refAbCycles + st.refPbCycles, 0u);
+        const std::vector<std::pair<Tick, Tick>> want = {{10, end}};
+        EXPECT_EQ(spans, want);
+    }
 }
 
 TEST_F(SameBankDram, RefreshesSerializeWithinTheRank)

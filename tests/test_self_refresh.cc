@@ -123,7 +123,7 @@ TEST(SelfRefreshRank, EntryRequiresQuiescedRank)
     EXPECT_TRUE(rank.canSrEnter(10));
 
     // A refresh in flight blocks entry until it drains.
-    rank.onRefAb(10);
+    rank.onRefresh(10, {.type = CommandType::kRefAb});
     EXPECT_FALSE(rank.canSrEnter(Tick(10) + t.tRfcAb - Cycles(1)));
     EXPECT_TRUE(rank.canSrEnter(Tick(10) + t.tRfcAb));
 
