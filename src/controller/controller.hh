@@ -89,7 +89,8 @@ class ChannelController : public ControllerView
      * Certificate for the event-driven engine, called after tick(@p
      * now): every tick before the returned one would issue no command
      * and deliver no read. The wakes are the next read-data delivery,
-     * the refresh policy's wake, the self-refresh idle-entry instants
+     * the refresh policy's wake (a policy wake at or before @p now
+     * panics), the self-refresh idle-entry instants
      * of awake ranks, and the DRAM thresholds at which a command the
      * controller can want changes legality (Channel::nextDeadline():
      * refresh ends, self-refresh instants, ACT-ready of closed banks,
@@ -163,8 +164,21 @@ class ChannelController : public ControllerView
 
   private:
     void arbitrate(Tick now);
+
+    /**
+     * Put @p cmd (legal at @p now) on the bus: the one place a command
+     * issues, is folded into stats_.cmdDigest and is logged. Returns
+     * Channel::issue()'s data tick.
+     */
+    Tick issue(const Command &cmd, Tick now);
+
+    /** issue() @p cmd if it is legal at @p now. */
     bool tryIssue(const Command &cmd, Tick now);
     Command toCommand(const RefreshRequest &req) const;
+
+    /** Channel bank bits @p req takes away (Rank::refreshBanks()):
+     *  the blocked-ACT mask and the precharge assist. */
+    std::uint64_t refreshBanks(const RefreshRequest &req) const;
 
     /** Demand that needs the rank awake: queued reads, or queued
      *  writes once a write drain is active. */
@@ -175,7 +189,6 @@ class ChannelController : public ControllerView
 
     ChannelId id_;
     const MemConfig *cfg_;
-    const TimingParams *timing_;
     Channel channel_;
     Rng rng_;
 

@@ -151,25 +151,26 @@ class RefreshScheduler
     /**
      * Earliest tick strictly after @p now at which this policy could
      * behave differently than it just did (ledger accrual instants,
-     * HiRA window arming, elastic idle-release thresholds, ...). The
-     * event-driven engine sleeps to the minimum over all components;
-     * returning @p now is the always-safe default and forces the
-     * legacy one-tick step. Called only on ticks where the controller
-     * issued nothing.
+     * HiRA window arming, elastic idle-release thresholds, ...), or
+     * kTickNever. The event-driven engine sleeps to the minimum over
+     * all components and runs none of the ticks before it. There is no
+     * safe default: a wake at or before @p now is a bug, and the
+     * controller panics on it. Called only after a tick on which the
+     * controller issued nothing and no core enqueued (after any other
+     * tick the engine steps one tick).
      */
-    virtual Tick
-    nextWake(Tick now)
-    {
-        return now;
-    }
+    virtual Tick nextWake(Tick now) = 0;
 
     /**
      * Account @p ticks consecutive skipped ticks starting at
      * @p firstTick. A skipped tick is one the cycle engine would have
      * executed with no command issued and no threshold crossed; the
-     * policy must replay whatever per-tick side effects it has on that
-     * path (RNG draws from opportunistic(), per-tick stat counters in
-     * urgent()) so the event engine stays bit-identical. Default: none.
+     * policy must replay whatever per-tick side effects of its own it
+     * has on that path (per-tick stat counters in urgent(), say) so
+     * the event engine stays bit-identical. The controller already
+     * replays the RNG draws opportunistic() made on the last inert
+     * tick, once per skipped tick: a policy must not replay them
+     * again. Default: none.
      */
     virtual void
     skipTicks(Tick firstTick, Tick ticks)

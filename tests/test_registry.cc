@@ -4,9 +4,10 @@
  * mechanism round-trips by name (and alias), a resolved config depends
  * on its name alone, unknown names fail with a helpful error, and --
  * the acceptance bar for the open API -- a custom policy registered at
- * runtime drives a full System with no factory/enum edits. The
- * registration errors of the registry template (common/registry.hh)
- * are checked on all three registries: policies, specs and maps.
+ * runtime drives a full System on either engine with no factory/enum
+ * edits. The registration errors of the registry template
+ * (common/registry.hh) are checked on all three registries: policies,
+ * specs and maps.
  */
 
 #include <gtest/gtest.h>
@@ -209,8 +210,27 @@ class TestPulseScheduler : public RefreshScheduler
         ++stats_.issued;
     }
 
+    /** The tick after an unissued pulse (which drops it), else the
+     *  next pulse: the event engine runs nothing in between. */
+    Tick
+    nextWake(Tick now) override
+    {
+        const Tick period = static_cast<Tick>((timing_->tRefiAb / 2).count());
+        return due_ ? now + 1 : (now / period + 1) * period;
+    }
+
   private:
     bool due_ = false;
+};
+
+/** TestPulse with a wake at the current tick, which the event engine
+ *  cannot honour. */
+class StuckWakeScheduler : public TestPulseScheduler
+{
+  public:
+    using TestPulseScheduler::TestPulseScheduler;
+
+    Tick nextWake(Tick now) override { return now; }
 };
 
 int TestPulseScheduler::constructed = 0;
@@ -231,25 +251,64 @@ TEST(Registry, RuntimeRegisteredPolicyDrivesASystem)
 {
     ASSERT_TRUE(RefreshPolicyRegistry::instance().has("TestPulse"));
 
+    // The policy's nextWake() is all the event engine knows of it, so
+    // both engines must issue the same commands.
+    std::vector<std::uint64_t> streams[2];
+    for (int e = 0; e < 2; ++e) {
+        SystemConfig cfg;
+        cfg.numCores = 2;
+        cfg.engine = e == 0 ? "cycle" : "event";
+        cfg.mem.policy = "test_pulse";  // Alias, mixed case welcome.
+        SCOPED_TRACE(cfg.engine);
+        TestPulseScheduler::constructed = 0;
+        TestPulseScheduler::issuedCount = 0;
+
+        System sys(cfg, std::vector<int>{0, 1});
+        EXPECT_EQ(sys.config().mem.policy, "TestPulse");  // Canonicalised.
+        EXPECT_EQ(sys.config().mem.refresh, RefreshMode::kAllBank);
+        EXPECT_EQ(TestPulseScheduler::constructed,
+                  sys.config().mem.org.channels);
+
+        sys.run(2000);
+        sys.resetStats();
+        sys.run(40000);
+        EXPECT_GT(TestPulseScheduler::issuedCount, 0);
+
+        std::uint64_t reads = 0;
+        for (int ch = 0; ch < sys.numChannels(); ++ch) {
+            const ChannelController &ctl = sys.controller(ch);
+            reads += ctl.stats().readsCompleted;
+            streams[e].push_back(ctl.stats().cmdDigest);
+            streams[e].push_back(ctl.refreshStats().issued);
+        }
+        EXPECT_GT(reads, 0u);
+    }
+    EXPECT_EQ(streams[0], streams[1]);
+}
+
+TEST(RegistryDeath, PolicyWakeAtNowPanicsOnTheEventEngine)
+{
+    // A wake at the current tick is no wake at all: the event engine
+    // would skip ticks on which the cycle engine runs the policy. The
+    // policy registers in the death test's child, so the registry of
+    // this process stays as it is.
     SystemConfig cfg;
     cfg.numCores = 2;
-    cfg.mem.policy = "test_pulse";  // Alias, mixed case welcome.
-    TestPulseScheduler::constructed = 0;
-    TestPulseScheduler::issuedCount = 0;
-
-    System sys(cfg, std::vector<int>{0, 1});
-    EXPECT_EQ(sys.config().mem.policy, "TestPulse");  // Canonicalised.
-    EXPECT_EQ(sys.config().mem.refresh, RefreshMode::kAllBank);
-    EXPECT_EQ(TestPulseScheduler::constructed,
-              sys.config().mem.org.channels);
-
-    sys.run(20000);
-    EXPECT_GT(TestPulseScheduler::issuedCount, 0);
-
-    std::uint64_t reads = 0;
-    for (int ch = 0; ch < sys.numChannels(); ++ch)
-        reads += sys.controller(ch).stats().readsCompleted;
-    EXPECT_GT(reads, 0u);
+    cfg.engine = "event";
+    cfg.mem.policy = "TestStuckWake";
+    EXPECT_DEATH(
+        {
+            RefreshPolicyRegistry::instance().add(
+                {"TestStuckWake", "", nullptr,
+                 [](const MemConfig &c, const TimingParams &t,
+                    ControllerView &v) {
+                     return std::make_unique<StuckWakeScheduler>(&c, &t,
+                                                                 &v);
+                 }});
+            System sys(cfg, std::vector<int>{0, 1});
+            sys.run(20000);
+        },
+        "refresh policy wake not after the current tick");
 }
 
 // ---------------------------------------------------------------------
