@@ -179,18 +179,18 @@ TEST_F(SameBankDram, SliceRefreshesAllGroupBanksAndOnlyThem)
     // At the datasheet tRFCsb and under an override: the slice's banks
     // refresh for that long, and the refresh arm of Channel::issue()
     // bills REFsb alone and reports the [start, end) span.
-    for (const Cycles override : {Cycles(), Cycles(100)}) {
-        SCOPED_TRACE(override.count());
+    for (const Cycles t_override : {Cycles(), Cycles(100)}) {
+        SCOPED_TRACE(t_override.count());
         Channel channel(&cfg_, &timing_);
         std::vector<std::pair<Tick, Tick>> spans;
         channel.setRefreshSpanCallback(
             [&](Tick s, Tick e) { spans.emplace_back(s, e); });
         Command cmd = refSb(0);
-        cmd.tRfcOverride = override;
+        cmd.tRfcOverride = t_override;
         ASSERT_TRUE(channel.canIssue(cmd, 10));
         channel.issue(cmd, 10);
 
-        const Cycles t_rfc = override ? override : timing_.tRfcSb;
+        const Cycles t_rfc = t_override ? t_override : timing_.tRfcSb;
         const Tick end = Tick(10) + t_rfc;
         const Rank &rank = channel.rank(0);
         for (BankId b = 0; b < 4; ++b) {
