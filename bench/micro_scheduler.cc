@@ -198,11 +198,6 @@ class FrozenView : public ControllerView
     {
         return reads_.busyBanks() | writes_.busyBanks();
     }
-    int
-    pendingDemandsRank(RankId r) const override
-    {
-        return reads_.rankCount(r) + writes_.rankCount(r);
-    }
     bool inWritebackMode() const override { return writeback_; }
     Tick lastDemandActivity(RankId) const override { return 0; }
     const Channel &dram() const override { return channel_; }

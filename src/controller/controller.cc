@@ -85,12 +85,6 @@ ChannelController::pendingDemands(RankId r, BankId b) const
     return readQ_.bankCount(r, b) + writeQ_.bankCount(r, b);
 }
 
-int
-ChannelController::pendingDemandsRank(RankId r) const
-{
-    return readQ_.rankCount(r) + writeQ_.rankCount(r);
-}
-
 Tick
 ChannelController::lastDemandActivity(RankId r) const
 {
@@ -105,8 +99,7 @@ ChannelController::srDemandPending(RankId r) const
     // watermark fires, so below it they neither block self-refresh
     // entry nor wake a sleeping rank -- once writeback mode starts,
     // the batch needs the DRAM and the rank must be up.
-    const int banks = cfg_->org.banksPerRank;
-    const std::uint64_t rank_bits = lowBits(banks) << (r * banks);
+    const std::uint64_t rank_bits = channel_.rankBankBits(r);
     if (readQ_.busyBanks() & rank_bits)
         return true;
     return writeDrain_.active() && (writeQ_.busyBanks() & rank_bits);
@@ -120,27 +113,11 @@ ChannelController::resetStats()
     refreshSched_->resetStats();
 }
 
-Command
-ChannelController::toCommand(const RefreshRequest &req) const
-{
-    Command cmd;
-    cmd.type = req.allBank ? CommandType::kRefAb
-        : req.sameBank     ? CommandType::kRefSb
-                           : CommandType::kRefPb;
-    cmd.rank = req.rank;
-    cmd.bank = req.bank;  // Bank-group index for same-bank requests.
-    cmd.tRfcOverride = req.tRfcOverride;
-    cmd.rowsOverride = req.rowsOverride;
-    cmd.hidden = req.hidden;
-    return cmd;
-}
-
 std::uint64_t
-ChannelController::refreshBanks(const RefreshRequest &req) const
+ChannelController::refreshBanks(const Command &cmd) const
 {
-    const Command cmd = toCommand(req);
-    return channel_.rank(req.rank).refreshBanks(cmd.type, cmd.bank)
-        << (req.rank * cfg_->org.banksPerRank);
+    return channel_.rank(cmd.rank).refreshBanks(cmd.type, cmd.bank)
+        << (cmd.rank * cfg_->org.banksPerRank);
 }
 
 Tick
@@ -219,12 +196,12 @@ ChannelController::arbitrate(Tick now)
     std::uint64_t act_blocked = 0;
     for (const RefreshRequest &req : urgentScratch_) {
         if (req.blocking)
-            act_blocked |= refreshBanks(req);
+            act_blocked |= refreshBanks(req.cmd);
     }
 
     // 1. Urgent refreshes, in policy priority order.
     for (const RefreshRequest &req : urgentScratch_) {
-        if (tryIssue(toCommand(req), now)) {
+        if (tryIssue(req.cmd, now)) {
             refreshSched_->onIssued(req, now);
             return;
         }
@@ -257,12 +234,13 @@ ChannelController::arbitrate(Tick now)
         for (const RefreshRequest &req : urgentScratch_) {
             if (!req.blocking)
                 continue;
-            for (std::uint64_t open = refreshBanks(req) & channel_.openBanks();
+            const Command &ref = req.cmd;
+            for (std::uint64_t open = refreshBanks(ref) & channel_.openBanks();
                  open; open &= open - 1) {
                 Command pre;
                 pre.type = CommandType::kPre;
-                pre.rank = req.rank;
-                pre.bank = std::countr_zero(open) - req.rank * banks_per_rank;
+                pre.rank = ref.rank;
+                pre.bank = std::countr_zero(open) - ref.rank * banks_per_rank;
                 if (tryIssue(pre, now))
                     return;
             }
@@ -307,7 +285,7 @@ ChannelController::arbitrate(Tick now)
     const bool opp_wanted = refreshSched_->opportunistic(now, opp);
     oppDraws_ = rng_.draws() - draws_before;
     if (opp_wanted) {
-        if (tryIssue(toCommand(opp), now)) {
+        if (tryIssue(opp.cmd, now)) {
             refreshSched_->onIssued(opp, now);
             return;
         }

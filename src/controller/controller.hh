@@ -135,7 +135,6 @@ class ChannelController : public ControllerView
     {
         return readQ_.busyBanks() | writeQ_.busyBanks();
     }
-    int pendingDemandsRank(RankId r) const override;
     bool inWritebackMode() const override { return writeDrain_.active(); }
     Tick lastDemandActivity(RankId r) const override;
     ChannelId channelId() const override { return id_; }
@@ -174,11 +173,11 @@ class ChannelController : public ControllerView
 
     /** issue() @p cmd if it is legal at @p now. */
     bool tryIssue(const Command &cmd, Tick now);
-    Command toCommand(const RefreshRequest &req) const;
 
-    /** Channel bank bits @p req takes away (Rank::refreshBanks()):
-     *  the blocked-ACT mask and the precharge assist. */
-    std::uint64_t refreshBanks(const RefreshRequest &req) const;
+    /** Channel bank bits refresh @p cmd takes away
+     *  (Rank::refreshBanks()): the blocked-ACT mask and the precharge
+     *  assist. */
+    std::uint64_t refreshBanks(const Command &cmd) const;
 
     /** Demand that needs the rank awake: queued reads, or queued
      *  writes once a write drain is active. */

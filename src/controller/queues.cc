@@ -56,15 +56,6 @@ RequestQueue::pop(int i)
 }
 
 int
-RequestQueue::rankCount(RankId r) const
-{
-    int total = 0;
-    for (int b = 0; b < banks_; ++b)
-        total += bankCount_[r * banks_ + b];
-    return total;
-}
-
-int
 RequestQueue::findAddr(Addr addr, RankId r, BankId b) const
 {
     for (std::uint64_t pos = positions_[r * banks_ + b]; pos;

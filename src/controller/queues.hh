@@ -8,7 +8,7 @@
  * mask of the banks with queued work (bank bit rank x banksPerRank +
  * bank, as in Channel::openBanks()). The pick walks banks through
  * these masks instead of scanning every entry; a bank's lowest set bit
- * is its oldest request. The per-bank counts are what DARP's
+ * is its oldest request. The busy-bank mask is what DARP's
  * out-of-order refresh monitors (paper Section 4.2.1). The config
  * bounds a queue to 64 entries (MemConfig::kMaxQueueSize).
  */
@@ -49,18 +49,16 @@ class RequestQueue
     /** Queue positions whose request targets bank bit @p bankIdx. */
     std::uint64_t positions(int bankIdx) const { return positions_[bankIdx]; }
 
-    /** Queued requests targeting a bank. A counter, not the popcount
-     *  of the bank's positions: DARP asks for it per bank on every
-     *  tick, and without a POPCNT target flag std::popcount compiles
-     *  to a library call. */
+    /** Queued requests targeting a bank: ControllerView::
+     *  pendingDemands(), which only DARP's write-refresh choice asks
+     *  for. A counter, not the popcount of the bank's positions:
+     *  without a POPCNT target flag std::popcount compiles to a
+     *  library call. */
     int
     bankCount(RankId r, BankId b) const
     {
         return bankCount_[r * banks_ + b];
     }
-
-    /** Queued requests targeting a rank. */
-    int rankCount(RankId r) const;
 
     /** First index whose request matches @p addr, or -1, walking only
      *  the positions of (rank, bank): equal addresses decode to the

@@ -81,6 +81,14 @@ class Channel
      */
     std::uint64_t openBanks() const { return openBanks_; }
 
+    /** Rank @p r's bits in openBanks() and every other bank mask. */
+    std::uint64_t
+    rankBankBits(RankId r) const
+    {
+        const int banks = cfg_->org.banksPerRank;
+        return lowBits(banks) << (r * banks);
+    }
+
     /**
      * Issue a command (must be legal). Returns the tick the data burst
      * completes for column commands (read data arrival / write data end);
@@ -153,14 +161,6 @@ class Channel
     {
         return std::uint64_t(1)
             << (cmd.rank * cfg_->org.banksPerRank + cmd.bank);
-    }
-
-    /** Rank @p r's bits in openBanks_. */
-    std::uint64_t
-    rankBankBits(RankId r) const
-    {
-        const int banks = cfg_->org.banksPerRank;
-        return lowBits(banks) << (r * banks);
     }
 
     const MemConfig *cfg_;

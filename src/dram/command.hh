@@ -90,6 +90,8 @@ struct Command
      * (legal only tHiRA cycles after the demand ACT).
      */
     bool hidden = false;
+
+    bool operator==(const Command &) const = default;
 };
 
 const char *commandName(CommandType t);

@@ -43,8 +43,8 @@ AllBankScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
             continue;  // The device refreshes itself; ledger paused.
         if (ledger_.due(r)) {
             RefreshRequest req;
-            req.allBank = true;
-            req.rank = r;
+            req.cmd.type = CommandType::kRefAb;
+            req.cmd.rank = r;
             req.blocking = true;
             out.push_back(req);
         }
@@ -54,7 +54,7 @@ AllBankScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
 void
 AllBankScheduler::onIssued(const RefreshRequest &req, Tick)
 {
-    ledger_.onRefresh(req.rank);
+    ledger_.onRefresh(req.cmd.rank);
     ++stats_.issued;
 }
 

@@ -102,9 +102,9 @@ RefreshRequest
 DarpScheduler::request(RankId r, int u, bool blocking) const
 {
     RefreshRequest req;
-    req.sameBank = sameBank_;
-    req.rank = r;
-    req.bank = u;
+    req.cmd.type = sameBank_ ? CommandType::kRefSb : CommandType::kRefPb;
+    req.cmd.rank = r;
+    req.cmd.bank = u;
     req.blocking = blocking;
     return req;
 }
@@ -217,7 +217,7 @@ DarpScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
                         : 0;
                 }
                 if (draw == 1) {
-                    req.rowsOverride = 2 * timing_->rowsPerRefresh;
+                    req.cmd.rowsOverride = 2 * timing_->rowsPerRefresh;
                     req.ledgerParts = 2 * slot_;
                 }
             }
@@ -270,21 +270,18 @@ DarpScheduler::opportunistic(Tick now, RefreshRequest &out)
         while ((bits &= ~blocked)) {
             const int idx = std::countr_zero(bits);
             const RankId r = idx / units_;
-            const Rank &rk = view_->dram().rank(r);
             // canRefSb() implies canRefPbRankLevel(), so the rank test
             // skips no slice that could refresh.
-            if (!rk.canRefPbRankLevel(now)) {
+            if (!view_->dram().rank(r).canRefPbRankLevel(now)) {
                 blocked |= ledger_.rankMask(r);
                 continue;
             }
             bits &= bits - 1;
-            const int u = idx % units_;
-            if (sameBank_ ? !rk.canRefSb(now, u)
-                          : !rk.bank(u).canRefresh(now)) {
-                continue;
+            const RefreshRequest req = request(r, idx % units_, false);
+            if (view_->dram().canIssue(req.cmd, now)) {
+                out = req;
+                return true;
             }
-            out = request(r, u, false);
-            return true;
         }
     }
     return false;
@@ -293,16 +290,17 @@ DarpScheduler::opportunistic(Tick now, RefreshRequest &out)
 void
 DarpScheduler::onIssued(const RefreshRequest &req, Tick)
 {
-    if (ledger_.mustForce(req.rank, req.bank))
+    const RankId r = req.cmd.rank;
+    const int u = req.cmd.bank;
+    if (ledger_.mustForce(r, u))
         ++stats_.forced;
-    if (ledger_.owed(req.rank, req.bank) <= 0)
+    if (ledger_.owed(r, u) <= 0)
         ++stats_.pulledIn;
     // One command retires its unit's slot (a slice: every bank of the
     // group at once); a paired command retires two.
-    ledger_.onPartialRefresh(req.rank, req.bank,
-                             req.ledgerParts ? req.ledgerParts : slot_);
-    dueNow_ &= ~(std::uint64_t(1) << index(req.rank, req.bank));
-    pairDraw_[index(req.rank, req.bank)] = -1;
+    ledger_.onPartialRefresh(r, u, req.ledgerParts ? req.ledgerParts : slot_);
+    dueNow_ &= ~(std::uint64_t(1) << index(r, u));
+    pairDraw_[index(r, u)] = -1;
     ++stats_.issued;
 }
 

@@ -77,7 +77,7 @@ class DarpScheduler : public LedgerScheduler
     // out-of-order scheduling with hidden-refresh issue paths.
     int index(RankId r, int u) const { return r * units_ + u; }
 
-    /** A refresh of unit @p u of rank @p r. */
+    /** The REFpb (REFsb for slices) of unit @p u of rank @p r. */
     RefreshRequest request(RankId r, int u, bool blocking) const;
 
     /** Units holding a set bit of @p banks, a bank mask in the layout

@@ -50,14 +50,14 @@ ElasticScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
         // the rank has no demand and has been idle long enough for the
         // current elasticity level.
         if (!ledger_.mustForce(r) &&
-            (view_->pendingDemandsRank(r) != 0 ||
+            ((view_->demandBanks() & view_->dram().rankBankBits(r)) ||
              now - view_->lastDemandActivity(r) <
                  idleThreshold(ledger_.owed(r)))) {
             continue;
         }
         RefreshRequest req;
-        req.allBank = true;
-        req.rank = r;
+        req.cmd.type = CommandType::kRefAb;
+        req.cmd.rank = r;
         req.blocking = true;
         out.push_back(req);
     }
@@ -72,7 +72,7 @@ ElasticScheduler::nextWake(Tick now)
             ledger_.mustForce(r)) {
             continue;
         }
-        if (view_->pendingDemandsRank(r) != 0)
+        if (view_->demandBanks() & view_->dram().rankBankBits(r))
             continue;  // Next demand dequeue is a command, hence a wake.
         const Tick release =
             view_->lastDemandActivity(r) + idleThreshold(ledger_.owed(r));
@@ -85,11 +85,11 @@ ElasticScheduler::nextWake(Tick now)
 void
 ElasticScheduler::onIssued(const RefreshRequest &req, Tick)
 {
-    if (ledger_.mustForce(req.rank))
+    if (ledger_.mustForce(req.cmd.rank))
         ++stats_.forced;
-    if (ledger_.owed(req.rank) > 1)
+    if (ledger_.owed(req.cmd.rank) > 1)
         ++stats_.postponed;
-    ledger_.onRefresh(req.rank);
+    ledger_.onRefresh(req.cmd.rank);
     ++stats_.issued;
 }
 

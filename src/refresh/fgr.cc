@@ -103,12 +103,12 @@ AdaptiveScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
         }
 
         RefreshRequest req;
-        req.allBank = true;
-        req.rank = r;
+        req.cmd.type = CommandType::kRefAb;
+        req.cmd.rank = r;
         req.blocking = true;
         if (use_fast) {
-            req.tRfcOverride = tRfc4x_;
-            req.rowsOverride = rows4x_;
+            req.cmd.tRfcOverride = tRfc4x_;
+            req.cmd.rowsOverride = rows4x_;
             req.ledgerParts = 1;
         } else {
             req.ledgerParts = 4;
@@ -120,14 +120,16 @@ AdaptiveScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
 void
 AdaptiveScheduler::onIssued(const RefreshRequest &req, Tick)
 {
-    if (ledger_.mustForce(req.rank))
+    const RankId r = req.cmd.rank;
+    if (ledger_.mustForce(r))
         ++stats_.forced;
     const int parts = req.ledgerParts ? req.ledgerParts : 4;
-    ledger_.onPartialRefresh(req.rank, 0, parts);
-    budget_[req.rank] -= static_cast<double>(
-        (req.tRfcOverride ? req.tRfcOverride : timing_->tRfcAb).count());
-    if (req.ledgerParts == 1 && pending4x_[req.rank] > 0)
-        --pending4x_[req.rank];
+    ledger_.onPartialRefresh(r, 0, parts);
+    const Cycles t_rfc =
+        req.cmd.tRfcOverride ? req.cmd.tRfcOverride : timing_->tRfcAb;
+    budget_[r] -= static_cast<double>(t_rfc.count());
+    if (req.ledgerParts == 1 && pending4x_[r] > 0)
+        --pending4x_[r];
     ++stats_.issued;
 }
 

@@ -71,7 +71,6 @@ HiraScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
     // the same bank while the open row keeps serving. Non-blocking --
     // issued only when legal this tick.
     for (RankId r = 0; r < ledger_.numRanks(); ++r) {
-        const Rank &rk = view_->dram().rank(r);
         for (BankId b = 0; b < units_; ++b) {
             HiddenWindow &win = windows_[index(r, b)];
             if (!win.armed || now < win.readyAt)
@@ -82,18 +81,15 @@ HiraScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
             }
             if (!ledger_.canPullInParts(r, b, 1))
                 continue;
-            if (!rk.canRefPbRankLevel(now) ||
-                !rk.bank(b).canHiddenRefresh(now)) {
-                continue;
-            }
             // An activation-based refresh of a single row: the hidden
             // ACT-PRE cycle, not a full multi-row REFpb.
             RefreshRequest req = request(r, b, false);
-            req.hidden = true;
-            req.tRfcOverride = timing_->tRc;
-            req.rowsOverride = 1;
+            req.cmd.hidden = true;
+            req.cmd.tRfcOverride = timing_->tRc;
+            req.cmd.rowsOverride = 1;
             req.ledgerParts = 1;
-            out.push_back(req);
+            if (view_->dram().canIssue(req.cmd, now))
+                out.push_back(req);
         }
     }
 }
@@ -112,11 +108,12 @@ HiraScheduler::nextWake(Tick now)
 void
 HiraScheduler::onIssued(const RefreshRequest &req, Tick now)
 {
-    if (req.hidden) {
-        if (ledger_.owed(req.rank, req.bank) <= 0)
+    const Command &cmd = req.cmd;
+    if (cmd.hidden) {
+        if (ledger_.owed(cmd.rank, cmd.bank) <= 0)
             ++stats_.pulledIn;
-        ledger_.onPartialRefresh(req.rank, req.bank, req.ledgerParts);
-        windows_[index(req.rank, req.bank)].armed = false;
+        ledger_.onPartialRefresh(cmd.rank, cmd.bank, req.ledgerParts);
+        windows_[index(cmd.rank, cmd.bank)].armed = false;
         ++stats_.issued;
         return;
     }

@@ -46,8 +46,9 @@ PerBankScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
         const BankId b = rrIndex_[r];
         if (ledger_.due(r, b)) {
             RefreshRequest req;
-            req.rank = r;
-            req.bank = b;
+            req.cmd.type = CommandType::kRefPb;
+            req.cmd.rank = r;
+            req.cmd.bank = b;
             req.blocking = true;
             out.push_back(req);
         }
@@ -57,8 +58,8 @@ PerBankScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
 void
 PerBankScheduler::onIssued(const RefreshRequest &req, Tick)
 {
-    ledger_.onRefresh(req.rank, req.bank);
-    rrIndex_[req.rank] = (req.bank + 1) % ledger_.banksPerRank();
+    ledger_.onRefresh(req.cmd.rank, req.cmd.bank);
+    rrIndex_[req.cmd.rank] = (req.cmd.bank + 1) % ledger_.banksPerRank();
     ++stats_.issued;
 }
 

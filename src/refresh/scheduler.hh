@@ -30,11 +30,12 @@ namespace dsarp {
 
 /**
  * Controller state a refresh policy may observe (paper Section 4.2.1:
- * DARP monitors the bank request queues' occupancies). Per-bank counts
- * answer "how many"; demandBanks() answers "which banks" for the whole
- * channel at once, in the bank-bit layout of Channel::openBanks() and
- * RefreshLedger's unit masks, so a policy can pick candidates with
- * mask arithmetic instead of asking bank by bank.
+ * DARP monitors the bank request queues' occupancies). demandBanks()
+ * answers "which banks have demand" for the whole channel at once, in
+ * the bank-bit layout of Channel::openBanks() and RefreshLedger's unit
+ * masks, so a policy picks candidates with mask arithmetic (a rank has
+ * demand when any of its Channel::rankBankBits() is set) and asks
+ * pendingDemands() "how many" only for the banks it must weigh.
  */
 class ControllerView
 {
@@ -47,7 +48,6 @@ class ControllerView
     /** Banks with pendingDemands() > 0: bit rank x banksPerRank +
      *  bank. */
     virtual std::uint64_t demandBanks() const = 0;
-    virtual int pendingDemandsRank(RankId r) const = 0;
 
     /** True while the channel drains a write batch (writeback mode). */
     virtual bool inWritebackMode() const = 0;
@@ -64,21 +64,18 @@ class ControllerView
     virtual Rng &schedulerRng() = 0;
 };
 
-/** One refresh the policy wants issued. */
+/**
+ * One refresh the policy wants issued: the REFab, REFpb or REFsb
+ * command itself, with any overrides (FGR/AR latency and rows, HiRA's
+ * hidden one-row refresh), which the controller issues as written.
+ */
 struct RefreshRequest
 {
-    bool allBank = false;
-    /** Same-bank refresh (DDR5 REFsb): `bank` holds the bank-group
-     *  index; the command refreshes that whole slice. */
-    bool sameBank = false;
-    RankId rank = 0;
-    BankId bank = 0;        ///< Ignored for all-bank requests.
+    Command cmd{};
     bool blocking = false;  ///< Stop new ACTs to the target until issued.
-    /** Nonzero: refresh latency in cycles (FGR/AR). */
-    Cycles tRfcOverride{};
-    int rowsOverride = 0;   ///< Nonzero: rows advanced by this refresh.
     int ledgerParts = 0;    ///< Ledger sub-units retired (0 = full slot).
-    bool hidden = false;    ///< HiRA: refresh beneath the bank's open row.
+
+    bool operator==(const RefreshRequest &) const = default;
 };
 
 /** Counters reported by every policy. */

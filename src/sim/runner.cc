@@ -11,7 +11,6 @@
 #include "common/rng.hh"
 #include "dram/address.hh"
 #include "dram/spec.hh"
-#include "refresh/registry.hh"
 #include "sim/metrics.hh"
 
 namespace dsarp {
@@ -32,22 +31,6 @@ envKnob(const char *name, std::uint64_t fallback)
                      name, value);
     }
     return parsed;
-}
-
-std::string
-RunConfig::mechanismName() const
-{
-    return RefreshPolicyRegistry::instance().at(policy).name;
-}
-
-RunConfig
-mechNamed(const std::string &policy, Density d, const std::string &dramSpec)
-{
-    RunConfig cfg;
-    cfg.density = d;
-    cfg.policy = policy;
-    cfg.dramSpec = dramSpec;
-    return cfg;
 }
 
 SystemConfig

@@ -99,18 +99,7 @@ struct RunConfig
      * Runner::runTraffic().
      */
     TrafficConfig traffic;
-
-    /** The canonical spelling of `policy` (REFab, DSARP, ...). */
-    std::string mechanismName() const;
 };
-
-/**
- * The sweep point for a mechanism by registry name -- anything
- * MemConfig::policy accepts -- at density @p d, optionally on a DRAM
- * spec by registry name (empty keeps the default, DDR3-1333).
- */
-RunConfig mechNamed(const std::string &policy, Density d,
-                    const std::string &dramSpec = "");
 
 /** Per-tenant figures of an open-loop (traffic) run. */
 struct TenantResult

@@ -3,7 +3,8 @@
  * A scriptable ControllerView for unit-testing refresh policies without a
  * full controller: pending-demand counts, writeback-mode flag, and idle
  * timestamps are set directly by the test; the DRAM state is a real
- * Channel the test drives.
+ * Channel the test drives, and a policy's requests issue on it as the
+ * controller issues them: req.cmd, then onIssued().
  */
 
 #ifndef DSARP_TESTS_MOCK_VIEW_HH
@@ -46,15 +47,6 @@ class MockView : public ControllerView
         return banks;
     }
 
-    int
-    pendingDemandsRank(RankId r) const override
-    {
-        int total = 0;
-        for (BankId b = 0; b < cfg_->org.banksPerRank; ++b)
-            total += pendingDemands(r, b);
-        return total;
-    }
-
     bool inWritebackMode() const override { return writeback_; }
 
     Tick
@@ -74,6 +66,31 @@ class MockView : public ControllerView
     void setLastActivity(RankId r, Tick t) { lastActivity_[r] = t; }
     Channel &channel() { return channel_; }
     /// @}
+
+    /** Issue @p req's command if it is legal at @p now, and tell
+     *  @p sched; false when it is not legal. */
+    bool
+    issueRefresh(RefreshScheduler &sched, const RefreshRequest &req, Tick now)
+    {
+        if (!channel_.canIssue(req.cmd, now))
+            return false;
+        channel_.issue(req.cmd, now);
+        sched.onIssued(req, now);
+        return true;
+    }
+
+    /** issueRefresh() the first legal request of @p reqs, as the
+     *  controller's urgent step does: the one issued, or nullptr. */
+    const RefreshRequest *
+    issueFirstLegal(RefreshScheduler &sched,
+                    const std::vector<RefreshRequest> &reqs, Tick now)
+    {
+        for (const RefreshRequest &req : reqs) {
+            if (issueRefresh(sched, req, now))
+                return &req;
+        }
+        return nullptr;
+    }
 
   private:
     int

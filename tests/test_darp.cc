@@ -29,24 +29,6 @@ class DarpTest : public ::testing::Test
                                                  view_.get());
     }
 
-    /** Issue the first legal request from a list; true if issued. */
-    bool
-    issueFirstLegal(const std::vector<RefreshRequest> &reqs, Tick t)
-    {
-        for (const RefreshRequest &req : reqs) {
-            Command cmd;
-            cmd.type = CommandType::kRefPb;
-            cmd.rank = req.rank;
-            cmd.bank = req.bank;
-            if (view_->channel().canIssue(cmd, t)) {
-                view_->channel().issue(cmd, t);
-                sched_->onIssued(req, t);
-                return true;
-            }
-        }
-        return false;
-    }
-
     MemConfig cfg_;
     TimingParams timing_;
     std::unique_ptr<MockView> view_;
@@ -65,7 +47,7 @@ TEST_F(DarpTest, PostponesRefreshOfBusyBank)
         urgent.clear();
         sched_->urgent(t, urgent);
         for (const RefreshRequest &req : urgent)
-            EXPECT_FALSE(req.rank == 0 && req.bank == 0)
+            EXPECT_FALSE(req.cmd.rank == 0 && req.cmd.bank == 0)
                 << "busy bank must not be refreshed while credit remains";
     }
     EXPECT_GT(sched_->stats().postponed, 0u);
@@ -81,7 +63,7 @@ TEST_F(DarpTest, RefreshesIdleBankOnTime)
         sched_->tick(t);
         urgent.clear();
         sched_->urgent(t, urgent);
-        if (issueFirstLegal(urgent, t))
+        if (view_->issueFirstLegal(*sched_, urgent, t))
             ++issued;
     }
     // Accrual starts one period in: one full interval of obligations
@@ -102,18 +84,11 @@ TEST_F(DarpTest, ForcesBusyBankAtCreditLimit)
         urgent.clear();
         sched_->urgent(t, urgent);
         for (const RefreshRequest &req : urgent) {
-            if (req.rank == 0 && req.bank == 0) {
-                Command cmd;
-                cmd.type = CommandType::kRefPb;
-                cmd.rank = 0;
-                cmd.bank = 0;
-                if (view_->channel().canIssue(cmd, t)) {
-                    view_->channel().issue(cmd, t);
-                    sched_->onIssued(req, t);
-                    forced_bank0 = true;
-                    if (!forced_at)
-                        forced_at = t;
-                }
+            if (req.cmd.rank == 0 && req.cmd.bank == 0 &&
+                view_->issueRefresh(*sched_, req, t)) {
+                forced_bank0 = true;
+                if (!forced_at)
+                    forced_at = t;
             }
         }
         if (forced_bank0)
@@ -133,7 +108,7 @@ TEST_F(DarpTest, OpportunisticPullsInIdleBank)
     sched_->tick(1);
     RefreshRequest opp;
     ASSERT_TRUE(sched_->opportunistic(1, opp));
-    EXPECT_EQ(view_->pendingDemands(opp.rank, opp.bank), 0)
+    EXPECT_EQ(view_->pendingDemands(opp.cmd.rank, opp.cmd.bank), 0)
         << "pull-in target must be idle";
     EXPECT_FALSE(opp.blocking);
 }
@@ -151,13 +126,7 @@ TEST_F(DarpTest, OpportunisticRespectsPullInBound)
             t += 1;
             continue;
         }
-        Command cmd;
-        cmd.type = CommandType::kRefPb;
-        cmd.rank = opp.rank;
-        cmd.bank = opp.bank;
-        ASSERT_TRUE(view_->channel().canIssue(cmd, t));
-        view_->channel().issue(cmd, t);
-        sched_->onIssued(opp, t);
+        ASSERT_TRUE(view_->issueRefresh(*sched_, opp, t));
         ++issued;
         t += timing_.tRfcPb + Cycles(1);
     }
@@ -195,10 +164,10 @@ TEST_F(DarpTest, WriteRefreshParallelizationPicksLeastLoadedBank)
     // Find the rank-0 injection (non-blocking request).
     bool found = false;
     for (const RefreshRequest &req : urgent) {
-        if (!req.blocking && req.rank == 0) {
-            EXPECT_EQ(view_->pendingDemands(0, req.bank), 1)
+        if (!req.blocking && req.cmd.rank == 0) {
+            EXPECT_EQ(view_->pendingDemands(0, req.cmd.bank), 1)
                 << "bank 3 has the fewest pending demands";
-            EXPECT_EQ(req.bank, 3);
+            EXPECT_EQ(req.cmd.bank, 3);
             found = true;
         }
     }
@@ -230,7 +199,7 @@ TEST_F(DarpTest, NoInjectionWhileRefreshInFlight)
     std::vector<RefreshRequest> urgent;
     sched_->urgent(1, urgent);
     for (const RefreshRequest &req : urgent)
-        EXPECT_NE(req.rank, 0)
+        EXPECT_NE(req.cmd.rank, 0)
             << "Algorithm 1 waits for the in-flight refresh";
 }
 

@@ -57,17 +57,7 @@ TEST_F(ErratumTest, CreditNeverExceedsEightUnderPermanentLoad)
         sched.tick(t);
         urgent.clear();
         sched.urgent(t, urgent);
-        for (const RefreshRequest &req : urgent) {
-            Command cmd;
-            cmd.type = CommandType::kRefPb;
-            cmd.rank = req.rank;
-            cmd.bank = req.bank;
-            if (view_->channel().canIssue(cmd, t)) {
-                view_->channel().issue(cmd, t);
-                sched.onIssued(req, t);
-                break;
-            }
-        }
+        view_->issueFirstLegal(sched, urgent, t);
         for (RankId r = 0; r < 2; ++r)
             for (BankId b = 0; b < 8; ++b)
                 ASSERT_LE(sched.ledger().owed(r, b), 8)
@@ -88,19 +78,9 @@ TEST_F(ErratumTest, SaturatedBankRefreshedEveryIntervalOnceAtLimit)
         sched.tick(t);
         urgent.clear();
         sched.urgent(t, urgent);
-        for (const RefreshRequest &req : urgent) {
-            Command cmd;
-            cmd.type = CommandType::kRefPb;
-            cmd.rank = req.rank;
-            cmd.bank = req.bank;
-            if (view_->channel().canIssue(cmd, t)) {
-                view_->channel().issue(cmd, t);
-                sched.onIssued(req, t);
-                if (req.rank == 0 && req.bank == 0)
-                    bank0_refreshes.push_back(t);
-                break;
-            }
-        }
+        const RefreshRequest *req = view_->issueFirstLegal(sched, urgent, t);
+        if (req && req->cmd.rank == 0 && req->cmd.bank == 0)
+            bank0_refreshes.push_back(t);
     }
     // 24 intervals, limit reached after ~8: at least ~14 forced
     // refreshes follow, spaced about one interval apart.

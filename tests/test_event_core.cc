@@ -144,18 +144,6 @@ describe(const TimedCommand &tc)
     return os.str();
 }
 
-bool
-sameCommand(const TimedCommand &a, const TimedCommand &b)
-{
-    return a.tick == b.tick && a.cmd.type == b.cmd.type &&
-           a.cmd.rank == b.cmd.rank && a.cmd.bank == b.cmd.bank &&
-           a.cmd.row == b.cmd.row && a.cmd.column == b.cmd.column &&
-           a.cmd.subarray == b.cmd.subarray &&
-           a.cmd.tRfcOverride == b.cmd.tRfcOverride &&
-           a.cmd.rowsOverride == b.cmd.rowsOverride &&
-           a.cmd.hidden == b.cmd.hidden;
-}
-
 void
 expectStatsEqual(const ChannelStats &c, const ChannelStats &e,
                  const std::string &ctx)
@@ -214,7 +202,7 @@ equivalentOne(const std::string &spec, const std::string &mech,
         // Find the first divergence instead of dumping both logs.
         const std::size_t n = std::min(cl.size(), el.size());
         for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_TRUE(sameCommand(cl[i], el[i]))
+            ASSERT_TRUE(cl[i].tick == el[i].tick && cl[i].cmd == el[i].cmd)
                 << ctx.str() << " channel=" << ch << " index=" << i
                 << "\n  cycle: " << describe(cl[i])
                 << "\n  event: " << describe(el[i]);

@@ -118,7 +118,6 @@ TEST(Hira, FactoryBuildsAHiraScheduler)
         }
         int pendingDemands(RankId, BankId) const override { return 0; }
         std::uint64_t demandBanks() const override { return 0; }
-        int pendingDemandsRank(RankId) const override { return 0; }
         bool inWritebackMode() const override { return false; }
         Tick lastDemandActivity(RankId) const override { return 0; }
         const Channel &dram() const override { return dram_; }

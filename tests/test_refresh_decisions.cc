@@ -38,6 +38,18 @@ namespace {
 // Reference decisions: per-unit walks.
 // ---------------------------------------------------------------------
 
+/** A refresh of kind @p type for unit @p u of rank @p r. */
+RefreshRequest
+refresh(CommandType type, RankId r, int u, bool blocking)
+{
+    RefreshRequest req;
+    req.cmd.type = type;
+    req.cmd.rank = r;
+    req.cmd.bank = u;
+    req.blocking = blocking;
+    return req;
+}
+
 /** HiRA's refresh-refresh pairing at coverage 1: a unit owing at least
  *  two slots of @p slot ledger parts covers two slots' rows and retires
  *  two slots. @p slot 0: pairing off. */
@@ -45,8 +57,8 @@ void
 referencePair(RefreshRequest &req, const RefreshLedger &ledger, int slot,
               const TimingParams &timing)
 {
-    if (slot > 0 && ledger.owed(req.rank, req.bank) >= 2 * slot) {
-        req.rowsOverride = 2 * timing.rowsPerRefresh;
+    if (slot > 0 && ledger.owed(req.cmd.rank, req.cmd.bank) >= 2 * slot) {
+        req.cmd.rowsOverride = 2 * timing.rowsPerRefresh;
         req.ledgerParts = 2 * slot;
     }
 }
@@ -69,10 +81,7 @@ referenceDarpUrgent(const DarpScheduler &sched, const MockView &view,
         for (BankId b = 0; b < banks; ++b) {
             const bool due = sched.dueNow() >> (r * banks + b) & 1;
             if (ledger.mustForce(r, b) || due) {
-                RefreshRequest req;
-                req.rank = r;
-                req.bank = b;
-                req.blocking = true;
+                RefreshRequest req = refresh(CommandType::kRefPb, r, b, true);
                 referencePair(req, ledger, pair_slot, timing);
                 out.push_back(req);
             }
@@ -99,12 +108,8 @@ referenceDarpUrgent(const DarpScheduler &sched, const MockView &view,
                 best_count = count;
             }
         }
-        if (best != kNone) {
-            RefreshRequest req;
-            req.rank = r;
-            req.bank = best;
-            out.push_back(req);
-        }
+        if (best != kNone)
+            out.push_back(refresh(CommandType::kRefPb, r, best, false));
     }
     return out;
 }
@@ -129,9 +134,7 @@ referenceDarpOpportunistic(const DarpScheduler &sched, const MockView &view,
             !rk.canRefPbRankLevel(now) || !rk.bank(b).canRefresh(now)) {
             continue;
         }
-        out = RefreshRequest{};
-        out.rank = r;
-        out.bank = b;
+        out = refresh(CommandType::kRefPb, r, b, false);
         return true;
     }
     return false;
@@ -165,11 +168,7 @@ referenceSbUrgent(const DarpScheduler &sched, const MockView &view,
                 !(sched.dueNow() >> (r * groups + g) & 1)) {
                 continue;
             }
-            RefreshRequest req;
-            req.sameBank = true;
-            req.rank = r;
-            req.bank = g;
-            req.blocking = true;
+            RefreshRequest req = refresh(CommandType::kRefSb, r, g, true);
             referencePair(req, ledger, pair_slot, timing);
             out.push_back(req);
         }
@@ -200,10 +199,7 @@ referenceSbOpportunistic(const DarpScheduler &sched,
             !view.dram().rank(r).canRefSb(now, g)) {
             continue;
         }
-        out = RefreshRequest{};
-        out.sameBank = true;
-        out.rank = r;
-        out.bank = g;
+        out = refresh(CommandType::kRefSb, r, g, false);
         return true;
     }
     return false;
@@ -213,32 +209,23 @@ referenceSbOpportunistic(const DarpScheduler &sched,
 // Comparison and outcome bookkeeping.
 // ---------------------------------------------------------------------
 
-bool
-sameRequest(const RefreshRequest &a, const RefreshRequest &b)
-{
-    return a.allBank == b.allBank && a.sameBank == b.sameBank &&
-        a.rank == b.rank && a.bank == b.bank && a.blocking == b.blocking &&
-        a.tRfcOverride == b.tRfcOverride &&
-        a.rowsOverride == b.rowsOverride &&
-        a.ledgerParts == b.ledgerParts && a.hidden == b.hidden;
-}
-
 ::testing::AssertionResult
 sameRequests(const std::vector<RefreshRequest> &got,
              const std::vector<RefreshRequest> &want)
 {
-    bool equal = got.size() == want.size();
-    for (std::size_t i = 0; equal && i < got.size(); ++i)
-        equal = sameRequest(got[i], want[i]);
-    if (equal)
+    if (got == want)
         return ::testing::AssertionSuccess();
     auto fail = ::testing::AssertionFailure();
+    const auto describe = [&fail](const RefreshRequest &r) {
+        fail << " (" << commandName(r.cmd.type) << "," << r.cmd.rank << ","
+             << r.cmd.bank << (r.blocking ? ",b)" : ")");
+    };
     fail << "got";
     for (const RefreshRequest &r : got)
-        fail << " (" << r.rank << "," << r.bank << (r.blocking ? ",b)" : ")");
+        describe(r);
     fail << " want";
     for (const RefreshRequest &r : want)
-        fail << " (" << r.rank << "," << r.bank << (r.blocking ? ",b)" : ")");
+        describe(r);
     return fail;
 }
 
@@ -403,22 +390,6 @@ advance(Tick now, Rng &rng, const TimingParams &timing, Cycles t_rfc)
     return now + 1 + rng.below(12);
 }
 
-/** Issue @p req on the channel if legal and tell the policy. */
-bool
-issueRefresh(MockView &view, RefreshScheduler &sched,
-             const RefreshRequest &req, Tick now)
-{
-    Command cmd;
-    cmd.type = req.sameBank ? CommandType::kRefSb : CommandType::kRefPb;
-    cmd.rank = req.rank;
-    cmd.bank = req.bank;
-    if (!view.channel().canIssue(cmd, now))
-        return false;
-    view.channel().issue(cmd, now);
-    sched.onIssued(req, now);
-    return true;
-}
-
 /** Units of each locked-out rank that the urgent set had to skip. */
 void
 countLockouts(const RefreshLedger &ledger, std::uint64_t pending,
@@ -439,7 +410,7 @@ countUrgent(const RefreshRequest &req, const RefreshLedger &ledger,
 {
     if (!req.blocking)
         ++tally.seen[kWriteRefresh];
-    else if (ledger.mustForce(req.rank, req.bank))
+    else if (ledger.mustForce(req.cmd.rank, req.cmd.bank))
         ++tally.seen[kForced];
     else
         ++tally.seen[kDue];
@@ -494,7 +465,7 @@ driveDarp(int ranks, bool sarp, bool hira, bool write_refresh,
         ASSERT_EQ(view.schedulerRng().draws(), before.draws());
         ASSERT_EQ(Rng(view.schedulerRng()).next(), before.next());
         if (found) {
-            ASSERT_TRUE(sameRequest(got, ref))
+            ASSERT_TRUE(got == ref)
                 << "seed " << seed << " step " << step << " pull-in";
         }
 
@@ -502,7 +473,7 @@ driveDarp(int ranks, bool sarp, bool hira, bool write_refresh,
         ++tally.steps;
         for (const RefreshRequest &req : urgent)
             countUrgent(req, ledger, tally);
-        const int idx = got.rank * ledger.banksPerRank() + got.bank;
+        const int idx = got.cmd.rank * ledger.banksPerRank() + got.cmd.bank;
         if (!found)
             ++tally.seen[kNoPull];
         else
@@ -514,13 +485,13 @@ driveDarp(int ranks, bool sarp, bool hira, bool write_refresh,
         // sometimes the pull-in (driving units to the JEDEC limit).
         bool issued = false;
         for (const RefreshRequest &req : urgent) {
-            if (rng.below(2) && issueRefresh(view, *sched, req, now)) {
+            if (rng.below(2) && view.issueRefresh(*sched, req, now)) {
                 issued = true;
                 break;
             }
         }
         if (!issued && found && rng.below(4))
-            issueRefresh(view, *sched, got, now);
+            view.issueRefresh(*sched, got, now);
     }
 }
 
@@ -570,7 +541,7 @@ driveSameBank(int ranks, int banks_per_rank, int group_size, bool pull_in,
         ASSERT_EQ(found, ref_found) << "seed " << seed << " step " << step;
         ASSERT_EQ(view.schedulerRng().draws(), before.draws());
         if (found) {
-            ASSERT_TRUE(sameRequest(got, ref))
+            ASSERT_TRUE(got == ref)
                 << "seed " << seed << " step " << step << " pull-in";
         }
 
@@ -578,7 +549,7 @@ driveSameBank(int ranks, int banks_per_rank, int group_size, bool pull_in,
         ++tally.steps;
         for (const RefreshRequest &req : urgent)
             countUrgent(req, ledger, tally);
-        const int idx = got.rank * groups + got.bank;
+        const int idx = got.cmd.rank * groups + got.cmd.bank;
         if (!found)
             ++tally.seen[kNoPull];
         else
@@ -588,13 +559,13 @@ driveSameBank(int ranks, int banks_per_rank, int group_size, bool pull_in,
 
         bool issued = false;
         for (const RefreshRequest &req : urgent) {
-            if (rng.below(2) && issueRefresh(view, sched, req, now)) {
+            if (rng.below(2) && view.issueRefresh(sched, req, now)) {
                 issued = true;
                 break;
             }
         }
         if (!issued && found && rng.below(4))
-            issueRefresh(view, sched, got, now);
+            view.issueRefresh(sched, got, now);
     }
 }
 

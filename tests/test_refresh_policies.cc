@@ -40,19 +40,9 @@ class PolicyTest : public ::testing::Test
             sched.tick(t);
             urgent.clear();
             sched.urgent(t, urgent);
-            for (const RefreshRequest &req : urgent) {
-                Command cmd;
-                cmd.type = req.allBank ? CommandType::kRefAb
-                                       : CommandType::kRefPb;
-                cmd.rank = req.rank;
-                cmd.bank = req.bank;
-                cmd.tRfcOverride = req.tRfcOverride;
-                if (view_->channel().canIssue(cmd, t)) {
-                    view_->channel().issue(cmd, t);
-                    sched.onIssued(req, t);
-                    issued.push_back({t, req});
-                    break;  // One command per tick.
-                }
+            if (const RefreshRequest *req =
+                    view_->issueFirstLegal(sched, urgent, t)) {
+                issued.push_back({t, *req});
             }
         }
         return issued;
@@ -82,7 +72,7 @@ TEST_F(PolicyTest, AllBankIssuesPerRankPerInterval)
     EXPECT_GE(issued.size(), 18u);
     EXPECT_LE(issued.size(), 20u);
     for (const auto &[t, req] : issued)
-        EXPECT_TRUE(req.allBank);
+        EXPECT_EQ(req.cmd.type, CommandType::kRefAb);
     EXPECT_EQ(sched.stats().issued, issued.size());
 }
 
@@ -93,7 +83,7 @@ TEST_F(PolicyTest, AllBankRanksStaggered)
         drive(sched, Tick(0) + 3 * timing_.tRefiAb);
     ASSERT_GE(issued.size(), 2u);
     // First two refreshes hit different ranks at different times.
-    EXPECT_NE(issued[0].second.rank, issued[1].second.rank);
+    EXPECT_NE(issued[0].second.cmd.rank, issued[1].second.cmd.rank);
     EXPECT_NE(issued[0].first, issued[1].first);
 }
 
@@ -106,9 +96,10 @@ TEST_F(PolicyTest, PerBankStrictRoundRobin)
     // Per rank, bank order must be 0,1,2,...,7,0,1,...
     std::vector<int> next(cfg_.org.ranksPerChannel, 0);
     for (const auto &[t, req] : issued) {
-        EXPECT_FALSE(req.allBank);
-        EXPECT_EQ(req.bank, next[req.rank]) << "strict RR violated";
-        next[req.rank] = (next[req.rank] + 1) % cfg_.org.banksPerRank;
+        const Command &cmd = req.cmd;
+        EXPECT_EQ(cmd.type, CommandType::kRefPb);
+        EXPECT_EQ(cmd.bank, next[cmd.rank]) << "strict RR violated";
+        next[cmd.rank] = (next[cmd.rank] + 1) % cfg_.org.banksPerRank;
     }
 }
 
@@ -136,19 +127,12 @@ TEST_F(PolicyTest, ElasticPostponesWhileRankBusy)
         sched.tick(t);
         urgent.clear();
         sched.urgent(t, urgent);
-        for (const RefreshRequest &req : urgent) {
-            Command cmd;
-            cmd.type = CommandType::kRefAb;
-            cmd.rank = req.rank;
-            if (view_->channel().canIssue(cmd, t)) {
-                view_->channel().issue(cmd, t);
-                sched.onIssued(req, t);
-                if (req.rank == 0 && first_rank0 == 0)
-                    first_rank0 = t;
-                if (req.rank == 1)
-                    rank1_issues.push_back(t);
-                break;
-            }
+        if (const RefreshRequest *req =
+                view_->issueFirstLegal(sched, urgent, t)) {
+            if (req->cmd.rank == 0 && first_rank0 == 0)
+                first_rank0 = t;
+            if (req->cmd.rank == 1)
+                rank1_issues.push_back(t);
         }
     }
     // The busy rank's refreshes were postponed well past the first
@@ -175,17 +159,8 @@ TEST_F(PolicyTest, ElasticForcesAtJedecLimit)
         sched.tick(t);
         urgent.clear();
         sched.urgent(t, urgent);
-        for (const RefreshRequest &req : urgent) {
-            Command cmd;
-            cmd.type = CommandType::kRefAb;
-            cmd.rank = req.rank;
-            if (view_->channel().canIssue(cmd, t)) {
-                view_->channel().issue(cmd, t);
-                sched.onIssued(req, t);
-                forced_seen = true;
-                break;
-            }
-        }
+        if (view_->issueFirstLegal(sched, urgent, t))
+            forced_seen = true;
         // The ledger may never exceed the postpone window.
         EXPECT_LE(sched.ledger().owed(0), 8);
         EXPECT_LE(sched.ledger().owed(1), 8);
@@ -225,21 +200,11 @@ TEST_F(PolicyTest, AdaptiveIssues4xCommandsInWriteback)
         sched.tick(t);
         urgent.clear();
         sched.urgent(t, urgent);
-        for (const RefreshRequest &req : urgent) {
-            Command cmd;
-            cmd.type = CommandType::kRefAb;
-            cmd.rank = req.rank;
-            cmd.tRfcOverride = req.tRfcOverride;
-            if (view_->channel().canIssue(cmd, t)) {
-                if (req.tRfcOverride > 0) {
-                    saw_fast = true;
-                    EXPECT_EQ(req.tRfcOverride, sched.tRfc4x());
-                    EXPECT_LT(req.tRfcOverride, timing_.tRfcAb);
-                }
-                view_->channel().issue(cmd, t);
-                sched.onIssued(req, t);
-                break;
-            }
+        const RefreshRequest *req = view_->issueFirstLegal(sched, urgent, t);
+        if (req && req->cmd.tRfcOverride > 0) {
+            saw_fast = true;
+            EXPECT_EQ(req->cmd.tRfcOverride, sched.tRfc4x());
+            EXPECT_LT(req->cmd.tRfcOverride, timing_.tRfcAb);
         }
     }
     EXPECT_TRUE(saw_fast);
@@ -257,20 +222,9 @@ TEST_F(PolicyTest, AdaptiveCoversObligationsInMixedMode)
         sched.tick(t);
         urgent.clear();
         sched.urgent(t, urgent);
-        for (const RefreshRequest &req : urgent) {
-            Command cmd;
-            cmd.type = CommandType::kRefAb;
-            cmd.rank = req.rank;
-            cmd.tRfcOverride = req.tRfcOverride;
-            if (view_->channel().canIssue(cmd, t)) {
-                view_->channel().issue(cmd, t);
-                sched.onIssued(req, t);
-                if (req.rank == 0)
-                    covered_quarters += req.ledgerParts ? req.ledgerParts
-                                                        : 4;
-                break;
-            }
-        }
+        const RefreshRequest *req = view_->issueFirstLegal(sched, urgent, t);
+        if (req && req->cmd.rank == 0)
+            covered_quarters += req->ledgerParts ? req->ledgerParts : 4;
     }
     // Rank 0 accrued ~32 quarters over 8 intervals; coverage must keep
     // pace within the postpone window.
@@ -303,13 +257,10 @@ TEST_F(PolicyTest, ForcedCountsRefreshesIssuedAtTheLimit)
             urgent.clear();
             sched->urgent(t, urgent);
             for (const RefreshRequest &req : urgent) {
-                Command cmd{CommandType::kRefAb, req.rank};
-                cmd.tRfcOverride = req.tRfcOverride;
-                if (!view.channel().canIssue(cmd, t))
+                if (!view.channel().canIssue(req.cmd, t))
                     continue;
-                at_limit += sched->ledger().mustForce(req.rank) ? 1 : 0;
-                view.channel().issue(cmd, t);
-                sched->onIssued(req, t);
+                at_limit += sched->ledger().mustForce(req.cmd.rank) ? 1 : 0;
+                view.issueRefresh(*sched, req, t);
                 break;
             }
         }

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,64 @@ TEST(Registry, ResolvedTagsDependOnTheNameAlone)
     }
 }
 
+namespace {
+
+/** The refresh command a timing profile issues; none for kNoRefresh. */
+std::optional<CommandType>
+profileRefresh(RefreshMode mode)
+{
+    switch (mode) {
+      case RefreshMode::kNoRefresh:
+        return std::nullopt;
+      case RefreshMode::kAllBank:
+      case RefreshMode::kFgr2x:
+      case RefreshMode::kFgr4x:
+        return CommandType::kRefAb;
+      case RefreshMode::kPerBank:
+        return CommandType::kRefPb;
+      case RefreshMode::kSameBank:
+        return CommandType::kRefSb;
+    }
+    return std::nullopt;
+}
+
+} // namespace
+
+TEST(Registry, EveryMechanismIssuesItsProfilesRefreshKind)
+{
+    // The command a policy writes into its RefreshRequest is the one
+    // the controller issues, so a System's command log shows each
+    // mechanism's refreshes as exactly the kind its resolved timing
+    // profile names, and at least one of them.
+    for (const std::string &name : RefreshPolicyRegistry::instance().names()) {
+        SystemConfig cfg;
+        cfg.numCores = 2;
+        cfg.enableChecker = true;  // Keeps the command log.
+        cfg.mem.policy = name;
+        RefreshPolicyRegistry::instance().resolve(cfg.mem);
+        if (cfg.mem.refresh == RefreshMode::kSameBank)
+            cfg.mem.dramSpec = "DDR5-4800";  // A device with REFsb slices.
+        SCOPED_TRACE(name + " on " + cfg.mem.dramSpec);
+        const std::optional<CommandType> kind =
+            profileRefresh(cfg.mem.refresh);
+
+        System sys(cfg, std::vector<int>{0, 1});
+        sys.run(60000);
+        std::uint64_t refreshes = 0;
+        std::uint64_t wrong = 0;
+        for (int ch = 0; ch < sys.numChannels(); ++ch) {
+            for (const TimedCommand &tc : sys.commandLog(ch)) {
+                if (!isRefreshCmd(tc.cmd.type))
+                    continue;
+                ++refreshes;
+                wrong += tc.cmd.type != kind;
+            }
+        }
+        EXPECT_EQ(wrong, 0u);
+        EXPECT_EQ(refreshes > 0, kind.has_value()) << refreshes;
+    }
+}
+
 TEST(Registry, MakeDispatchesByName)
 {
     MemConfig cfg;
@@ -195,8 +254,7 @@ class TestPulseScheduler : public RefreshScheduler
         if (!due_)
             return;
         RefreshRequest req;
-        req.allBank = true;
-        req.rank = 0;
+        req.cmd.type = CommandType::kRefAb;
         out.push_back(req);
     }
 

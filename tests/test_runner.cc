@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the experiment runner: mechanism presets, environment
+ * Unit tests for the experiment runner: config copying, environment
  * knobs, alone-IPC caching, and metric plumbing.
  */
 
@@ -13,25 +13,16 @@
 
 using namespace dsarp;
 
-TEST(RunnerConfig, MechanismNames)
-{
-    for (const char *mech : {"REFab", "REFpb", "Elastic", "DARP", "SARPab",
-                             "SARPpb", "DSARP", "NoREF"}) {
-        EXPECT_EQ(mechNamed(mech, Density::k8Gb).mechanismName(), mech);
-    }
-    // Lookups are case-insensitive; the canonical spelling comes back.
-    EXPECT_EQ(mechNamed("dsarp", Density::k8Gb).mechanismName(), "DSARP");
-}
-
 TEST(RunnerConfig, DefaultMechanismIsREFab)
 {
-    EXPECT_EQ(RunConfig{}.mechanismName(), "REFab");
     EXPECT_EQ(Runner::makeSystemConfig(RunConfig{}).mem.policy, "REFab");
 }
 
 TEST(RunnerConfig, MakeSystemConfigCopiesKnobs)
 {
-    RunConfig cfg = mechNamed("DSARP", Density::k16Gb);
+    RunConfig cfg;
+    cfg.policy = "DSARP";
+    cfg.density = Density::k16Gb;
     cfg.subarraysPerBank = 32;
     cfg.tFawOverride = 10;
     cfg.numCores = 4;
@@ -47,7 +38,8 @@ TEST(RunnerConfig, MakeSystemConfigCopiesKnobs)
 
 TEST(RunnerConfig, OptionalKnobsDefaultToMemConfig)
 {
-    const RunConfig cfg = mechNamed("REFpb", Density::k8Gb);
+    RunConfig cfg;
+    cfg.policy = "REFpb";
     const SystemConfig sys = Runner::makeSystemConfig(cfg);
     const MemConfig defaults;
     EXPECT_EQ(sys.mem.writeHighWatermark, defaults.writeHighWatermark);
@@ -58,7 +50,8 @@ TEST(RunnerConfig, OptionalKnobsDefaultToMemConfig)
 
 TEST(RunnerConfig, OptionalKnobsOverrideWhenSet)
 {
-    RunConfig cfg = mechNamed("REFpb", Density::k8Gb);
+    RunConfig cfg;
+    cfg.policy = "REFpb";
     cfg.writeHighWatermark = 48;
     cfg.writeLowWatermark = 16;
     cfg.refabStaggerDivisor = 2;
@@ -132,22 +125,24 @@ TEST_F(ShortRunner, EnvControlsWindows)
 
 TEST_F(ShortRunner, AloneIpcCachedAndPositive)
 {
-    const RunConfig cfg = mechNamed("REFab", Density::k8Gb);
+    RunConfig cfg;  // REFab at 8 Gb.
     const double a = runner_->aloneIpc(10, cfg);
     EXPECT_GT(a, 0.0);
     EXPECT_LE(a, 3.0);
     // Second call must be a cache hit with the identical value.
     EXPECT_DOUBLE_EQ(runner_->aloneIpc(10, cfg), a);
     // A different density is a different cache entry (footprints move).
-    const double b = runner_->aloneIpc(10, mechNamed("REFab", Density::k32Gb));
+    cfg.density = Density::k32Gb;
+    const double b = runner_->aloneIpc(10, cfg);
     EXPECT_GT(b, 0.0);
 }
 
 TEST_F(ShortRunner, RunProducesConsistentMetrics)
 {
     const auto workloads = makeIntensiveWorkloads(1, 8, 11);
-    const RunResult res =
-        runner_->run(mechNamed("REFpb", Density::k8Gb), workloads[0]);
+    RunConfig cfg;
+    cfg.policy = "REFpb";
+    const RunResult res = runner_->run(cfg, workloads[0]);
     ASSERT_EQ(res.ipc.size(), 8u);
     ASSERT_EQ(res.aloneIpc.size(), 8u);
     EXPECT_GT(res.ws, 0.0);
@@ -163,7 +158,8 @@ TEST_F(ShortRunner, RunProducesConsistentMetrics)
 TEST_F(ShortRunner, DeterministicAcrossRuns)
 {
     const auto workloads = makeIntensiveWorkloads(1, 8, 13);
-    const RunConfig darp = mechNamed("DARP", Density::k8Gb);
+    RunConfig darp;
+    darp.policy = "DARP";
     const RunResult a = runner_->run(darp, workloads[0]);
     const RunResult b = runner_->run(darp, workloads[0]);
     EXPECT_DOUBLE_EQ(a.ws, b.ws);

@@ -275,9 +275,9 @@ TEST(SameBankScheduling, DueSliceIsBlockingAndRetiresWholeGroup)
     std::vector<RefreshRequest> urgent;
     sched.urgent(t0, urgent);
     ASSERT_FALSE(urgent.empty());
-    EXPECT_TRUE(urgent[0].sameBank);
+    EXPECT_EQ(urgent[0].cmd.type, CommandType::kRefSb);
     EXPECT_TRUE(urgent[0].blocking);
-    EXPECT_EQ(urgent[0].bank, 0);
+    EXPECT_EQ(urgent[0].cmd.bank, 0);
 
     sched.onIssued(urgent[0], t0);
     EXPECT_EQ(sched.ledger().owed(0, 0), 0)
@@ -298,7 +298,7 @@ TEST(SameBankScheduling, PendingDemandsPostponeUntilHeadroomRunsOut)
     std::vector<RefreshRequest> urgent;
     sched.urgent(t, urgent);
     for (const RefreshRequest &req : urgent)
-        EXPECT_NE(req.bank, 0) << "busy slice must be postponed";
+        EXPECT_NE(req.cmd.bank, 0) << "busy slice must be postponed";
     EXPECT_GT(sched.stats().postponed, 0u);
 
     // Two slots short of the postpone limit the slice goes due even
@@ -311,7 +311,7 @@ TEST(SameBankScheduling, PendingDemandsPostponeUntilHeadroomRunsOut)
         sched.urgent(t, urgent);
         bool group0_due = false;
         for (const RefreshRequest &req : urgent)
-            group0_due |= req.rank == 0 && req.bank == 0;
+            group0_due |= req.cmd.rank == 0 && req.cmd.bank == 0;
         EXPECT_EQ(group0_due, slots == 6) << slots << " slots owed";
     }
     EXPECT_FALSE(sched.ledger().mustForce(0, 0));
@@ -328,10 +328,8 @@ TEST(SameBankScheduling, IdlePullInHonoursKnobAndWindow)
         int pulled = 0;
         Tick t = 10;
         while (sched.opportunistic(t, opp)) {
-            EXPECT_TRUE(opp.sameBank);
-            view.channel().issue(
-                Command{CommandType::kRefSb, opp.rank, opp.bank}, t);
-            sched.onIssued(opp, t);
+            EXPECT_EQ(opp.cmd.type, CommandType::kRefSb);
+            ASSERT_TRUE(view.issueRefresh(sched, opp, t));
             ++pulled;
             t += timing.tRfcSb + Cycles(1);
             ASSERT_LT(pulled, 100);
@@ -365,12 +363,13 @@ TEST(SameBankScheduling, HiraPairingDoublesLaggingSlices)
     sched.urgent(t, urgent);
     ASSERT_FALSE(urgent.empty());
     const RefreshRequest &req = urgent[0];
-    EXPECT_EQ(req.rowsOverride, 2 * timing.rowsPerRefresh);
+    EXPECT_EQ(req.cmd.rowsOverride, 2 * timing.rowsPerRefresh);
     EXPECT_EQ(req.ledgerParts, 2);
 
-    const int owed_before = sched.ledger().owed(req.rank, req.bank);
+    const Command &cmd = req.cmd;
+    const int owed_before = sched.ledger().owed(cmd.rank, cmd.bank);
     sched.onIssued(req, t);
-    EXPECT_EQ(sched.ledger().owed(req.rank, req.bank), owed_before - 2);
+    EXPECT_EQ(sched.ledger().owed(cmd.rank, cmd.bank), owed_before - 2);
 }
 
 TEST(SameBankScheduling, HiraPairingDrawsOncePerSlot)
@@ -394,8 +393,8 @@ TEST(SameBankScheduling, HiraPairingDrawsOncePerSlot)
     EXPECT_EQ(view.schedulerRng().draws(), drawn) << "one draw per slot";
 
     ASSERT_FALSE(urgent.empty());
-    ASSERT_EQ(urgent[0].rank, 0);
-    ASSERT_EQ(urgent[0].bank, 0);
+    ASSERT_EQ(urgent[0].cmd.rank, 0);
+    ASSERT_EQ(urgent[0].cmd.bank, 0);
     EXPECT_EQ(urgent[0].ledgerParts, 0);
     sched.onIssued(urgent[0], t);
 
@@ -420,7 +419,7 @@ TEST(SameBankScheduling, NoPairingWithoutHira)
     sched.urgent(t, urgent);
     ASSERT_FALSE(urgent.empty());
     EXPECT_EQ(urgent[0].ledgerParts, 0);
-    EXPECT_EQ(urgent[0].rowsOverride, 0);
+    EXPECT_EQ(urgent[0].cmd.rowsOverride, 0);
 }
 
 // ---------------------------------------------------------------------

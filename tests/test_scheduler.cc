@@ -171,17 +171,10 @@ sameChoice(const CmdChoice &got, const CmdChoice &want)
         }
         return s + " idx " + std::to_string(c.queueIndex);
     };
-    bool same = got.valid == want.valid && got.queueIndex == want.queueIndex;
-    if (same && got.valid) {
-        const Command &a = got.cmd;
-        const Command &b = want.cmd;
-        same = a.type == b.type && a.rank == b.rank && a.bank == b.bank &&
-            a.row == b.row && a.column == b.column &&
-            a.subarray == b.subarray && a.tRfcOverride == b.tRfcOverride &&
-            a.rowsOverride == b.rowsOverride && a.hidden == b.hidden;
-    }
-    if (same)
+    if (got.valid == want.valid && got.queueIndex == want.queueIndex &&
+        (!got.valid || got.cmd == want.cmd)) {
         return ::testing::AssertionSuccess();
+    }
     return ::testing::AssertionFailure()
         << "pick " << describe(got) << ", reference " << describe(want);
 }

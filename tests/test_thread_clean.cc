@@ -110,7 +110,7 @@ TEST(ThreadClean, ConcurrentAloneIpcCache)
     // All threads demand the same alone baselines: every cache slot is
     // computed once (first-insert-wins) while the rest hit the memo.
     Runner runner(/*warmup=*/200, /*measure=*/2000, /*perCategory=*/1);
-    const RunConfig cfg = mechNamed("REFab", Density::k8Gb);
+    const RunConfig cfg{};  // REFab at 8 Gb.
     const int bench_a = benchmarkIndex("mcf-like");
     const int bench_b = benchmarkIndex("milc-like");
     std::vector<double> results(kThreads, -1.0);

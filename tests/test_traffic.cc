@@ -331,7 +331,8 @@ class TrafficRun : public ::testing::Test
     static RunConfig
     trafficPoint(const std::string &mode)
     {
-        RunConfig cfg = mechNamed("DSARP", Density::k8Gb);
+        RunConfig cfg;
+        cfg.policy = "DSARP";
         cfg.traffic.mode = mode;
         cfg.traffic.ratePerKilocycle = 60.0;
         cfg.traffic.hotRowPct = 30.0;
@@ -465,8 +466,7 @@ TEST_F(TrafficRun, ClosedLoopRunsStillPopulateLatencyHistogram)
     // Satellite: the per-controller histogram now surfaces on every
     // run path, not just traffic runs.
     const auto workloads = makeIntensiveWorkloads(1, 8, 5);
-    const RunResult res =
-        runner_->run(mechNamed("REFab", Density::k8Gb), workloads[0]);
+    const RunResult res = runner_->run(RunConfig{}, workloads[0]);  // REFab.
     EXPECT_GT(res.readLatency.count(), 0u);
     EXPECT_EQ(res.readLatency.count(), res.readsCompleted);
     EXPECT_GT(res.readLatency.percentile(99), 0.0);
