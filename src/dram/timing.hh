@@ -135,9 +135,9 @@ struct TimingParams
     /**
      * Convert nanoseconds to (rounded-up) bus cycles. The single
      * blessed ns -> cycles conversion point: all other arithmetic
-     * between Nanoseconds and Cycles is a compile error, and the repo
-     * lint (tools/lint) rejects raw arithmetic against tCkNs outside
-     * this translation unit and spec.cc.
+     * between Nanoseconds and Cycles is a compile error, and the
+     * analyzer's unit-honest-conversion rule rejects raw arithmetic
+     * against tCkNs outside this translation unit and spec.cc.
      */
     static Cycles nsToCycles(Nanoseconds ns, Nanoseconds tCk);
 

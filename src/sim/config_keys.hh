@@ -5,8 +5,9 @@
  * Key strings are user-facing API: a typo in a setter, a validator or
  * an error message silently forks the vocabulary. All code that names
  * a key (the keyTable() parsers, validate() diagnostics, tests) must
- * use these constants; tools/lint/lint.py rejects a bare string
- * literal that respells one of them anywhere else in the tree.
+ * use these constants; the analyzer's config-key-once rule
+ * (tools/analyze/dsarp_analyze.py) rejects a string literal under src/
+ * that respells one of them or quotes one in a message.
  */
 
 #ifndef DSARP_SIM_CONFIG_KEYS_HH
@@ -64,7 +65,7 @@ inline constexpr char kTenantPriorities[] = "tenant.priorities";
  *  'refresh.selfRefresh.idleEntry'" (kSrIdleEntry). Not in kAllKeys. */
 inline constexpr char kRemovedSelfRefreshIdle[] = "energy.selfRefreshIdle";
 
-/** Every key, for exhaustiveness checks (tests, lint self-test). */
+/** Every key, for the tests' exhaustiveness checks. */
 inline constexpr const char *const kAllKeys[] = {
     kPolicy,          kDramSpec,           kDensityGb,
     kRetentionMs,     kSubarraysPerBank,   kChannels,

@@ -12,10 +12,11 @@
  * thread-clean singletons (tests/test_thread_clean.cc).
  *
  * This file is the repo's single audited thread-spawn point: raw
- * std::thread/std::async anywhere else under src/ is a lint error
- * (tools/lint/lint.py), so every parallel code path funnels through
- * parallelFor() and inherits its exception handling and determinism
- * contract.
+ * std::thread/std::async anywhere else under src/, bench/ or tools/
+ * fails the analyzer's single-thread-spawn-point rule
+ * (tools/analyze/dsarp_analyze.py), so every parallel code path funnels
+ * through parallelFor() and inherits its exception handling and
+ * determinism contract.
  */
 
 #ifndef DSARP_SIM_PARALLEL_HH

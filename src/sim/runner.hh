@@ -197,9 +197,10 @@ class Runner
     /**
      * Single-core refresh-free IPC for a benchmark under the same
      * geometry, queues, and core model (used as the alone baseline for
-     * WS). Memoized process-wide -- the cache key covers every config
-     * field the alone run depends on plus the run lengths, so Runner
-     * instances (and Simulations) share baselines safely.
+     * WS), run at the default seed whatever sys.seed is. Memoized
+     * process-wide -- the cache key covers every config field the alone
+     * run depends on plus the run lengths, so Runner instances (and
+     * Simulations) share baselines safely.
      */
     double aloneIpc(int benchIdx, const RunConfig &cfg);
     double aloneIpc(int benchIdx, const SystemConfig &sys);

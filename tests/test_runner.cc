@@ -137,6 +137,27 @@ TEST_F(ShortRunner, AloneIpcCachedAndPositive)
     EXPECT_GT(b, 0.0);
 }
 
+TEST_F(ShortRunner, AloneIpcRunsAtTheDefaultSeed)
+{
+    // The memo key leaves the seed out, so the baseline must not depend
+    // on it: a fresh key asked for at seed 7 gets the seed-1 IPC.
+    SystemConfig sys;
+    sys.mem.readQueueSize = 40;  // A key no other test asks for.
+    sys.seed = 7;
+    const double cached = runner_->aloneIpc(3, sys);
+
+    SystemConfig alone = sys;
+    alone.seed = 1;
+    alone.mem.policy = "NoREF";
+    alone.numCores = 1;
+    alone.enableChecker = false;
+    System direct(alone, std::vector<int>{3});
+    direct.run(runner_->warmupTicks());
+    direct.resetStats();
+    direct.run(runner_->measureTicks());
+    EXPECT_DOUBLE_EQ(cached, direct.coreIpc()[0]);
+}
+
 TEST_F(ShortRunner, RunProducesConsistentMetrics)
 {
     const auto workloads = makeIntensiveWorkloads(1, 8, 11);

@@ -4,13 +4,11 @@ A real lexer (comments, string/char literals, raw strings, numbers,
 identifiers, punctuation) feeding the analyzer's scope- and
 declaration-aware rules.  This is deliberately not a parser: the rules
 in dsarp_analyze.py work on declaration patterns and brace/paren
-balance, which a faithful token stream makes reliable in a way the
-line-regex lint (tools/lint/lint.py) cannot be.
-
-When the clang Python bindings are importable the driver prefers them
-for translation-unit discovery via compile_commands.json; the token
-front end here is the portable fallback that needs nothing beyond the
-standard library, so the determinism gate runs on any CI worker.
+balance, which a faithful token stream makes reliable where line
+regexes are not: a trailing ``//`` comment or a block-comment line
+cannot fake a token, and a ``/* note */`` prefix cannot hide one.  It
+needs nothing beyond the standard library, so the gate runs on any CI
+worker.
 """
 
 import re
@@ -36,6 +34,7 @@ _PUNCTS = (
     "!=", "&&", "||",
 )
 
+_DEFINE_RE = re.compile(r"#[ \t]*define\b")
 _SUPPRESS_RE = re.compile(
     r"dsarp-analyze:\s*allow\(\s*([a-z0-9_,\s-]+?)\s*\)")
 
@@ -46,8 +45,9 @@ def lex(text):
     Returns (tokens, suppressions) where suppressions maps a line
     number to the set of rule names allowed there via a
     ``// dsarp-analyze: allow(rule[, rule...])`` comment.  Preprocessor
-    directive lines are skipped entirely (their line numbers still
-    advance), as are comments and the contents of literals.
+    directive lines are skipped (their line numbers still advance),
+    except that a ``#define``'s name, parameters and body are lexed as
+    code; comments and the contents of literals are skipped too.
     """
     toks = []
     suppress = {}
@@ -71,10 +71,19 @@ def lex(text):
         if c in " \t\r\f\v":
             i += 1
             continue
+        if c == "\\" and text.startswith("\n", i + 1):
+            line += 1  # a continued macro line
+            i += 2
+            continue
         if c == "#" and at_line_start:
-            # Preprocessor directive: consume to end of line, honoring
+            m = _DEFINE_RE.match(text, i)
+            if m:
+                # A macro body is code the rules must see.
+                i = m.end()
+                at_line_start = False
+                continue
+            # Any other directive: consume to end of line, honoring
             # backslash continuations.
-            start = i
             while i < n:
                 if text[i] == "\n":
                     if text[i - 1] == "\\":

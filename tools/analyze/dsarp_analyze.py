@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""dsarp-analyze: determinism audit for the bit-identical contracts.
+"""dsarp-analyze: the repo's static checker.
 
-The event engine, the sharded SweepRunner, and the multi-tenant
-traffic injector all promise byte-identical results across
-cycle-vs-event engines, any ``--jobs`` count, and skipTicks replay.
-The bug classes that silently break those promises are statically
-detectable; each one here is a rule with a repo-specific allowlist:
+Each rule guards a contract the compiler cannot see, and each was born
+from a real bug class in this codebase.
+
+Determinism rules.  The event engine, the sharded SweepRunner, and the
+multi-tenant traffic injector all promise byte-identical results
+across cycle-vs-event engines, any ``--jobs`` count, and skipTicks
+replay.  The bug classes that silently break those promises are
+statically detectable.  These five rules read src/ only:
 
 1. ordered-iteration -- a range-for or ``.begin()`` iterator loop over
    a ``std::unordered_map``/``unordered_set``.  Hash-table iteration
@@ -41,6 +44,47 @@ detectable; each one here is a rule with a repo-specific allowlist:
    shards, so anything iterated from such a container is
    nondeterministic even though the container is "ordered".
 
+Repo invariants.  These read src/, tests/*.cc, bench/, tools/*.cc and
+examples/, minus the exemptions each one names:
+
+6. unit-honest-conversion -- no arithmetic against the clock period
+   (``/ tCkNs``, ``* tCkNs``) outside the conversion TUs,
+   src/dram/timing.cc and src/dram/spec.cc.  Every other file converts
+   through TimingParams::nsToCycles / nsToCyclesFloor (this is the bug
+   class that once understated LPDDR4 refresh energy 2x).
+   ``tCkNs.ns()`` is the documented way to read the raw figure for
+   printing and for energy math (mA x ns).
+
+7. config-key-once -- every ExperimentConfig key string is declared
+   exactly once, in src/sim/config_keys.hh.  A string literal under
+   src/ that respells a key (``"refresh.fgrRate"``) or quotes one in a
+   message (``"config key 'refresh.fgrRate' must ..."``) forks the
+   user-facing vocabulary; library code builds the text from the
+   keys::k* constant.  Tests and tools spell keys as a user would.
+
+8. registrar-once -- each ``DSARP_REGISTER_*`` registration lives in
+   one .cc file; the registrar families are the ``#define
+   DSARP_REGISTER_*`` macros in src/ headers.  A copy-pasted registrar
+   aborts at startup in every binary.
+
+9. single-thread-spawn-point -- no ``std::thread``/``std::jthread``
+   spawn or ``std::async`` launch outside src/sim/parallel.{hh,cc}.
+   Every parallel path funnels through parallelFor()/SweepRunner so it
+   inherits their exception handling and byte-identical-results
+   contract.  Static queries (``std::thread::hardware_concurrency``)
+   and tests/, which probe thread-cleanliness on purpose, are exempt.
+
+10. tags-by-name-only -- no assignment to a config's ``.refresh``,
+    ``.sarp`` or ``.hira`` tag outside src/refresh/*.cc.
+    RefreshPolicyRegistry::resolve() resets all three from
+    MemConfig::policy, so a stray ``cfg.mem.refresh =
+    RefreshMode::kPerBank`` would silently run REFab; select the
+    mechanism by setting ``policy`` instead.
+
+11. fuzz-corpus -- every tests/fuzz/fuzz_*.cc harness has a non-empty
+    seed corpus under tests/fuzz/corpus/<name>/; without one its ctest
+    replay entry asserts nothing.
+
 False positives are suppressed in place with a documented comment on
 the offending line or the line above::
 
@@ -49,31 +93,28 @@ the offending line or the line above::
 
 Exit status 0 when clean, 1 with findings (one
 ``file:line: rule: message`` per line), 2 on usage errors.
-``--self-test`` seeds one violation per rule in a temp tree and
-asserts each is caught (and that every allowlist and the suppression
-syntax actually work).  Translation units come from
-``compile_commands.json`` when the build tree provides one, else from
-the source globs.
+``--self-test`` runs the rules over tests/fixtures/analyze/, a tree
+that seeds violations of every rule beside clean counterexamples, and
+requires exactly the ``file:line: rule`` lines of its expected.txt
+(at least one per rule), then requires the real tree to be clean.
 """
 
 import argparse
-import json
+import re
 import sys
-import tempfile
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import cpptok  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent.parent
+FIXTURES = REPO / "tests/fixtures/analyze"
 
-RULES = (
-    "ordered-iteration",
-    "blessed-rng-sites",
-    "fp-accumulation-order",
-    "stat-write-outside-accounting",
-    "pointer-ordered-containers",
-)
+# The files the rules read; the determinism rules read the src/ part.
+SOURCE_GLOBS = ("src/**/*.cc", "src/**/*.hh", "tests/*.cc",
+                "bench/*.cc", "bench/*.hh", "tools/*.cc",
+                "examples/*.cpp")
 
 # --- Allowlists (repo-relative), with the rationale for each entry. ---
 
@@ -130,47 +171,20 @@ STAT_ACCOUNTING_TUS = {
     "src/common/stats.cc",        # the stat helpers themselves
 }
 
-SOURCE_GLOBS = ("src/**/*.cc", "src/**/*.hh")
+# The ns -> cycles conversion implementations themselves.
+CONVERSION_TUS = {"src/dram/timing.cc", "src/dram/spec.cc"}
+
+# The audited thread-spawn point (see src/sim/parallel.hh).
+THREAD_SPAWN_TUS = {"src/sim/parallel.hh", "src/sim/parallel.cc"}
+
+CONFIG_KEYS_HH = "src/sim/config_keys.hh"
 
 RNG_DRAW_METHODS = {"next", "below", "uniform", "chance", "discard"}
 MUTATING_OPS = {"=", "+=", "-=", "*=", "/=", "++", "--", "|=", "&=", "^="}
-
-
-def source_files(root, compdb=None):
-    """TUs to analyze: compile_commands.json entries under src/ when a
-    build tree provides one, else the globs; headers always via glob."""
-    files = []
-    seen = set()
-    if compdb:
-        for entry in compdb:
-            path = Path(entry.get("file", ""))
-            if not path.is_absolute():
-                path = Path(entry.get("directory", ".")) / path
-            try:
-                rel = path.resolve().relative_to(root.resolve())
-            except ValueError:
-                continue
-            if rel.parts[:1] == ("src",) and rel not in seen:
-                seen.add(rel)
-                files.append(root / rel)
-    for pattern in SOURCE_GLOBS:
-        for path in sorted(root.glob(pattern)):
-            rel = path.relative_to(root)
-            if rel not in seen:
-                seen.add(rel)
-                files.append(path)
-    return files
-
-
-def load_compdb(root, build_dirs=("build", "build-asan", "build-tsan")):
-    for d in build_dirs:
-        db = root / d / "compile_commands.json"
-        if db.exists():
-            try:
-                return json.loads(db.read_text())
-            except json.JSONDecodeError:
-                return None
-    return None
+SCALING_OPS = {"*", "/", "*=", "/="}
+RESOLVED_TAGS = {"refresh", "sarp", "hira"}
+REGISTRAR_DEFINE_RE = re.compile(
+    r"^\s*#\s*define\s+(DSARP_REGISTER_\w+)\s*\(", re.MULTILINE)
 
 
 class FileInfo:
@@ -178,6 +192,7 @@ class FileInfo:
 
     def __init__(self, rel, text):
         self.rel = rel
+        self.text = text
         self.toks, self.suppress = cpptok.lex(text)
         self.unordered = set()    # names declared as unordered containers
         self.doubles = set()      # names declared double
@@ -238,6 +253,38 @@ class FileInfo:
                 return True
             probe -= 1
         return False
+
+
+class Tree:
+    """The files under *root* that the rules read, lexed once, plus the
+    declaration tables of src/: members declared in a header must be
+    recognized in the .cc files that use them."""
+
+    def __init__(self, root):
+        self.root = Path(root)
+        self.files = [
+            FileInfo(path.relative_to(self.root),
+                     path.read_text(errors="replace"))
+            for pattern in SOURCE_GLOBS
+            for path in sorted(self.root.glob(pattern))]
+        self.src = [f for f in self.files if f.rel.parts[0] == "src"]
+
+        # Locals resolve within their own file; only member-style names
+        # (trailing underscore) carry over tree-wide.
+        def members(names):
+            return {n for n in names if n.endswith("_")}
+
+        self.unordered_members = set()
+        self.double_members = set()
+        self.rng_members = set()
+        self.rng_fns = set()
+        self.loop_lines = {}
+        for info in self.src:
+            self.unordered_members |= members(info.unordered)
+            self.double_members |= members(info.doubles)
+            self.rng_members |= members(info.rng_vars)
+            self.rng_fns |= info.rng_fns
+            self.loop_lines[str(info.rel)] = loop_lines(info.toks)
 
 
 def chain_start(toks, i):
@@ -339,14 +386,13 @@ def loop_lines(toks):
 
 
 # ---------------------------------------------------------------------------
-# Rules.  Each takes (info, ctx, findings); ctx carries tree-wide
-# declaration tables so member containers declared in a header are
-# recognized in the .cc that iterates them.
+# Determinism rules.  Each takes (info, tree, findings) for one src/ file;
+# the tree carries the declaration tables.
 # ---------------------------------------------------------------------------
 
-def rule_ordered_iteration(info, ctx, findings):
+def rule_ordered_iteration(info, tree, findings):
     toks = info.toks
-    names = info.unordered | ctx["unordered_members"]
+    names = info.unordered | tree.unordered_members
     for i, t in enumerate(toks):
         if t.kind != "id" or t.text not in names:
             continue
@@ -386,13 +432,11 @@ def rule_ordered_iteration(info, ctx, findings):
                  "sorted copy or use vector-backed storage")
 
 
-def rule_blessed_rng_sites(info, ctx, findings):
-    rel = str(info.rel)
-    if rel in RNG_TUS:
+def rule_blessed_rng_sites(info, tree, findings):
+    if str(info.rel) in RNG_TUS:
         return
     toks = info.toks
-    rng_vars = info.rng_vars | ctx["rng_members"]
-    rng_fns = ctx["rng_fns"]
+    rng_vars = info.rng_vars | tree.rng_members
     for i, t in enumerate(toks):
         if (t.kind != "id" or t.text not in RNG_DRAW_METHODS or
                 i == 0 or toks[i - 1].text not in (".", "->") or
@@ -401,7 +445,7 @@ def rule_blessed_rng_sites(info, ctx, findings):
         recv = receiver_name(toks, i - 1)
         if recv is None:
             continue
-        if (recv in rng_vars or recv in rng_fns or
+        if (recv in rng_vars or recv in tree.rng_fns or
                 "rng" in recv.lower()):
             emit(findings, info, t.line, "blessed-rng-sites",
                  f"Rng draw '{recv}.{t.text}()' outside the blessed "
@@ -409,16 +453,13 @@ def rule_blessed_rng_sites(info, ctx, findings):
                  "replay between the cycle and event engines")
 
 
-def rule_fp_accumulation_order(info, ctx, findings):
+def rule_fp_accumulation_order(info, tree, findings):
     rel = str(info.rel)
     if rel in FP_ACCUM_TUS:
         return
     toks = info.toks
-    in_loop = ctx["loop_lines"][rel]
-    # Locals resolve within their own file; only member-style names
-    # (trailing underscore) carry over from headers tree-wide, so a
-    # local `x` here never collides with a `double x` elsewhere.
-    doubles = info.doubles | ctx["double_members"]
+    in_loop = tree.loop_lines[rel]
+    doubles = info.doubles | tree.double_members
     for i, t in enumerate(toks):
         if t.text != "+=" or t.kind != "punct":
             continue
@@ -439,9 +480,8 @@ def rule_fp_accumulation_order(info, ctx, findings):
                  "suppression")
 
 
-def rule_stat_write_outside_accounting(info, ctx, findings):
-    rel = str(info.rel)
-    if rel in STAT_ACCOUNTING_TUS:
+def rule_stat_write_outside_accounting(info, tree, findings):
+    if str(info.rel) in STAT_ACCOUNTING_TUS:
         return
     toks = info.toks
     n = len(toks)
@@ -481,7 +521,7 @@ def rule_stat_write_outside_accounting(info, ctx, findings):
              "component so engine bit-identity stays auditable")
 
 
-def rule_pointer_ordered_containers(info, ctx, findings):
+def rule_pointer_ordered_containers(info, tree, findings):
     toks = info.toks
     for i, t in enumerate(toks):
         if t.kind != "id" or t.text not in (
@@ -500,208 +540,227 @@ def rule_pointer_ordered_containers(info, ctx, findings):
                  "key on a stable id instead")
 
 
-RULE_FNS = {
-    "ordered-iteration": rule_ordered_iteration,
-    "blessed-rng-sites": rule_blessed_rng_sites,
-    "fp-accumulation-order": rule_fp_accumulation_order,
-    "stat-write-outside-accounting": rule_stat_write_outside_accounting,
-    "pointer-ordered-containers": rule_pointer_ordered_containers,
+def in_src(rule):
+    """Run a one-file determinism rule over every src/ file."""
+    def run(tree, findings):
+        for info in tree.src:
+            rule(info, tree, findings)
+    return run
+
+
+# ---------------------------------------------------------------------------
+# Repo invariants.  Each takes (tree, findings) and picks its own files.
+# ---------------------------------------------------------------------------
+
+def rule_unit_honest_conversion(tree, findings):
+    for info in tree.files:
+        if str(info.rel) in CONVERSION_TUS:
+            continue
+        toks = info.toks
+        for i, t in enumerate(toks):
+            if t.kind != "id" or t.text != "tCkNs":
+                continue
+            if [x.text for x in toks[i + 1:i + 5]] == [".", "ns", "(", ")"]:
+                continue  # the documented raw read
+            start = chain_start(toks, i)
+            before = toks[start - 1].text if start > 0 else ""
+            after = toks[i + 1].text if i + 1 < len(toks) else ""
+            if before in SCALING_OPS or after in SCALING_OPS:
+                emit(findings, info, t.line, "unit-honest-conversion",
+                     "raw tCK arithmetic outside timing.cc/spec.cc; "
+                     "convert via TimingParams::nsToCycles")
+
+
+def declared_keys(info):
+    """The string token of each ``constexpr char kX[] = "key"``."""
+    toks = info.toks
+    keys = []
+    for i in range(len(toks) - 1):
+        if toks[i].text != "constexpr" or toks[i + 1].text != "char":
+            continue
+        j = i + 2
+        while j < len(toks) and toks[j].text != ";":
+            if toks[j].kind == "str":
+                keys.append(toks[j])
+                break
+            j += 1
+    return keys
+
+
+def rule_config_key_once(tree, findings):
+    header = next((f for f in tree.src if str(f.rel) == CONFIG_KEYS_HH),
+                  None)
+    decls = declared_keys(header) if header else []
+    if not decls:
+        findings.append((CONFIG_KEYS_HH, 1, "config-key-once",
+                         "missing or declares no keys"))
+        return
+    first = {}
+    for tok in decls:
+        if tok.text in first:
+            emit(findings, header, tok.line, "config-key-once",
+                 f"key \"{tok.text}\" declared twice (first at line "
+                 f"{first[tok.text]})")
+        else:
+            first[tok.text] = tok.line
+    for info in tree.src:
+        if info is header:
+            continue
+        for t in info.toks:
+            if t.kind != "str":
+                continue
+            if t.text in first:
+                emit(findings, info, t.line, "config-key-once",
+                     f"config key \"{t.text}\" respelled; use the "
+                     "keys::k* constant from sim/config_keys.hh")
+            for key in sorted(first):
+                if f"'{key}'" in t.text:
+                    emit(findings, info, t.line, "config-key-once",
+                         f"config key '{key}' quoted in a message "
+                         "literal; build it from the keys::k* constant "
+                         "in sim/config_keys.hh")
+
+
+def rule_registrar_once(tree, findings):
+    families = {m.group(1) for info in tree.src if info.rel.suffix == ".hh"
+                for m in REGISTRAR_DEFINE_RE.finditer(info.text)}
+    owners = {}
+    for info in tree.files:
+        if info.rel.suffix != ".cc":
+            continue
+        toks = info.toks
+        for i, t in enumerate(toks[:-2]):
+            if (t.kind != "id" or t.text not in families or
+                    toks[i + 1].text != "(" or toks[i + 2].kind != "id"):
+                continue
+            entry = (t.text, toks[i + 2].text)
+            if entry in owners:
+                emit(findings, info, t.line, "registrar-once",
+                     f"registry entry '{entry[1]}' also registered at "
+                     f"{owners[entry]}; each entry must live in exactly "
+                     "one TU")
+            else:
+                owners[entry] = f"{info.rel}:{t.line}"
+
+
+def rule_single_thread_spawn_point(tree, findings):
+    for info in tree.files:
+        if (str(info.rel) in THREAD_SPAWN_TUS or
+                info.rel.parts[0] == "tests"):
+            continue
+        toks = info.toks
+        for i, t in enumerate(toks):
+            if (t.kind != "id" or
+                    t.text not in ("thread", "jthread", "async") or
+                    i < 2 or toks[i - 1].text != "::" or
+                    toks[i - 2].text != "std"):
+                continue
+            if (t.text != "async" and i + 1 < len(toks) and
+                    toks[i + 1].text == "::"):
+                continue  # a static query such as hardware_concurrency
+            emit(findings, info, t.line, "single-thread-spawn-point",
+                 "raw thread spawn outside src/sim/parallel.*; route "
+                 "through parallelFor/SweepRunner (the audited spawn "
+                 "point)")
+
+
+def rule_tags_by_name_only(tree, findings):
+    for info in tree.files:
+        if info.rel.parent == Path("src/refresh") and info.rel.suffix == ".cc":
+            continue
+        toks = info.toks
+        for i in range(1, len(toks) - 1):
+            t = toks[i]
+            if (t.kind == "id" and t.text in RESOLVED_TAGS and
+                    toks[i - 1].text in (".", "->") and
+                    toks[i + 1].text == "="):
+                emit(findings, info, t.line, "tags-by-name-only",
+                     f"assignment to the '{t.text}' tag outside "
+                     "src/refresh/*.cc; resolve() resets it from "
+                     "MemConfig::policy, so set policy instead")
+
+
+def rule_fuzz_corpus(tree, findings):
+    for harness in sorted(tree.root.glob("tests/fuzz/fuzz_*.cc")):
+        name = harness.stem[len("fuzz_"):]
+        corpus = tree.root / "tests/fuzz/corpus" / name
+        if corpus.is_dir() and any(p.is_file() for p in corpus.iterdir()):
+            continue
+        findings.append((harness.relative_to(tree.root), 1, "fuzz-corpus",
+                         f"no seed corpus at tests/fuzz/corpus/{name}/; "
+                         "the ctest replay entry would assert nothing"))
+
+
+RULES = {
+    "ordered-iteration": in_src(rule_ordered_iteration),
+    "blessed-rng-sites": in_src(rule_blessed_rng_sites),
+    "fp-accumulation-order": in_src(rule_fp_accumulation_order),
+    "stat-write-outside-accounting":
+        in_src(rule_stat_write_outside_accounting),
+    "pointer-ordered-containers": in_src(rule_pointer_ordered_containers),
+    "unit-honest-conversion": rule_unit_honest_conversion,
+    "config-key-once": rule_config_key_once,
+    "registrar-once": rule_registrar_once,
+    "single-thread-spawn-point": rule_single_thread_spawn_point,
+    "tags-by-name-only": rule_tags_by_name_only,
+    "fuzz-corpus": rule_fuzz_corpus,
 }
 
 
 def emit(findings, info, line, rule, message):
-    if info.suppressed(line, rule):
-        return
-    findings.append(f"{info.rel}:{line}: {rule}: {message}")
+    if not info.suppressed(line, rule):
+        findings.append((info.rel, line, rule, message))
 
 
-def analyze(root, rules=RULES, compdb=None):
-    root = Path(root)
-    infos = []
-    for path in source_files(root, compdb):
-        try:
-            text = path.read_text(errors="replace")
-        except OSError:
-            continue
-        infos.append(FileInfo(path.relative_to(root), text))
-
-    # Tree-wide declaration tables: members declared in headers must be
-    # recognized in the .cc files that use them.
-    def members(names):
-        return {n for n in names if n.endswith("_")}
-
-    ctx = {
-        "unordered_members": set(),
-        "double_members": set(),
-        "rng_members": set(),
-        "rng_fns": set(),
-        "loop_lines": {},
-    }
-    for info in infos:
-        ctx["unordered_members"] |= members(info.unordered)
-        ctx["double_members"] |= members(info.doubles)
-        ctx["rng_members"] |= members(info.rng_vars)
-        ctx["rng_fns"] |= info.rng_fns
-        ctx["loop_lines"][str(info.rel)] = loop_lines(info.toks)
-
+def analyze(root):
+    """(file, line, rule, message) for every finding under *root*."""
+    tree = Tree(root)
     findings = []
-    for info in infos:
-        for rule in rules:
-            RULE_FNS[rule](info, ctx, findings)
+    for rule in RULES.values():
+        rule(tree, findings)
     return findings
 
 
-# ---------------------------------------------------------------------------
-# Self-test: one seeded violation per rule, plus counterexamples that
-# must stay clean (blessed TUs, suppression comments, ordered
-# containers, non-double accumulators).  Mirrors tools/lint/lint.py.
-# ---------------------------------------------------------------------------
-
-# Keep SELF_TEST_SEEDS keys in sync with RULES; lint.py rule 5
-# (selftest-coverage) fails the build when a rule has no seed here.
-SELF_TEST_SEEDS = {
-    "ordered-iteration": (
-        "src/sim/bad_iter.cc",
-        "#include <unordered_map>\n"
-        "struct S { std::unordered_map<int, int> hist_; };\n"
-        "int sum(S &s) {\n"
-        "    int total = 0;\n"
-        "    for (const auto &kv : s.hist_) total += kv.second;\n"
-        "    return total;\n"
-        "}\n"),
-    "blessed-rng-sites": (
-        "src/dram/bad_rng.cc",
-        "struct Rng { double uniform(); };\n"
-        "double jitter(Rng &rng) { return rng.uniform(); }\n"),
-    "fp-accumulation-order": (
-        "src/sim/bad_sum.cc",
-        "double total(const double *xs, int n) {\n"
-        "    double sum = 0;\n"
-        "    for (int i = 0; i < n; ++i) sum += xs[i];\n"
-        "    return sum;\n"
-        "}\n"),
-    "stat-write-outside-accounting": (
-        "src/sim/bad_stat.cc",
-        "struct ChannelStats { unsigned long long reads; };\n"
-        "struct Ch { ChannelStats stats_; };\n"
-        "void poke(Ch &ch) { ++ch.stats_.reads; }\n"),
-    "pointer-ordered-containers": (
-        "src/dram/bad_ptr.cc",
-        "#include <map>\n"
-        "struct Bank;\n"
-        "std::map<Bank *, int> order_;\n"),
-}
-
-# Counterexamples: each must produce zero findings.
-SELF_TEST_CLEAN = {
-    # Blessed RNG site: the workload generator draws on purpose.
-    "src/workload/workload.cc":
-        "struct Rng { double uniform(); };\n"
-        "double pick(Rng &rng) { return rng.uniform(); }\n",
-    # Blessed fp accumulation point.
-    "src/common/stats.cc":
-        "void add(double &sum_, const double *xs, int n) {\n"
-        "    for (int i = 0; i < n; ++i) sum_ += xs[i];\n"
-        "}\n",
-    # Accounting TU mutating its own counters.
-    "src/core/core.cc":
-        "struct CoreStats { unsigned long long retired; };\n"
-        "struct Core { CoreStats stats_; void tick() "
-        "{ ++stats_.retired; } };\n",
-    # Ordered map iteration is fine; string keys are fine.
-    "src/sim/fine_map.cc":
-        "#include <map>\n#include <string>\n"
-        "int count(const std::map<std::string, int> &m) {\n"
-        "    int n = 0;\n"
-        "    for (const auto &kv : m) n += kv.second;\n"
-        "    return n;\n"
-        "}\n",
-    # A documented suppression silences the finding.
-    "src/sim/suppressed_sum.cc":
-        "double total(const double *xs, int n) {\n"
-        "    double sum = 0;\n"
-        "    for (int i = 0; i < n; ++i) {\n"
-        "        // dsarp-analyze: allow(fp-accumulation-order): index\n"
-        "        // order is fixed\n"
-        "        sum += xs[i];\n"
-        "    }\n"
-        "    return sum;\n"
-        "}\n",
-    # Integer accumulation in a loop: not an fp-order hazard.
-    "src/sim/int_sum.cc":
-        "long total(const long *xs, int n) {\n"
-        "    long acc = 0;\n"
-        "    for (int i = 0; i < n; ++i) acc += xs[i];\n"
-        "    return acc;\n"
-        "}\n",
-}
-
-
 def self_test():
-    failures = []
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for rule, (rel, text) in SELF_TEST_SEEDS.items():
-            path = root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-        findings = analyze(root)
-        for rule in RULES:
-            hits = [f for f in findings if f" {rule}: " in f]
-            seed_rel = SELF_TEST_SEEDS[rule][0]
-            if not any(seed_rel in f for f in hits):
-                failures.append(
-                    f"self-test: rule '{rule}' missed its seeded "
-                    f"violation in {seed_rel} (findings: {findings})")
-
-        # Counterexamples replace the seeds; the tree must go clean.
-        for rel, _ in SELF_TEST_SEEDS.values():
-            (root / rel).unlink()
-        for rel, text in SELF_TEST_CLEAN.items():
-            path = root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-        for f in analyze(root):
-            failures.append(f"self-test: clean counterexample flagged: {f}")
-
-    real = analyze(REPO, compdb=load_compdb(REPO))
-    for f in real:
-        failures.append(f"self-test: real tree not clean: {f}")
-
+    """The fixture tree must give exactly expected.txt, which names
+    every rule, and the real tree must be clean."""
+    got = Counter(f"{rel}:{line}: {rule}"
+                  for rel, line, rule, _ in analyze(FIXTURES))
+    want = Counter(line for line in
+                   (FIXTURES / "expected.txt").read_text().splitlines()
+                   if line.strip())
+    failures = [f"missing: {line}" for line in sorted(want - got)]
+    failures += [f"extra: {line}" for line in sorted(got - want)]
+    failures += [f"expected.txt names no finding of rule '{rule}'"
+                 for rule in RULES
+                 if not any(line.endswith(f": {rule}") for line in want)]
+    failures += ["real tree not clean: {}:{}: {}: {}".format(*f)
+                 for f in analyze(REPO)]
     for msg in failures:
-        print(msg)
-    return 1 if failures else 0
+        print(f"self-test: {msg}")
+    if failures:
+        return 1
+    print(f"dsarp-analyze self-test: {sum(want.values())} fixture "
+          "finding(s) match expected.txt, real tree clean")
+    return 0
 
 
 def main():
     parser = argparse.ArgumentParser(
-        description="determinism audit for the bit-identical contracts")
+        description="the repo's static checker: determinism rules and "
+                    "repo invariants")
     parser.add_argument("--root", type=Path, default=REPO,
                         help="tree to analyze (default: the repo)")
-    parser.add_argument("--rule", action="append", choices=RULES,
-                        help="run only this rule (repeatable)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule names and exit")
     parser.add_argument("--self-test", action="store_true",
-                        help="seed violations and assert detection")
+                        help="check the rules against "
+                             "tests/fixtures/analyze and the real tree")
     args = parser.parse_args()
 
-    if args.list_rules:
-        for rule in RULES:
-            print(rule)
-        return 0
     if args.self_test:
-        rc = self_test()
-        if rc == 0:
-            print("dsarp-analyze self-test: all seeded violations "
-                  "caught, counterexamples clean")
-        return rc
-
-    rules = tuple(args.rule) if args.rule else RULES
-    findings = analyze(args.root, rules=rules,
-                       compdb=load_compdb(args.root))
-    for f in findings:
-        print(f)
+        return self_test()
+    findings = analyze(args.root)
+    for rel, line, rule, message in findings:
+        print(f"{rel}:{line}: {rule}: {message}")
     if findings:
         print(f"dsarp-analyze: {len(findings)} finding(s)")
         return 1
